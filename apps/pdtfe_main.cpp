@@ -292,12 +292,17 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   const bool socket = cfg.transport.kind == engine::TransportKind::kSocket;
   const PipelineOptions& opt = cfg.pipeline;
 
-  const ParticleSet set = read_snapshot(cfg.snapshot);
-  const auto groups = find_fof_groups(set);
   std::vector<engine::FieldRequest> requests;
-  for (std::size_t i = 0; i < groups.size() && requests.size() < cfg.n_fields;
-       ++i)
-    requests.push_back({groups[i].center});
+  {
+    obs::TraceSpan span(engine::phases::kRequests);
+    const ParticleSet set = read_snapshot(cfg.snapshot);
+    const auto groups = find_fof_groups(set);
+    for (std::size_t i = 0;
+         i < groups.size() && requests.size() < cfg.n_fields; ++i)
+      requests.push_back({groups[i].center});
+    span.add_arg("particles", static_cast<double>(set.size()));
+    span.add_arg("fof_groups", static_cast<double>(groups.size()));
+  }
   std::printf("%zu field requests on FOF objects, %d ranks\n", requests.size(),
               cfg.ranks);
   if (opt.field != FieldKind::kDensity || opt.smooth_ensemble > 1)
@@ -497,14 +502,19 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
 int cmd_lensing(const CliArgs& args) {
   args.check_known({"in", "out-prefix", "grid", "length", "sigma-crit-frac"});
   const CommonFieldFlags common = parse_common_field_flags(args, 256L, 8.0);
-  const ParticleSet set = read_snapshot(common.in);
   const std::size_t ng = common.grid;
   const double length = common.length;
   const std::string prefix = args.get("out-prefix", std::string{"lens"});
 
-  const auto groups = find_fof_groups(set);
-  DTFE_CHECK_MSG(!groups.empty(), "no FOF objects found");
-  const Vec3 target = groups[0].center;
+  ParticleSet set;
+  Vec3 target;
+  {
+    obs::TraceSpan span(engine::phases::kRequests);
+    set = read_snapshot(common.in);
+    const auto groups = find_fof_groups(set);
+    DTFE_CHECK_MSG(!groups.empty(), "no FOF objects found");
+    target = groups[0].center;
+  }
   const engine::FieldCube cube(extract_cube(set, target, 1.3 * length),
                                set.particle_mass);
   const FieldSpec spec = FieldSpec::centered(target, length, ng);

@@ -15,7 +15,8 @@
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and overlapped-executor labels — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
-#      kernel-parity, and engine suites against that build.
+#      kernel-parity, nbody (FOF cell-key packing), and engine suites
+#      against that build.
 #
 # usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
 set -euo pipefail
@@ -171,14 +172,17 @@ cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDTFE_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j"$JOBS"
 
-echo "== ubsan: geometry/kernel/engine suites"
+echo "== ubsan: geometry/kernel/nbody/engine suites"
 # UBSan is built with -fno-sanitize-recover=all, so any undefined operation
 # (misaligned SIMD load, signed overflow in the walk counters, bad enum cast
-# in the codec) aborts the test. The simd parity suite is the main target:
-# it drives the packed load/store routes over degenerate geometry. The
-# targeted binaries run directly (ctest registers per-CASE names, not
+# in the codec, a shift out of range in the FOF 64-bit cell keys) aborts the
+# test. The simd parity suite is the main target: it drives the packed
+# load/store routes over degenerate geometry; nbody_test drives FOF over one
+# and two cells per axis, ~1600 cells per axis, and non-finite positions.
+# The targeted binaries run directly (ctest registers per-CASE names, not
 # binary names); the engine label covers engine_test + executor_test.
-for t in simd_parity_test ray_tetra_test kernels_test predicates_test; do
+for t in simd_parity_test ray_tetra_test kernels_test predicates_test \
+         nbody_test; do
   "build-ubsan/tests/$t"
 done
 ctest --test-dir build-ubsan --output-on-failure -L engine

@@ -25,6 +25,11 @@ inline constexpr const char* kPack = "pipeline.pack";
 inline constexpr const char* kUnpack = "pipeline.unpack";
 inline constexpr const char* kRecover = "pipeline.recover";
 
+// Request generation in the pdtfe CLI, before the engine runs: snapshot read,
+// FOF and the request list. Emitted in the default "dtfe" category, not
+// kCategory, because it is not a PhaseTimes phase.
+inline constexpr const char* kRequests = "pipeline.requests";
+
 // Per-item span names (re-emitted with the exact cpu_s accumulated into
 // PhaseTimes::triangulate / ::render).
 inline constexpr const char* kItemTriangulate = "item.triangulate";

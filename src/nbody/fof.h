@@ -1,10 +1,18 @@
-// Friends-of-friends halo finder (union-find over a linking-length grid).
+// Friends-of-friends halo finder (union-find over sorted occupied cells).
 //
 // The paper's large-scale experiment centers 233k fields on "the most
 // massive objects found by a density based clustering algorithm", and the
 // galaxy-galaxy experiment places fields at model-assigned galaxy positions
 // in the densest regions. FOF supplies both: group particles whose mutual
 // distance is below b× the mean interparticle spacing, rank groups by mass.
+//
+// Particles are hashed into cells of side >= the linking length, keyed by
+// a packed 64-bit cell key and sorted; only occupied cells are visited, each
+// against its 13 forward stencil neighbors. Memory is O(n) however small b
+// is (at most 2^21 cells per axis; coarser cells stay exact, only slower).
+// Positions are expected in [0, box)^3; an out-of-box one is hashed into the
+// nearest edge cell, and a non-finite one links to nothing and stays a
+// singleton.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +36,9 @@ struct FofGroup {
   std::size_t size() const { return members.size(); }
 };
 
-/// Returns groups sorted by descending size.
+/// Returns groups sorted by descending size; each group's members ascend.
+/// Throws dtfe::Error unless `set.box_length` and `opt.linking_parameter`
+/// are finite and positive.
 std::vector<FofGroup> find_fof_groups(const ParticleSet& set,
                                       const FofOptions& opt = {});
 

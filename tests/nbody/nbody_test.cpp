@@ -2,11 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <map>
+#include <numeric>
 #include <set>
 
 #include "nbody/fof.h"
 #include "nbody/generators.h"
 #include "nbody/snapshot_io.h"
+#include "util/error.h"
 #include "util/fft.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -197,6 +201,235 @@ TEST(Fof, PeriodicWrappingJoinsAcrossBoundary) {
   // center of mass should be near the corner (0,0,0) modulo wrapping
   const double d = std::sqrt(periodic_dist2(groups[0].center, {0, 0, 0}, 50.0));
   EXPECT_LT(d, 0.5);
+}
+
+/// O(n²) friends-of-friends: unite every pair within the linking length,
+/// then gather and center exactly as find_fof_groups documents.
+std::vector<FofGroup> brute_force_fof(const ParticleSet& set,
+                                      const FofOptions& opt) {
+  const std::size_t n = set.size();
+  const double box = set.box_length;
+  const double link =
+      opt.linking_parameter * (box / std::cbrt(static_cast<double>(n)));
+  const double link2 = link * link;
+  std::vector<std::uint32_t> parent(n);
+  std::iota(parent.begin(), parent.end(), std::uint32_t{0});
+  auto find = [&](std::uint32_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  for (std::uint32_t a = 0; a < n; ++a)
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      const Vec3 &pa = set.positions[a], &pb = set.positions[b];
+      const double d2 =
+          opt.periodic ? periodic_dist2(pa, pb, box) : (pa - pb).norm2();
+      if (!(d2 <= link2)) continue;
+      const std::uint32_t ra = find(a), rb = find(b);
+      if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
+    }
+  std::map<std::uint32_t, std::vector<std::uint32_t>> by_root;
+  for (std::uint32_t i = 0; i < n; ++i) by_root[find(i)].push_back(i);
+  std::vector<FofGroup> groups;
+  for (auto& [root, members] : by_root) {
+    if (members.size() < opt.min_group_size) continue;
+    FofGroup g;
+    g.members = std::move(members);
+    const Vec3 ref = set.positions[g.members.front()];
+    Vec3 acc{0, 0, 0};
+    for (const std::uint32_t i : g.members)
+      acc += opt.periodic ? min_image(set.positions[i] - ref, box)
+                          : (set.positions[i] - ref);
+    g.center = ref + acc / static_cast<double>(g.members.size());
+    if (opt.periodic) g.center = wrap_periodic(g.center, box);
+    groups.push_back(std::move(g));
+  }
+  return groups;
+}
+
+/// Groups keyed by their first member, so two finders compare regardless of
+/// how they order groups of equal size.
+std::map<std::uint32_t, const FofGroup*> by_first_member(
+    const std::vector<FofGroup>& groups) {
+  std::map<std::uint32_t, const FofGroup*> out;
+  for (const FofGroup& g : groups) out[g.members.front()] = &g;
+  return out;
+}
+
+/// find_fof_groups must return exactly the oracle's groups: identical member
+/// lists and bitwise-equal centers, sorted by descending size.
+void expect_matches_oracle(const ParticleSet& set, const FofOptions& opt) {
+  const auto got = find_fof_groups(set, opt);
+  const auto want = brute_force_fof(set, opt);
+  for (std::size_t g = 1; g < got.size(); ++g)
+    EXPECT_GE(got[g - 1].size(), got[g].size());
+  ASSERT_EQ(got.size(), want.size());
+  const auto got_map = by_first_member(got);
+  const auto want_map = by_first_member(want);
+  ASSERT_EQ(got_map.size(), got.size());
+  for (const auto& [first, w] : want_map) {
+    const auto it = got_map.find(first);
+    ASSERT_NE(it, got_map.end()) << "no group starts at particle " << first;
+    const FofGroup& g = *it->second;
+    EXPECT_EQ(g.members, w->members) << "group of particle " << first;
+    EXPECT_EQ(std::memcmp(&g.center, &w->center, sizeof(Vec3)), 0)
+        << "center of the group of particle " << first;
+  }
+}
+
+TEST(FofOracle, HaloModelBoxPeriodicAndOpen) {
+  HaloModelOptions hopt;
+  hopt.n_particles = 3000;
+  hopt.box_length = 20.0;
+  hopt.n_halos = 12;
+  hopt.seed = 5;
+  const auto set = generate_halo_model(hopt);
+  for (const bool periodic : {true, false}) {
+    SCOPED_TRACE(periodic ? "periodic" : "open");
+    FofOptions opt;
+    opt.periodic = periodic;
+    opt.min_group_size = 1;
+    expect_matches_oracle(set, opt);
+    opt.min_group_size = 8;
+    expect_matches_oracle(set, opt);
+  }
+}
+
+TEST(FofOracle, ZeldovichBox) {
+  ZeldovichOptions zopt;
+  zopt.grid = 16;
+  zopt.box_length = 32.0;
+  zopt.growth = 3.0;
+  zopt.seed = 9;
+  const auto set = generate_zeldovich(zopt);
+  FofOptions opt;
+  opt.min_group_size = 2;
+  expect_matches_oracle(set, opt);
+}
+
+TEST(FofOracle, CornerStraddlingBlob) {
+  Rng rng(17);
+  ParticleSet set;
+  set.box_length = 10.0;
+  for (int i = 0; i < 600; ++i)
+    set.positions.push_back(wrap_periodic(
+        Vec3{rng.normal(), rng.normal(), rng.normal()} * 0.3, 10.0));
+  for (int i = 0; i < 400; ++i)
+    set.positions.push_back(
+        {rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10)});
+  for (const bool periodic : {true, false}) {
+    SCOPED_TRACE(periodic ? "periodic" : "open");
+    FofOptions opt;
+    opt.periodic = periodic;
+    opt.min_group_size = 1;
+    expect_matches_oracle(set, opt);
+  }
+}
+
+TEST(FofOracle, OneAndTwoCellsPerAxisAliasTheStencil) {
+  // 27 particles: the mean spacing is box/3, so b = 2.5 gives one cell per
+  // axis and b = 1.2 two; every wrapped stencil offset lands on a cell
+  // already visited.
+  Rng rng(19);
+  ParticleSet set;
+  set.box_length = 6.0;
+  for (int i = 0; i < 27; ++i)
+    set.positions.push_back(
+        {rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)});
+  for (const double b : {2.5, 1.2, 0.6})
+    for (const bool periodic : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "b " << b
+                                      << (periodic ? " periodic" : " open"));
+      FofOptions opt;
+      opt.linking_parameter = b;
+      opt.periodic = periodic;
+      opt.min_group_size = 1;
+      expect_matches_oracle(set, opt);
+    }
+}
+
+TEST(FofOracle, TinyLinkingLengthNeedsNoDenseGrid) {
+  // b = 0.01 on 4096 points: about 1600 cells per axis, 4e9 in all. Pairs
+  // are planted at 0.5 and 1.5 linking lengths, so groups of two form.
+  Rng rng(23);
+  ParticleSet set;
+  set.box_length = 16.0;
+  const double link = 0.01 * 16.0 / 16.0;  // b × box / cbrt(4096)
+  for (int i = 0; i < 2048; ++i) {
+    const Vec3 p{rng.uniform(0, 16), rng.uniform(0, 16), rng.uniform(0, 16)};
+    const double sep = (i % 2 == 0 ? 0.5 : 1.5) * link;
+    set.positions.push_back(p);
+    set.positions.push_back(wrap_periodic(p + Vec3{sep, 0, 0}, 16.0));
+  }
+  FofOptions opt;
+  opt.linking_parameter = 0.01;
+  opt.min_group_size = 2;
+  const auto groups = find_fof_groups(set, opt);
+  EXPECT_EQ(groups.size(), 1024u);
+  expect_matches_oracle(set, opt);
+}
+
+TEST(Fof, PairAtExactlyTheLinkingLengthLinks) {
+  // Eight particles: one pair exactly one linking length apart along x,
+  // and a third particle just beyond it.
+  ParticleSet set;
+  set.box_length = 10.0;
+  const double link = 0.2 * (10.0 / std::cbrt(8.0));
+  set.positions = {{0, 5, 5}, {link, 5, 5}, {7, 5, 5},
+                   {7, 5, 5 + 1.0001 * link}, {2, 2, 2}, {8, 8, 8},
+                   {2, 8, 2}, {8, 2, 8}};
+  for (const bool periodic : {true, false}) {
+    FofOptions opt;
+    opt.periodic = periodic;
+    opt.min_group_size = 2;
+    const auto groups = find_fof_groups(set, opt);
+    ASSERT_EQ(groups.size(), 1u) << (periodic ? "periodic" : "open");
+    EXPECT_EQ(groups[0].members, (std::vector<std::uint32_t>{0, 1}));
+  }
+}
+
+TEST(Fof, RejectsUnusableLinkingParameterAndBox) {
+  const auto set = generate_uniform(100, 10.0, 3);
+  for (const double b : {0.0, -0.2, std::nan(""), HUGE_VAL}) {
+    FofOptions opt;
+    opt.linking_parameter = b;
+    EXPECT_THROW(find_fof_groups(set, opt), Error) << "b " << b;
+  }
+  for (const double box : {0.0, -10.0, std::nan(""), HUGE_VAL}) {
+    ParticleSet bad = set;
+    bad.box_length = box;
+    EXPECT_THROW(find_fof_groups(bad), Error) << "box " << box;
+  }
+}
+
+TEST(Fof, NonFinitePositionsAreSingletons) {
+  // A NaN and an infinity inside a tight blob link to nothing; the blob's
+  // group is what it would be without them.
+  Rng rng(29);
+  ParticleSet set;
+  set.box_length = 20.0;
+  for (int i = 0; i < 200; ++i)
+    set.positions.push_back(
+        Vec3{10, 10, 10} + Vec3{rng.normal(), rng.normal(), rng.normal()} * 0.2);
+  set.positions[50] = {std::nan(""), 10.0, 10.0};
+  set.positions[120] = {10.0, HUGE_VAL, 10.0};
+  for (const bool periodic : {true, false}) {
+    SCOPED_TRACE(periodic ? "periodic" : "open");
+    FofOptions opt;
+    opt.periodic = periodic;
+    opt.min_group_size = 1;
+    const auto groups = find_fof_groups(set, opt);
+    const auto by_first = by_first_member(groups);
+    for (const std::uint32_t bad : {50u, 120u}) {
+      ASSERT_EQ(by_first.count(bad), 1u);
+      EXPECT_EQ(by_first.at(bad)->members,
+                std::vector<std::uint32_t>{bad});
+    }
+    opt.min_group_size = 2;
+    expect_matches_oracle(set, opt);
+    const auto blob = find_fof_groups(set, opt);
+    ASSERT_EQ(blob.size(), 1u);
+    EXPECT_EQ(blob[0].size(), 198u);
+  }
 }
 
 TEST(SnapshotIo, RoundTripWithBlocks) {
