@@ -174,25 +174,34 @@ std::string channel_out_path(const std::string& out,
 int cmd_render(const CliArgs& args) {
   args.check_known(
       {"in", "out", "grid", "method", "mc", "adaptive", "field",
-       "smooth-ensemble", "use-simd", "metrics-out", "trace-out"});
+       "smooth-ensemble", "metrics-out", "trace-out"});
   ObsSession obs_session(args);
-  const CommonFieldFlags common = parse_common_field_flags(args, 512L);
-  const ParticleSet set = read_snapshot(common.in);
-  const std::size_t ng = common.grid;
-  const std::string& method = common.method;
-  const std::string out = args.get("out", std::string{"map.pgm"});
+  // Every flag is validated before the snapshot is read or triangulated.
+  CommonFieldFlags common;
   FieldKind field = FieldKind::kDensity;
   int ensemble = 1;
+  engine::KernelOptions kopt;
   try {
+    common = parse_common_field_flags(args, 512L);
     field = parse_field_kind(args.get("field", std::string{"density"}));
     ensemble = static_cast<int>(args.get("smooth-ensemble", 1L));
     if (ensemble < 1) throw Error("--smooth-ensemble must be >= 1");
-    if (method == "cic" && field != FieldKind::kDensity)
+    if (common.method == "cic" && field != FieldKind::kDensity)
       throw Error("--method cic renders density only");
+    kopt.marching.monte_carlo_samples = static_cast<int>(args.get("mc", 1L));
+    if (kopt.marching.monte_carlo_samples < 1) throw Error("--mc must be >= 1");
+    kopt.marching.adaptive_max_depth =
+        static_cast<int>(args.get("adaptive", 0L));
+    if (kopt.marching.adaptive_max_depth < 0)
+      throw Error("--adaptive must be >= 0");
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
+  const ParticleSet set = read_snapshot(common.in);
+  const std::size_t ng = common.grid;
+  const std::string& method = common.method;
+  const std::string out = args.get("out", std::string{"map.pgm"});
 
   FieldSpec spec;
   spec.origin = {0.0, 0.0};
@@ -216,12 +225,6 @@ int cmd_render(const CliArgs& args) {
     std::printf("triangulated %zu particles in %.2f s\n", set.size(),
                 timer.seconds());
     timer.reset();
-    engine::KernelOptions kopt;
-    kopt.marching.monte_carlo_samples = static_cast<int>(args.get("mc", 1L));
-    kopt.marching.adaptive_max_depth =
-        static_cast<int>(args.get("adaptive", 0L));
-    kopt.marching.use_simd =
-        parse_simd_mode(args.get("use-simd", std::string{"auto"}));
     engine::RenderRequest request{spec};
     request.field = field;
     request.smooth_ensemble = ensemble;
@@ -262,8 +265,8 @@ int cmd_render(const CliArgs& args) {
 
 int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   args.check_known({"in", "ranks", "fields", "length", "grid", "kernel",
-                    "field", "smooth-ensemble", "use-simd",
-                    "balance", "metrics-out", "trace-out", "report",
+                    "field", "smooth-ensemble", "balance", "metrics-out",
+                    "trace-out", "report",
                     "fault-plan", "max-retries", "comm-timeout-ms",
                     "bad-particles", "checkpoint-dir", "resume",
                     "item-deadline-ms", "audit", "audit-fatal", "threads",

@@ -20,10 +20,6 @@
 // Tables are indexed by raw cell id over cell_storage_size(); dead and
 // infinite slots hold zeros and are never dereferenced by a march (the walk
 // starts from a hull entry and stops at kNoCell).
-//
-// This header also carries the SIMD evaluation routes for the coefficient
-// polynomial — they pair geometry/tetra_coef.h with util/simd.h, which the
-// geometry layer (below util/) cannot include itself.
 #pragma once
 
 #include <cstdint>
@@ -32,42 +28,10 @@
 
 #include "delaunay/triangulation.h"
 #include "geometry/tetra_coef.h"
-#include "util/simd.h"
 
 namespace dtfe {
 
 class DensityField;
-
-/// Edge-parallel SIMD evaluation of the six edge products: edges 0–3 in one
-/// 4-lane vector, edges 4–5 scalar. Same (c + bx·x) + by·y order per edge
-/// as coef_edge_products, hence bitwise-equal results.
-inline void coef_edge_products_simd(const VerticalTetraCoef& t, const Vec2& xi,
-                                    double s[6]) {
-  const simd::Pack4d px = simd::set1(xi.x);
-  const simd::Pack4d py = simd::set1(xi.y);
-  const simd::Pack4d r =
-      simd::add(simd::add(simd::load(t.c), simd::mul(simd::load(t.bx), px)),
-                simd::mul(simd::load(t.by), py));
-  simd::store(s, r);
-  s[4] = (t.c[4] + t.bx[4] * xi.x) + t.by[4] * xi.y;
-  s[5] = (t.c[5] + t.bx[5] * xi.x) + t.by[5] * xi.y;
-}
-
-/// Ray-parallel SIMD evaluation: simd::kLanes rays against one broadcast
-/// tetra. out[e][l] is edge e's product for ray l, bitwise equal to
-/// coef_edge_products at (xs[l], ys[l]).
-inline void coef_edge_products_batch(const VerticalTetraCoef& t,
-                                     const double* xs, const double* ys,
-                                     double out[6][simd::kLanes]) {
-  const simd::Pack4d px = simd::load(xs);
-  const simd::Pack4d py = simd::load(ys);
-  for (int e = 0; e < 6; ++e) {
-    const simd::Pack4d s = simd::add(
-        simd::add(simd::set1(t.c[e]), simd::mul(simd::set1(t.bx[e]), px)),
-        simd::mul(simd::set1(t.by[e]), py));
-    simd::store(out[e], s);
-  }
-}
 
 /// Geometry-only march tables: crossing-test coefficients plus resolved walk
 /// topology, one entry per raw cell id. Immutable after construction, safe

@@ -23,7 +23,6 @@ struct MarchMetrics {
   obs::MetricId restarts = obs::counter("dtfe.kernel.perturb_restarts");
   obs::MetricId failed = obs::counter("dtfe.kernel.failed_cells");
   obs::MetricId empty = obs::counter("dtfe.kernel.empty_cells");
-  obs::MetricId batch_lanes = obs::counter("dtfe.kernel.simd_batch_lanes");
   obs::MetricId crossings_per_ray = obs::histogram(
       "dtfe.kernel.crossings_per_ray",
       {0, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
@@ -79,7 +78,6 @@ MarchingKernel::MarchingKernel(const DensityField& density,
                             : std::make_shared<const TetraGeomTable>(
                                   density.triangulation());
     field_ = std::make_shared<const FieldCoefTable>(density);
-    simd_on_ = simd_enabled(opt_.use_simd);
   }
 }
 
@@ -89,16 +87,7 @@ MarchingKernel::MarchingKernel(const MarchingKernel& base,
       hull_(base.hull_),
       opt_(opt),
       geom_(base.geom_),
-      field_(base.field_),
-      simd_on_(base.simd_on_) {}
-
-void MarchingKernel::edge_products(const VerticalTetraCoef& t, const Vec2& xi,
-                                   double s[6]) const {
-  // Both routes evaluate (c + bx·x) + by·y per edge in identical order, so
-  // the choice is invisible in the results — only in the throughput.
-  if (simd_on_) coef_edge_products_simd(t, xi, s);
-  else coef_edge_products(t, xi, s);
-}
+      field_(base.field_) {}
 
 void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
                                   double zmin, double zmax, double dz,
@@ -149,7 +138,7 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
   // face classification. The first cell's span test already classifies both
   // faces, so its exit needs no second pass.
   double s[6];
-  edge_products(geom.coef(c), xi, s);
+  coef_edge_products(geom.coef(c), xi, s);
   const VerticalSpan first = coef_vertical_span(geom.coef(c), s);
   if (!first.intersects || first.degenerate) {
     out.degenerate = true;
@@ -170,7 +159,7 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
       return out;
     }
     if (!have_exit) {
-      edge_products(geom.coef(c), xi, s);
+      coef_edge_products(geom.coef(c), xi, s);
       ve = coef_vertical_exit(geom.coef(c), s, entry_face);
       if (!ve.found || ve.degenerate) {
         out.degenerate = true;
@@ -254,9 +243,8 @@ MarchingKernel::Attempt MarchingKernel::march_once_slow(const Vec2& xi,
   return out;
 }
 
-MarchingKernel::LineResult MarchingKernel::finish_line(
-    Vec2 xi, double zmin, double zmax, std::uint64_t& rng,
-    const Attempt& first) const {
+MarchingKernel::LineResult MarchingKernel::march_line(
+    Vec2 xi, double zmin, double zmax, std::uint64_t& rng) const {
   const Triangulation& tri = density_->triangulation();
   const bool fast = geom_ != nullptr;
 
@@ -268,19 +256,16 @@ MarchingKernel::LineResult MarchingKernel::finish_line(
       std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
 
   LineResult out;
-  Attempt a = first;
   for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      // A perturbation storm is the classic runaway; bail out of the retry
-      // loop early once the item deadline fires (render() reports the
-      // cancellation, this ray just stops burning time).
-      if (opt_.deadline && opt_.deadline->expired()) {
-        out.failed = true;
-        return out;
-      }
-      a = fast ? march_once_fast(xi, zmin, zmax)
-               : march_once_slow(xi, zmin, zmax);
+    // A perturbation storm is the classic runaway; bail out of the retry
+    // loop early once the item deadline fires (render() reports the
+    // cancellation, this ray just stops burning time).
+    if (attempt > 0 && opt_.deadline && opt_.deadline->expired()) {
+      out.failed = true;
+      return out;
     }
+    const Attempt a = fast ? march_once_fast(xi, zmin, zmax)
+                           : march_once_slow(xi, zmin, zmax);
     if (a.empty) {
       out.empty = true;
       return out;
@@ -317,147 +302,6 @@ MarchingKernel::LineResult MarchingKernel::finish_line(
       return out;
     }
   }
-}
-
-MarchingKernel::LineResult MarchingKernel::march_line(
-    Vec2 xi, double zmin, double zmax, std::uint64_t& rng) const {
-  const Attempt a = geom_ != nullptr ? march_once_fast(xi, zmin, zmax)
-                                     : march_once_slow(xi, zmin, zmax);
-  return finish_line(xi, zmin, zmax, rng, a);
-}
-
-void MarchingKernel::march_tile(const Vec2* xi, int n, double zmin,
-                                double zmax, std::uint64_t* rng,
-                                LineResult* out,
-                                std::uint64_t& batch_lanes) const {
-  const Triangulation& tri = density_->triangulation();
-  const TetraGeomTable& geom = *geom_;
-  const int nz = opt_.z_samples;
-  const double dz = nz > 0 ? (zmax - zmin) / nz : 0.0;
-  const std::uint64_t max_steps = 16 * tri.num_cells() + 64;
-
-  // Per-lane walk state, mirroring march_once_fast exactly: same product
-  // formula, same classification, same accumulation — a lane's Attempt is
-  // bitwise what the scalar path would have produced for its ξ.
-  Attempt att[simd::kLanes];
-  CellId cell[simd::kLanes] = {};
-  int eface[simd::kLanes] = {};
-  double zprev[simd::kLanes] = {};
-  VerticalExit pending[simd::kLanes];
-  bool have_exit[simd::kLanes] = {};
-  bool walking[simd::kLanes] = {};
-
-  int nwalk = 0;
-  for (int l = 0; l < n; ++l) {
-    const auto entry = hull_->first_entry(xi[l]);
-    const CellId c = entry.cell;
-    if (c == Triangulation::kNoCell) {
-      att[l].empty = true;
-      continue;
-    }
-    double s[6];
-    edge_products(geom.coef(c), xi[l], s);
-    const VerticalSpan first = coef_vertical_span(geom.coef(c), s);
-    if (!first.intersects || first.degenerate) {
-      att[l].degenerate = true;
-      att[l].degen_cell = c;
-      continue;
-    }
-    cell[l] = c;
-    eface[l] = first.enter_face;
-    zprev[l] = first.z_enter;
-    pending[l].found = true;
-    pending[l].degenerate = false;
-    pending[l].exit_face = first.exit_face;
-    pending[l].z_exit = first.z_exit;
-    have_exit[l] = true;
-    walking[l] = true;
-    ++nwalk;
-  }
-
-  // Lockstep walk: every round advances each active lane one tetra. Lanes
-  // whose walk fronts meet in the same cell evaluate their six edge
-  // products through one ray-parallel SIMD pass against that tetra's
-  // broadcast coefficients; the per-lane products are bitwise identical to
-  // the scalar evaluation, so the grouping is purely a throughput
-  // heuristic, never a results decision.
-  double s[simd::kLanes][6];
-  while (nwalk > 0) {
-    bool have_s[simd::kLanes] = {};
-    for (int l = 0; l < n; ++l) {
-      if (!walking[l] || have_exit[l] || have_s[l]) continue;
-      int group[simd::kLanes];
-      int g = 0;
-      for (int m = l; m < n; ++m)
-        if (walking[m] && !have_exit[m] && !have_s[m] && cell[m] == cell[l])
-          group[g++] = m;
-      if (g >= 2) {
-        double xs[simd::kLanes], ys[simd::kLanes];
-        double prod[6][simd::kLanes];
-        for (int k = 0; k < simd::kLanes; ++k) {
-          const int src = k < g ? group[k] : group[0];  // pad spare lanes
-          xs[k] = xi[src].x;
-          ys[k] = xi[src].y;
-        }
-        coef_edge_products_batch(geom.coef(cell[l]), xs, ys, prod);
-        for (int k = 0; k < g; ++k) {
-          for (int e = 0; e < 6; ++e) s[group[k]][e] = prod[e][k];
-          have_s[group[k]] = true;
-        }
-        batch_lanes += static_cast<std::uint64_t>(g);
-      } else {
-        edge_products(geom.coef(cell[l]), xi[l], s[l]);
-        have_s[l] = true;
-      }
-    }
-    for (int l = 0; l < n; ++l) {
-      if (!walking[l]) continue;
-      Attempt& a = att[l];
-      const CellId c = cell[l];
-      if (++a.steps > max_steps) {
-        a.degenerate = true;
-        a.degen_cell = c;
-        walking[l] = false;
-        --nwalk;
-        continue;
-      }
-      VerticalExit ve;
-      if (have_exit[l]) {
-        ve = pending[l];
-        have_exit[l] = false;
-      } else {
-        ve = coef_vertical_exit(geom.coef(c), s[l], eface[l]);
-        if (!ve.found || ve.degenerate) {
-          a.degenerate = true;
-          a.degen_cell = c;
-          walking[l] = false;
-          --nwalk;
-          continue;
-        }
-      }
-      add_interval(c, xi[l], zprev[l], ve.z_exit, zmin, zmax, dz, a.sigma);
-      if (ve.z_exit >= zmax) {
-        walking[l] = false;
-        --nwalk;
-        continue;
-      }
-      const CellId next = geom.next(c, ve.exit_face);
-      if (next == Triangulation::kNoCell) {
-        walking[l] = false;
-        --nwalk;
-        continue;
-      }
-      eface[l] = geom.mirror(c, ve.exit_face);
-      zprev[l] = ve.z_exit;
-      cell[l] = next;
-    }
-  }
-
-  // Clean lanes finish immediately; degenerate lanes carry their partial
-  // step counts into the shared scalar perturb-retry loop (only attempt 0
-  // is batched — retries are rare and ξ-divergent by design).
-  for (int l = 0; l < n; ++l)
-    out[l] = finish_line(xi[l], zmin, zmax, rng[l], att[l]);
 }
 
 double MarchingKernel::refine_cell(const Vec2& center, double size,
@@ -523,7 +367,7 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   stats.thread_seconds.assign(
       static_cast<std::size_t>(omp_get_max_threads()), 0.0);
   std::uint64_t tot_rays = 0, tot_steps = 0, tot_restarts = 0, tot_failed = 0,
-                tot_empty = 0, tot_batch = 0;
+                tot_empty = 0;
   double tot_mass = 0.0;
   std::atomic<bool> cancelled{false};
 
@@ -536,142 +380,74 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   local.perturb_epsilon = opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0);
   const MarchingKernel worker(*this, local);
 
-  // ξ for Monte Carlo sample `smp` of cell (ix, iy): low-discrepancy jitter
-  // (Halton (2,3) under a per-cell Cranley–Patterson rotation). Unbiased
-  // like plain uniform jitter, but stratified — on halo-clustered inputs
-  // (where a cell's column integral varies by orders of magnitude) the
-  // mass-recovery error of 8 samples/cell drops severalfold versus
-  // independent draws. Shared by the per-pixel and tiled loops so the two
-  // schedules sample identical positions.
-  auto sample_xi = [&](std::size_t ix, std::size_t iy, int smp, double rot_x,
-                       double rot_y) {
-    Vec2 xi = spec.cell_center(ix, iy);
-    if (opt_.monte_carlo_samples > 1) {
-      double jx = radical_inverse(static_cast<std::uint32_t>(smp), 2) + rot_x;
-      double jy = radical_inverse(static_cast<std::uint32_t>(smp), 3) + rot_y;
-      jx -= std::floor(jx);
-      jy -= std::floor(jy);
-      xi.x += (jx - 0.5) * h;
-      xi.y += (jy - 0.5) * h;
-    }
-    return xi;
-  };
-
-  // The tiled schedule batches 4 consecutive pixels through march_tile; it
-  // requires the table fast path and carries no adaptive refinement. Grid
-  // values are bitwise identical to the per-pixel schedule (per-lane rng
-  // streams are pure functions of the pixel index), so the choice is
-  // invisible outside throughput and the simd_batch_lanes counter.
-  const bool tiled =
-      simd_on_ && geom_ != nullptr && opt_.adaptive_max_depth == 0;
-
-#pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_batch, tot_mass)
+#pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_mass)
   {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ThreadCpuTimer timer;
 
-    if (!tiled) {
 #pragma omp for schedule(dynamic, 8)
-      for (std::ptrdiff_t idx = 0;
-           idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx) {
-        // Cooperative watchdog: poll the soft deadline every few rays; once
-        // it fires, skip the rest of the grid and report the cancellation
-        // after the parallel region (throwing out of an omp loop is UB).
-        if (opt_.deadline &&
-            (cancelled.load(std::memory_order_relaxed) ||
-             ((idx & 15) == 0 && opt_.deadline->expired()))) {
-          cancelled.store(true, std::memory_order_relaxed);
-          continue;
-        }
-        const auto ix = static_cast<std::size_t>(idx) % nx;
-        const auto iy = static_cast<std::size_t>(idx) / nx;
-        // Per-ray RNG: a pure function of (stream seed, cell index) so the
-        // rendered grid does not depend on the OpenMP schedule.
-        std::uint64_t rng =
-            ray_seed(opt_.seed, static_cast<std::uint64_t>(idx));
-        if (opt_.adaptive_max_depth > 0) {
-          // Dynamic grid spacing: quadtree-refine cells whose corner lines
-          // disagree.
-          MarchingStats cell_stats;
-          grid.at(ix, iy) = worker.refine_cell(spec.cell_center(ix, iy), h,
-                                               spec.zmin, spec.zmax, 0, 1.0,
-                                               rng, &cell_stats);
-          tot_rays += cell_stats.rays_marched;
-          tot_steps += cell_stats.tetra_crossed;
-          tot_restarts += cell_stats.perturb_restarts;
-          tot_failed += cell_stats.failed_cells;
-          tot_mass += cell_stats.ray_mass;
-          continue;
-        }
-        double sigma = 0.0;
-        const double rot_x = rand_unit(rng);
-        const double rot_y = rand_unit(rng);
-        for (int smp = 0; smp < opt_.monte_carlo_samples; ++smp) {
-          const Vec2 xi = sample_xi(ix, iy, smp, rot_x, rot_y);
-          const LineResult r = worker.march_line(xi, spec.zmin, spec.zmax, rng);
-          if (obs::metrics_enabled())
-            obs::observe(march_metrics().crossings_per_ray,
-                         static_cast<double>(r.steps));
-          sigma += r.sigma;
-          tot_rays += 1;
-          tot_steps += r.steps;
-          tot_restarts += static_cast<std::uint64_t>(r.restarts);
-          tot_failed += r.failed ? 1 : 0;
-          tot_empty += r.empty ? 1 : 0;
-        }
-        grid.at(ix, iy) = sigma / opt_.monte_carlo_samples;
-        tot_mass += sigma / opt_.monte_carlo_samples;
+    for (std::ptrdiff_t idx = 0; idx < static_cast<std::ptrdiff_t>(nx * ny);
+         ++idx) {
+      // Cooperative watchdog: poll the soft deadline every few rays; once
+      // it fires, skip the rest of the grid and report the cancellation
+      // after the parallel region (throwing out of an omp loop is UB).
+      if (opt_.deadline &&
+          (cancelled.load(std::memory_order_relaxed) ||
+           ((idx & 15) == 0 && opt_.deadline->expired()))) {
+        cancelled.store(true, std::memory_order_relaxed);
+        continue;
       }
-    } else {
-      const auto total = static_cast<std::ptrdiff_t>(nx * ny);
-      const std::ptrdiff_t lanes = simd::kLanes;
-      const std::ptrdiff_t ntiles = (total + lanes - 1) / lanes;
-#pragma omp for schedule(dynamic, 2)
-      for (std::ptrdiff_t tile = 0; tile < ntiles; ++tile) {
-        // Same watchdog cadence as the per-pixel loop: ~every 16 rays.
-        if (opt_.deadline &&
-            (cancelled.load(std::memory_order_relaxed) ||
-             ((tile & 3) == 0 && opt_.deadline->expired()))) {
-          cancelled.store(true, std::memory_order_relaxed);
-          continue;
-        }
-        const std::ptrdiff_t idx0 = tile * lanes;
-        const int nl =
-            static_cast<int>(std::min<std::ptrdiff_t>(lanes, total - idx0));
-        std::uint64_t rng[simd::kLanes];
-        double rot_x[simd::kLanes], rot_y[simd::kLanes];
-        double sigma[simd::kLanes] = {};
-        for (int l = 0; l < nl; ++l) {
-          rng[l] = ray_seed(opt_.seed, static_cast<std::uint64_t>(idx0 + l));
-          rot_x[l] = rand_unit(rng[l]);
-          rot_y[l] = rand_unit(rng[l]);
-        }
-        for (int smp = 0; smp < opt_.monte_carlo_samples; ++smp) {
-          Vec2 xis[simd::kLanes];
-          for (int l = 0; l < nl; ++l) {
-            const auto idx = static_cast<std::size_t>(idx0 + l);
-            xis[l] = sample_xi(idx % nx, idx / nx, smp, rot_x[l], rot_y[l]);
-          }
-          LineResult r[simd::kLanes];
-          worker.march_tile(xis, nl, spec.zmin, spec.zmax, rng, r, tot_batch);
-          for (int l = 0; l < nl; ++l) {
-            if (obs::metrics_enabled())
-              obs::observe(march_metrics().crossings_per_ray,
-                           static_cast<double>(r[l].steps));
-            sigma[l] += r[l].sigma;
-            tot_rays += 1;
-            tot_steps += r[l].steps;
-            tot_restarts += static_cast<std::uint64_t>(r[l].restarts);
-            tot_failed += r[l].failed ? 1 : 0;
-            tot_empty += r[l].empty ? 1 : 0;
-          }
-        }
-        for (int l = 0; l < nl; ++l) {
-          const auto idx = static_cast<std::size_t>(idx0 + l);
-          grid.at(idx % nx, idx / nx) = sigma[l] / opt_.monte_carlo_samples;
-          tot_mass += sigma[l] / opt_.monte_carlo_samples;
-        }
+      const auto ix = static_cast<std::size_t>(idx) % nx;
+      const auto iy = static_cast<std::size_t>(idx) / nx;
+      // Per-ray RNG: a pure function of (stream seed, cell index) so the
+      // rendered grid does not depend on the OpenMP schedule.
+      std::uint64_t rng = ray_seed(opt_.seed, static_cast<std::uint64_t>(idx));
+      if (opt_.adaptive_max_depth > 0) {
+        // Dynamic grid spacing: quadtree-refine cells whose corner lines
+        // disagree.
+        MarchingStats cell_stats;
+        grid.at(ix, iy) = worker.refine_cell(spec.cell_center(ix, iy), h,
+                                             spec.zmin, spec.zmax, 0, 1.0,
+                                             rng, &cell_stats);
+        tot_rays += cell_stats.rays_marched;
+        tot_steps += cell_stats.tetra_crossed;
+        tot_restarts += cell_stats.perturb_restarts;
+        tot_failed += cell_stats.failed_cells;
+        tot_mass += cell_stats.ray_mass;
+        continue;
       }
+      double sigma = 0.0;
+      const double rot_x = rand_unit(rng);
+      const double rot_y = rand_unit(rng);
+      for (int smp = 0; smp < opt_.monte_carlo_samples; ++smp) {
+        // ξ for Monte Carlo sample `smp`: low-discrepancy jitter (Halton
+        // (2,3) under a per-cell Cranley–Patterson rotation). Unbiased like
+        // plain uniform jitter, but stratified — on halo-clustered inputs
+        // (where a cell's column integral varies by orders of magnitude) the
+        // mass-recovery error of 8 samples/cell drops severalfold versus
+        // independent draws.
+        Vec2 xi = spec.cell_center(ix, iy);
+        if (opt_.monte_carlo_samples > 1) {
+          double jx = radical_inverse(static_cast<std::uint32_t>(smp), 2) + rot_x;
+          double jy = radical_inverse(static_cast<std::uint32_t>(smp), 3) + rot_y;
+          jx -= std::floor(jx);
+          jy -= std::floor(jy);
+          xi.x += (jx - 0.5) * h;
+          xi.y += (jy - 0.5) * h;
+        }
+        const LineResult r = worker.march_line(xi, spec.zmin, spec.zmax, rng);
+        if (obs::metrics_enabled())
+          obs::observe(march_metrics().crossings_per_ray,
+                       static_cast<double>(r.steps));
+        sigma += r.sigma;
+        tot_rays += 1;
+        tot_steps += r.steps;
+        tot_restarts += static_cast<std::uint64_t>(r.restarts);
+        tot_failed += r.failed ? 1 : 0;
+        tot_empty += r.empty ? 1 : 0;
+      }
+      grid.at(ix, iy) = sigma / opt_.monte_carlo_samples;
+      tot_mass += sigma / opt_.monte_carlo_samples;
     }
     stats.thread_seconds[tid] = timer.seconds();
   }
@@ -682,7 +458,6 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   stats.perturb_restarts = tot_restarts;
   stats.failed_cells = tot_failed;
   stats.empty_cells = tot_empty;
-  stats.simd_batch_lanes = tot_batch;
   stats.ray_mass = tot_mass;
   stats_ = stats;
 
@@ -696,7 +471,6 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
     obs::add(m.restarts, static_cast<double>(tot_restarts));
     obs::add(m.failed, static_cast<double>(tot_failed));
     obs::add(m.empty, static_cast<double>(tot_empty));
-    obs::add(m.batch_lanes, static_cast<double>(tot_batch));
   }
   span.add_arg("rays", static_cast<double>(tot_rays));
   span.add_arg("tetra_crossings", static_cast<double>(tot_steps));

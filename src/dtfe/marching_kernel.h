@@ -8,13 +8,11 @@
 // intermediate 3D grid is ever built, and the sample points are the
 // mathematically optimal ones.
 //
-// The vertical hot path runs on precomputed SoA coefficient tables
-// (dtfe/march_tables.h, DESIGN.md §11) built once per triangulation and
-// shared across channels; with use_simd active, rays are marched in 4-wide
-// pixel tiles whose edge products evaluate in SIMD — bitwise identical to
-// the scalar table path by construction. The direct AoS classifiers remain
-// behind use_general_plucker/use_moller_trumbore as the audit/ablation
-// oracle.
+// The vertical hot path marches one line per pixel sample on precomputed
+// SoA coefficient tables (dtfe/march_tables.h, DESIGN.md §11), built once
+// per triangulation and shared across channels. The direct AoS classifiers
+// remain behind use_general_plucker/use_moller_trumbore as the
+// audit/ablation oracle.
 //
 // Degeneracies (ℓ hits a vertex/edge or is coplanar with a face) are handled
 // by the paper's Perturb routine: nudge ℓ by ε toward a random vertex of the
@@ -29,7 +27,6 @@
 #include "dtfe/field.h"
 #include "dtfe/march_tables.h"
 #include "util/cancel.h"
-#include "util/simd.h"
 
 namespace dtfe {
 
@@ -49,11 +46,6 @@ struct MarchingOptions {
   /// Use the general-direction Plücker test instead of the vertical-line
   /// specialization (ablation; identical results, ~3× more arithmetic).
   bool use_general_plucker = false;
-  /// SIMD batching of the vertical fast path (tile marching + vectorized
-  /// edge products). kAuto enables it when the build carries a native ISA.
-  /// Grids are bitwise identical across on/off — the flag is a perf A/B
-  /// switch, not a results knob.
-  SimdMode use_simd = SimdMode::kAuto;
   /// Dynamic grid spacing (the mode the paper disabled "for clarity" in its
   /// Fig. 6 comparison): when > 0, every 2D cell whose corner line integrals
   /// disagree by more than adaptive_tolerance (relative) is split into 4 and
@@ -85,10 +77,6 @@ struct MarchingStats {
   std::uint64_t perturb_restarts = 0;    ///< degenerate marches restarted
   std::uint64_t failed_cells = 0;        ///< cells that hit the retry cap
   std::uint64_t empty_cells = 0;         ///< ξ outside the hull silhouette
-  /// Crossing tests evaluated through the ray-parallel SIMD batch (lanes
-  /// that shared a walk front with a tile neighbor); 0 when use_simd
-  /// resolves off. Observability for the A/B bench, not a results signal.
-  std::uint64_t simd_batch_lanes = 0;
   /// Independent re-accumulation of every terminal ray's integral (weighted
   /// by its share of its 2D cell). In exact arithmetic this equals the sum
   /// of the rendered grid's values; the audit layer compares the two to
@@ -120,10 +108,6 @@ class MarchingKernel {
   /// Statistics from the most recent render() call.
   const MarchingStats& stats() const { return stats_; }
 
-  /// Whether the SIMD batch path is active for this kernel (opt.use_simd
-  /// resolved against the compiled ISA and the fast-path preconditions).
-  bool simd_active() const { return simd_on_; }
-
  private:
   /// Result of one un-perturbed march attempt along a fixed ξ.
   struct Attempt {
@@ -144,26 +128,14 @@ class MarchingKernel {
   /// Rescaled-ε worker sharing the parent's tables (render() internal).
   MarchingKernel(const MarchingKernel& base, const MarchingOptions& opt);
 
+  /// March ξ, perturbing and retrying on degenerate hits (paper Fig. 2).
   LineResult march_line(Vec2 xi, double zmin, double zmax,
                         std::uint64_t& rng) const;
-  /// Perturb-retry continuation: takes attempt 0's outcome (from march_line
-  /// or from a tile lane) and drives the remaining scalar retries.
-  LineResult finish_line(Vec2 xi, double zmin, double zmax,
-                         std::uint64_t& rng, const Attempt& first) const;
   Attempt march_once_fast(const Vec2& xi, double zmin, double zmax) const;
   Attempt march_once_slow(const Vec2& xi, double zmin, double zmax) const;
-  /// March up to simd::kLanes rays in lockstep; lanes whose walk fronts
-  /// meet in one tetra share a ray-parallel batched crossing test.
-  /// `batch_lanes` accumulates how many tests took the batch route.
-  void march_tile(const Vec2* xi, int n, double zmin, double zmax,
-                  std::uint64_t* rng, LineResult* out,
-                  std::uint64_t& batch_lanes) const;
-  /// Accumulate one tetra's contribution over [a, b) into sigma — shared by
-  /// the scalar and tile walks so their arithmetic is identical.
+  /// Accumulate one tetra's contribution over [a, b) into sigma.
   void add_interval(CellId c, const Vec2& xi, double a, double b, double zmin,
                     double zmax, double dz, double& sigma) const;
-  void edge_products(const VerticalTetraCoef& t, const Vec2& xi,
-                     double s[6]) const;
   /// Adaptive (quadtree) estimate of the mean surface density over the
   /// square cell centered at `center` with side `size`. `weight` is this
   /// node's share of the top-level 2D cell (1.0 at the root), used to
@@ -177,7 +149,6 @@ class MarchingKernel {
   MarchingOptions opt_;
   std::shared_ptr<const TetraGeomTable> geom_;
   std::shared_ptr<const FieldCoefTable> field_;
-  bool simd_on_ = false;
   mutable MarchingStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "engine/config.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "dtfe/audit.h"
@@ -17,6 +18,8 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
 
   PipelineOptions& opt = cfg.pipeline;
   opt.field_length = common.length;
+  if (!std::isfinite(opt.field_length) || opt.field_length <= 0.0)
+    throw Error("--length must be a positive finite number");
   opt.field_resolution = common.grid;
   opt.load_balance = args.get("balance", 1L) != 0;
   opt.max_retries = static_cast<int>(args.get("max-retries", 3L));
@@ -51,9 +54,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   opt.kernel = args.get("kernel", std::string{"march"});
   if (!KernelRegistry::builtin().contains(opt.kernel))
     throw Error("unknown --kernel " + opt.kernel);
-  // Perf A/B switch for the marching kernel's SIMD batch path; grids are
-  // bitwise identical either way (parse_simd_mode throws on bad input).
-  opt.use_simd = parse_simd_mode(args.get("use-simd", std::string{"auto"}));
 
   // Field channel selection (DESIGN.md §10). parse_field_kind throws the
   // user-facing message for unknown names.

@@ -260,10 +260,8 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
     // The velocity model is a run-level field: every rank that may render
     // this item must sample the same one, so it seeds from the RUN seed.
     request.model_seed = opt.seed;
-    KernelOptions kopt;
-    kopt.marching.use_simd = opt.use_simd;
     const std::unique_ptr<FieldKernel> kernel =
-        state.kernels->create(opt.kernel, kopt);
+        state.kernels->create(opt.kernel);
     KernelStats stats;
     grid = kernel->render(*p.cube, request, deadline, stats);
     // Density/hull construction rides inside the cube build, so it lands in

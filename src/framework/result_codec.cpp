@@ -13,8 +13,9 @@ constexpr std::uint32_t kConfigMagic = 0x43464750u;  // "PGFC"
 constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // v2: PipelineOptions gained field/smooth_ensemble, grids became
 // multi-channel FieldGrids, and WorkerPayload ships histogram snapshots.
-// v3: PipelineOptions gained use_simd (marching kernel SIMD A/B switch).
-constexpr std::uint32_t kVersion = 3;
+// v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
+// v4: that switch is gone again (the marching kernel has one route).
+constexpr std::uint32_t kVersion = 4;
 
 class ByteWriter {
  public:
@@ -130,7 +131,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.threads);
   w.pod(static_cast<std::uint64_t>(o.field));
   w.pod(o.smooth_ensemble);
-  w.pod(static_cast<std::int32_t>(o.use_simd));
 }
 
 PipelineOptions read_options(ByteReader& r) {
@@ -159,7 +159,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.threads = r.pod<int>();
   o.field = static_cast<FieldKind>(r.pod<std::uint64_t>());
   o.smooth_ensemble = r.pod<int>();
-  o.use_simd = static_cast<SimdMode>(r.pod<std::int32_t>());
   return o;
 }
 

@@ -13,16 +13,9 @@
 // per cell (dtfe/march_tables.h packs them per cell id) and each crossing
 // test costs two multiplies and two adds per edge, with no vertex gathers.
 //
-// The same polynomial vectorizes two ways with identical per-element
-// rounding (plain mul/add only, no FMA — the build forbids FP contraction):
-//   * edge-parallel: one ray, edges 0–3 in one 4-lane vector (the scalar
-//     march's per-step evaluation);
-//   * ray-parallel: four rays against one broadcast tetra (the tile batch
-//     path when rays share a walk front).
-// The SIMD routes live with the per-cell tables in dtfe/march_tables.h
-// (this header stays below util/, where the SIMD wrapper lives); every
-// route classifies bitwise identically, which is what lets
-// MarchingOptions::use_simd promise equal grids on/off.
+// The marching kernel evaluates it with the scalar coef_edge_products on
+// every tetra step (plain mul/add, no FMA — the build forbids FP
+// contraction, so the rounding is the same on every compiler and ISA).
 //
 // NOTE: the coefficient expansion rounds differently from the direct
 // (b−a)×(a−ξ) expression, so near-zero products — hence degeneracy
@@ -40,8 +33,7 @@
 namespace dtfe {
 
 /// Per-tetra coefficients of the six vertical edge products, plus vertex
-/// heights for the exit-z interpolation. Contiguous doubles so the first
-/// four of each array load straight into a SIMD register.
+/// heights for the exit-z interpolation.
 struct VerticalTetraCoef {
   double c[6];   ///< constant term  ex·a.y − ey·a.x
   double bx[6];  ///< ξ.x coefficient  ey
@@ -64,8 +56,7 @@ inline VerticalTetraCoef make_vertical_coef(const std::array<Vec3, 4>& v) {
   return t;
 }
 
-/// Scalar reference evaluation of the six edge products at ξ. Every other
-/// route below must match this bitwise, edge by edge.
+/// Evaluate the six edge products at ξ, each as (c + bx·x) + by·y.
 inline void coef_edge_products(const VerticalTetraCoef& t, const Vec2& xi,
                                double s[6]) {
   for (int e = 0; e < 6; ++e)

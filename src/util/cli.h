@@ -66,18 +66,23 @@ class CliArgs {
 /// length 5; lensing: grid 256, length 8) and ignores the fields it has no
 /// flag for — parsing stays in one place instead of three.
 struct CommonFieldFlags {
-  std::string in;      ///< --in: input snapshot path
-  std::size_t grid;    ///< --grid: output resolution (cells per side)
-  double length;       ///< --length: physical field side
-  std::string method;  ///< --method: kernel name ("march", "walk", ...)
+  std::string in;         ///< --in: input snapshot path
+  std::size_t grid = 0;   ///< --grid: output resolution (cells per side)
+  double length = 0.0;    ///< --length: physical field side
+  std::string method;     ///< --method: kernel name ("march", "walk", ...)
 };
 
+/// Throws dtfe::Error for --grid < 1.
 inline CommonFieldFlags parse_common_field_flags(
     const CliArgs& args, long default_grid, double default_length = 0.0,
     const std::string& default_method = "march") {
   CommonFieldFlags f;
   f.in = args.get("in", std::string{});
-  f.grid = static_cast<std::size_t>(args.get("grid", default_grid));
+  // Checked before the unsigned cast: --grid -3 would otherwise wrap to
+  // 2^64 − 3 cells per side.
+  const long grid = args.get("grid", default_grid);
+  if (grid < 1) throw Error("--grid must be >= 1");
+  f.grid = static_cast<std::size_t>(grid);
   f.length = args.get("length", default_length);
   f.method = args.get("method", default_method);
   return f;

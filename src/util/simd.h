@@ -1,151 +1,20 @@
-// Portable 4-lane double SIMD wrapper for the marching kernel's batched
-// vertical crossing test (DESIGN.md §11).
-//
-// The wrapper deliberately exposes only lane-wise add/mul/broadcast — the
-// operations whose IEEE-754 results are bit-identical to the corresponding
-// scalar sequence on every supported ISA. That property is what lets the
-// batched kernel path promise bitwise-equal grids against the scalar path:
-// a lane of addpd/mulpd (or NEON fadd/fmul) rounds exactly like addsd/mulsd.
-// Fused multiply-add is never used (and the build globally disables FP
-// contraction), because an FMA's single rounding would break the guarantee.
-//
-// ISA selection is compile-time: SSE2 (always present on x86-64), NEON on
-// aarch64, and a plain-array fallback everywhere else. The fallback keeps
-// every call site valid, so `MarchingOptions::use_simd = kOn` is honored
-// structurally (the batch loop runs) even where it cannot win.
+// Compile-time SIMD ISA detection, recorded by the benchmarks as
+// `simd_isa` so a measurement names the vector baseline its build carried
+// (SSE2 on x86-64, NEON on aarch64, "scalar" elsewhere). No kernel branches
+// on it: the marching kernel has one scalar route (DESIGN.md §11).
 #pragma once
 
-#include <string>
+namespace dtfe::simd {
 
-#include "util/error.h"
-
+inline const char* isa_name() {
 #if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define DTFE_SIMD_SSE2 1
-#include <emmintrin.h>
+  return "sse2";
 #elif defined(__aarch64__) || defined(_M_ARM64)
-#define DTFE_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
-namespace dtfe {
-
-/// Three-state batching switch for kernels with a SIMD path. `kAuto`
-/// resolves to kOn when the build carries a native ISA (SSE2/NEON) and kOff
-/// on the scalar fallback, where batching costs bookkeeping for no win.
-enum class SimdMode { kAuto, kOff, kOn };
-
-namespace simd {
-
-/// Width of the batch path: four rays classified per pass.
-inline constexpr int kLanes = 4;
-
-#if defined(DTFE_SIMD_SSE2)
-
-inline constexpr bool kNative = true;
-inline const char* isa_name() { return "sse2"; }
-
-/// Four doubles as two 128-bit halves (the portable x86-64 baseline; an
-/// AVX build would fold the halves into one ymm but the lane-wise rounding
-/// — the only contract callers rely on — is identical).
-struct Pack4d {
-  __m128d lo, hi;
-};
-
-inline Pack4d set1(double v) { return {_mm_set1_pd(v), _mm_set1_pd(v)}; }
-inline Pack4d load(const double* p) {
-  return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-}
-inline void store(double* p, Pack4d a) {
-  _mm_storeu_pd(p, a.lo);
-  _mm_storeu_pd(p + 2, a.hi);
-}
-inline Pack4d add(Pack4d a, Pack4d b) {
-  return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-}
-inline Pack4d mul(Pack4d a, Pack4d b) {
-  return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-}
-
-#elif defined(DTFE_SIMD_NEON)
-
-inline constexpr bool kNative = true;
-inline const char* isa_name() { return "neon"; }
-
-struct Pack4d {
-  float64x2_t lo, hi;
-};
-
-inline Pack4d set1(double v) { return {vdupq_n_f64(v), vdupq_n_f64(v)}; }
-inline Pack4d load(const double* p) {
-  return {vld1q_f64(p), vld1q_f64(p + 2)};
-}
-inline void store(double* p, Pack4d a) {
-  vst1q_f64(p, a.lo);
-  vst1q_f64(p + 2, a.hi);
-}
-inline Pack4d add(Pack4d a, Pack4d b) {
-  return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-}
-inline Pack4d mul(Pack4d a, Pack4d b) {
-  // NB: plain multiplies only — vfmaq would fuse and change the rounding.
-  return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-}
-
+  return "neon";
 #else
-
-inline constexpr bool kNative = false;
-inline const char* isa_name() { return "scalar"; }
-
-struct Pack4d {
-  double v[kLanes];
-};
-
-inline Pack4d set1(double x) { return {{x, x, x, x}}; }
-inline Pack4d load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
-inline void store(double* p, Pack4d a) {
-  for (int i = 0; i < kLanes; ++i) p[i] = a.v[i];
-}
-inline Pack4d add(Pack4d a, Pack4d b) {
-  Pack4d r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-inline Pack4d mul(Pack4d a, Pack4d b) {
-  Pack4d r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] * b.v[i];
-  return r;
-}
-
+  return "scalar";
 #endif
-
-}  // namespace simd
-
-/// Resolve a three-state mode against the compiled ISA.
-inline bool simd_enabled(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOn: return true;
-    case SimdMode::kOff: return false;
-    case SimdMode::kAuto: break;
-  }
-  return simd::kNative;
 }
 
-/// Parse "auto" / "on" / "off" (the --use-simd grammar).
-inline SimdMode parse_simd_mode(const std::string& s) {
-  if (s == "auto") return SimdMode::kAuto;
-  if (s == "on") return SimdMode::kOn;
-  if (s == "off") return SimdMode::kOff;
-  throw Error("invalid SIMD mode '" + s + "' (expected auto, on, or off)");
-}
-
-inline const char* simd_mode_name(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOn: return "on";
-    case SimdMode::kOff: return "off";
-    case SimdMode::kAuto: break;
-  }
-  return "auto";
-}
-
-}  // namespace dtfe
+}  // namespace dtfe::simd

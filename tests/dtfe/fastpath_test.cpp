@@ -1,14 +1,18 @@
-// Tests for the marching kernel's vertical-line fast path and the
-// zero-order kernel's warm-started nearest-site search: the optimized code
-// must agree exactly with the general-purpose reference implementations.
+// Tests for the marching kernel's vertical-line fast path (the AoS vertical
+// test and the coefficient-table route the march runs) and the zero-order
+// kernel's warm-started nearest-site search: the optimized code must agree
+// with the general-purpose reference implementations.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "core/reconstructor.h"
 #include "dtfe/tess_kernel.h"
 #include "geometry/predicates.h"
 #include "geometry/ray_tetra.h"
+#include "geometry/tetra_coef.h"
 #include "nbody/generators.h"
 #include "util/rng.h"
 
@@ -74,6 +78,35 @@ TEST(VerticalRayTetra, ParallelEdgeIsNotSpuriouslyDegenerate) {
   EXPECT_TRUE(deg.degenerate);
 }
 
+// The coefficient form rounds ~1 ulp away from the direct AoS geometry
+// (which is why the AoS path is the ablation oracle, not a second route) —
+// but on clean crossings the classification must agree and the heights
+// must match to ~1e-12 relative.
+TEST(VerticalRayTetra, CoefMatchesAosOracleWithinTolerance) {
+  Rng rng(17);
+  int compared = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::array<Vec3, 4> v;
+    for (auto& p : v)
+      p = {rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0),
+           rng.uniform(0.0, 10.0)};
+    const VerticalTetraCoef c = make_vertical_coef(v);
+    const Vec2 xi{(v[0].x + v[1].x + v[2].x + v[3].x) * 0.25,
+                  (v[0].y + v[1].y + v[2].y + v[3].y) * 0.25};
+    double sp[6];
+    coef_edge_products(c, xi, sp);
+    const VerticalSpan span = coef_vertical_span(c, sp);
+    const LineTetraHit aos = line_tetra_vertical(xi, v);
+    if (span.degenerate || aos.degenerate) continue;
+    ASSERT_EQ(span.intersects, aos.intersects) << iter;
+    if (!span.intersects) continue;
+    ++compared;
+    EXPECT_NEAR(span.z_enter, aos.t_enter, 1e-12 * (1.0 + std::abs(aos.t_enter)));
+    EXPECT_NEAR(span.z_exit, aos.t_exit, 1e-12 * (1.0 + std::abs(aos.t_exit)));
+  }
+  EXPECT_GT(compared, 500);
+}
+
 TEST(MarchingAblations, AllThreeIntersectionBackendsAgree) {
   HaloModelOptions gen;
   gen.n_particles = 3000;
@@ -100,6 +133,27 @@ TEST(MarchingAblations, AllThreeIntersectionBackendsAgree) {
     const double c = k3.integrate_line(xi, 0.0, 1.0);
     EXPECT_NEAR(a, b, 1e-7 * (std::abs(a) + 1.0)) << iter;
     EXPECT_NEAR(a, c, 1e-6 * (std::abs(a) + 1.0)) << iter;
+  }
+
+  // Render level: the table route against the general-Plücker oracle with
+  // jittered Monte Carlo samples and with the fixed-z-plane integral.
+  FieldSpec spec;
+  spec.origin = {0.1, 0.1};
+  spec.length = 0.8;
+  spec.resolution = 16;
+  spec.zmin = 0.0;
+  spec.zmax = 1.0;
+  for (const auto& [mc, nz] : {std::pair{4, 0}, std::pair{1, 32}}) {
+    fast.monte_carlo_samples = gplucker.monte_carlo_samples = mc;
+    fast.z_samples = gplucker.z_samples = nz;
+    const Grid2D ga =
+        MarchingKernel(recon.density(), recon.hull(), fast).render(spec);
+    const Grid2D gb =
+        MarchingKernel(recon.density(), recon.hull(), gplucker).render(spec);
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i)
+      EXPECT_NEAR(ga.flat(i), gb.flat(i), 1e-7 * (std::abs(ga.flat(i)) + 1.0))
+          << "cell " << i << " mc " << mc << " z_samples " << nz;
   }
 }
 

@@ -8,6 +8,8 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -425,6 +427,24 @@ TEST(EngineConfig, FromCliParsesAndValidates) {
     const CliArgs args(static_cast<int>(std::size(argv)),
                        const_cast<char**>(argv));
     EXPECT_THROW(EngineConfig::from_cli(args), Error);
+  }
+  // Field geometry is rejected before any work: a non-positive grid would
+  // wrap through the unsigned cast or render an empty run, and a
+  // non-positive or non-finite length would reach the decomposition.
+  const std::pair<const char*, const char*> bad_geometry[] = {
+      {"--grid", "0"},   {"--grid", "-3"},    {"--length", "0"},
+      {"--length", "-2"}, {"--length", "inf"}, {"--length", "nan"}};
+  for (const auto& [flag, value] : bad_geometry) {
+    const char* argv[] = {"pdtfe", "pipeline", flag, value};
+    const CliArgs args(static_cast<int>(std::size(argv)),
+                       const_cast<char**>(argv));
+    try {
+      EngineConfig::from_cli(args);
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "util/binpack.h"
+#include "util/cli.h"
 #include "util/csv.h"
 #include "util/fit.h"
 #include "util/grid_index.h"
@@ -318,6 +319,31 @@ TEST(Rng, UniformIndexInRangeAndCoversAll) {
     seen[k] = true;
   }
   for (bool b : seen) EXPECT_TRUE(b);
+}
+
+TEST(CommonFieldFlags, ParsesDefaultsAndRejectsNonPositiveGrid) {
+  const char* plain[] = {"pdtfe", "render", "--in", "snap.bin"};
+  const CommonFieldFlags f =
+      parse_common_field_flags(CliArgs(4, const_cast<char**>(plain)), 512L);
+  EXPECT_EQ(f.in, "snap.bin");
+  EXPECT_EQ(f.grid, 512u);
+  EXPECT_EQ(f.method, "march");
+
+  const char* one[] = {"pdtfe", "render", "--grid=1"};
+  EXPECT_EQ(
+      parse_common_field_flags(CliArgs(3, const_cast<char**>(one)), 512L).grid,
+      1u);
+
+  // A negative grid must not wrap through the unsigned cast.
+  for (const char* const bad : {"--grid=0", "--grid=-3", "--grid=x"}) {
+    const char* argv[] = {"pdtfe", "render", bad};
+    try {
+      parse_common_field_flags(CliArgs(3, const_cast<char**>(argv)), 512L);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--grid"), std::string::npos);
+    }
+  }
 }
 
 TEST(Timer, ThreadCpuAdvancesUnderWork) {
