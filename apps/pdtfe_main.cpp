@@ -14,7 +14,7 @@
 //                  [--trace-out t.json] [--report prefix]
 //                  [--fault-plan spec] [--max-retries 3]
 //                  [--comm-timeout-ms 2000] [--bad-particles reject|drop|clamp]
-//                  [--threads N] [--compute-ahead N]
+//                  [--threads N]
 //   pdtfe launch   --in snap.bin [--ranks 3] [--transport socket] ...
 //                  (pipeline with --transport defaulting to socket: spawns
 //                  one worker process per rank; see README "Multi-process
@@ -270,7 +270,7 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
                     "fault-plan", "max-retries", "comm-timeout-ms",
                     "bad-particles", "checkpoint-dir", "resume",
                     "item-deadline-ms", "audit", "audit-fatal", "threads",
-                    "compute-ahead", "transport", "heartbeat-interval-ms",
+                    "transport", "heartbeat-interval-ms",
                     "heartbeat-miss-limit", "worker-binary", "worker-rank",
                     "socket-path", "worker-metrics"});
   // Worker re-entry (engine/multiproc.h): a launcher spawned this process

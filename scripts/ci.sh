@@ -11,7 +11,7 @@
 #      must update the reference intentionally;
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
-#      and overlapped-executor labels — against that build;
+#      and engine labels — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      kernel fast-path, nbody (FOF cell-key packing), and engine suites
 #      against that build.
@@ -66,7 +66,7 @@ with open("bench/perf_reference.json") as f:
 for key in ("schema", "mode", "host", "micro_delaunay", "micro_kernels",
             "coef_vs_aos", "pipeline"):
     assert key in doc, f"BENCH_kernel.json missing top-level key {key!r}"
-assert doc["schema"] == "pdtfe-bench-v1", doc["schema"]
+assert doc["schema"] == "pdtfe-bench-v2", doc["schema"]
 assert "simd_isa" in doc["host"], "host missing simd_isa"
 for key in ("inserts_per_sec_reuse", "inserts_per_sec_noreuse",
             "allocs_per_insert_reuse", "allocs_per_insert_noreuse"):
@@ -74,18 +74,13 @@ for key in ("inserts_per_sec_reuse", "inserts_per_sec_noreuse",
 for key in ("crossings_per_sec_aos_scalar", "crossings_per_sec_coef",
             "speedup_coef_vs_aos"):
     assert key in doc["coef_vs_aos"], f"coef_vs_aos missing {key!r}"
-for key in ("serial_wall_s", "overlap_wall_s", "speedup",
-            "overlap_expected_win", "checksums_equal",
-            "op_counters", "crossings_per_sec_serial",
-            "crossings_per_sec_overlap"):
+for key in ("threads", "wall_s_threads_1", "wall_s_threads_all",
+            "checksum_threads_1", "checksum_threads_all", "checksums_equal",
+            "op_counters", "crossings_per_sec"):
     assert key in doc["pipeline"], f"pipeline missing {key!r}"
+# The thread budget only sizes the kernel teams: results must not move.
 assert doc["pipeline"]["checksums_equal"] is True, \
-    "overlapped pipeline checksum differs from serial"
-# The e2e overlap speedup is only a meaningful assertion with real
-# parallelism; on a single core the tag documents the expected ~1.0x.
-if doc["pipeline"]["overlap_expected_win"]:
-    assert doc["pipeline"]["speedup"] > 0.9, \
-        f"overlap regressed serial on a multi-core host: {doc['pipeline']}"
+    "pipeline checksum at --threads 1 differs from --threads $(nproc)"
 
 # The SoA crossing test must beat the pre-table AoS path outright.
 assert doc["coef_vs_aos"]["speedup_coef_vs_aos"] >= 1.3, \
@@ -119,8 +114,8 @@ cmake --build build-thread -j"$JOBS"
 
 echo "== tsan: fault + durable + engine labels"
 # TSAN_OPTIONS: fail the job on any report; second_deadlock_stack aids triage.
-# The engine label carries the overlapped-executor determinism tests, so this
-# is also the data-race gate for the --compute-ahead pipeline. libgomp's
+# The engine label carries the thread-budget determinism test (two rank
+# threads, each with its own OpenMP kernel team). libgomp's
 # uninstrumented barriers need scripts/tsan.supp (see its header). Its rules
 # match on the OpenMP worker's stack, so history_size=7 keeps enough access
 # history for TSan to restore that stack; with the default history, reports
@@ -142,7 +137,7 @@ echo "== ubsan: geometry/kernel/nbody/engine suites"
 # drives FOF over one and two cells per axis, ~1600 cells per axis, and
 # non-finite positions.
 # The targeted binaries run directly (ctest registers per-CASE names, not
-# binary names); the engine label covers engine_test + executor_test.
+# binary names); the engine label covers engine_test.
 for t in fastpath_test ray_tetra_test kernels_test predicates_test \
          nbody_test; do
   "build-ubsan/tests/$t"

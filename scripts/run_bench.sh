@@ -8,11 +8,12 @@
 #       insert with and without TriangulationOptions::reuse_insert_scratch;
 #   (2) micro_kernels render throughput (marching tables + rays, walking)
 #       and the crossing-test A/B (SoA coefficient form vs AoS oracle);
-#   (3) end-to-end `pdtfe pipeline` on a generated snapshot, serial
-#       (--compute-ahead=0) vs overlapped (--compute-ahead=4, all cores),
-#       asserting the grid checksums are EXACTLY equal and recording the
-#       wall-time speedup plus the machine-independent op counters
-#       (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings) that CI pins.
+#   (3) end-to-end `pdtfe pipeline` on a generated snapshot at --threads 1
+#       and at --threads $(nproc), asserting the grid checksums are EXACTLY
+#       equal (the thread budget must never change results) and recording
+#       both wall times, the crossing throughput, and the machine-independent
+#       op counters (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings)
+#       that CI pins.
 #
 # usage: run_bench.sh [--smoke] [--out FILE]
 #   --smoke   small fixture + short benchmark reps (the CI perf-smoke job)
@@ -59,15 +60,15 @@ echo "== micro_kernels (render throughput + crossing-test A/B)"
     --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
     > "$TMP/kernels.json" 2>/dev/null
 
-echo "== end-to-end pipeline: serial vs overlapped ($THREADS cores)"
+echo "== end-to-end pipeline: --threads 1 vs --threads $THREADS"
 SNAP="$TMP/snap.bin"
 "$PDTFE" generate --out "$SNAP" --n "$N" --box 16 --seed 3 >/dev/null
-"$PDTFE" pipeline --in "$SNAP" --ranks "$RANKS" --fields "$FIELDS" \
-    --grid "$GRID" --length 3 --compute-ahead 0 \
-    --report "$TMP/serial" --metrics-out "$TMP/serial_metrics.json" >/dev/null
-"$PDTFE" pipeline --in "$SNAP" --ranks "$RANKS" --fields "$FIELDS" \
-    --grid "$GRID" --length 3 --compute-ahead 4 --threads "$THREADS" \
-    --report "$TMP/overlap" --metrics-out "$TMP/overlap_metrics.json" >/dev/null
+for t in 1 "$THREADS"; do
+  "$PDTFE" pipeline --in "$SNAP" --ranks "$RANKS" --fields "$FIELDS" \
+      --grid "$GRID" --length 3 --threads "$t" \
+      --report "$TMP/threads$t" --metrics-out "$TMP/threads${t}_metrics.json" \
+      >/dev/null
+done
 
 python3 - "$TMP" "$OUT" "$MODE" "$N" "$FIELDS" "$RANKS" "$THREADS" <<'PY'
 import json, os, sys
@@ -112,25 +113,20 @@ coef_vs_aos = {
     "speedup_coef_vs_aos": round(coef / aos, 3),
 }
 
-serial = load("serial.json")["summary"]
-overlap = load("overlap.json")["summary"]
-sm = load("serial_metrics.json")
-om = load("overlap_metrics.json")
+one = load("threads1.json")["summary"]
+many = load(f"threads{threads}.json")["summary"]
+one_m = load("threads1_metrics.json")
+many_m = load(f"threads{threads}_metrics.json")
 
-checksums_equal = serial["grid_checksum_total"] == overlap["grid_checksum_total"]
+checksums_equal = one["grid_checksum_total"] == many["grid_checksum_total"]
 if not checksums_equal:
-    print("FATAL: overlapped checksum differs from serial", file=sys.stderr)
-
-cores = os.cpu_count()
-# On a single core the overlapped pipeline cannot beat serial (overlap buys
-# nothing and pays coordination); tag the report so consumers don't read the
-# ~1.0x (or slightly below) speedup as a regression.
-overlap_expected_win = cores is not None and cores > 1
+    print(f"FATAL: --threads {threads} checksum differs from --threads 1",
+          file=sys.stderr)
 
 doc = {
-    "schema": "pdtfe-bench-v1",
+    "schema": "pdtfe-bench-v2",
     "mode": mode,
-    "host": {"cores": cores, "platform": os.uname().sysname,
+    "host": {"cores": os.cpu_count(), "platform": os.uname().sysname,
              "simd_isa": simd_isa},
     "micro_delaunay": {
         "inserts_per_sec_reuse": round(reuse["items_per_second"]),
@@ -145,38 +141,31 @@ doc = {
         "fields": fields,
         "ranks": ranks,
         "threads": threads,
-        "compute_ahead": 4,
-        "serial_wall_s": round(serial["wall_s"], 4),
-        "overlap_wall_s": round(overlap["wall_s"], 4),
-        "speedup": round(serial["wall_s"] / overlap["wall_s"], 3),
-        "overlap_expected_win": overlap_expected_win,
-        "checksum_serial": serial["grid_checksum_total"],
-        "checksum_overlap": overlap["grid_checksum_total"],
+        "wall_s_threads_1": round(one["wall_s"], 4),
+        "wall_s_threads_all": round(many["wall_s"], 4),
+        "checksum_threads_1": one["grid_checksum_total"],
+        "checksum_threads_all": many["grid_checksum_total"],
         "checksums_equal": checksums_equal,
-        "overlap_ratio": om["gauges"].get("dtfe.executor.overlap_ratio"),
-        "stall_seconds": om["counters"].get("dtfe.executor.stall_seconds"),
         "op_counters": {
             "dtfe.delaunay.walk_steps":
-                sm["counters"]["dtfe.delaunay.walk_steps"],
+                one_m["counters"]["dtfe.delaunay.walk_steps"],
             "dtfe.kernel.tetra_crossings":
-                sm["counters"]["dtfe.kernel.tetra_crossings"],
+                one_m["counters"]["dtfe.kernel.tetra_crossings"],
         },
-        # Derived throughput: tetra crossings processed per wall-second.
-        # The crossing count is machine-independent, so this is the kernel
-        # work rate — comparable across runs with the same fixture and a
-        # direct read on whether overlap converts stalls into crossings.
-        "crossings_per_sec_serial": round(
-            sm["counters"]["dtfe.kernel.tetra_crossings"]
-            / serial["wall_s"]),
-        "crossings_per_sec_overlap": round(
-            om["counters"]["dtfe.kernel.tetra_crossings"]
-            / overlap["wall_s"]),
+        # Derived throughput: tetra crossings processed per wall-second at
+        # the full thread budget. The crossing count is machine-independent,
+        # so this is the kernel work rate, comparable across runs with the
+        # same fixture.
+        "crossings_per_sec": round(
+            many_m["counters"]["dtfe.kernel.tetra_crossings"]
+            / many["wall_s"]),
     },
 }
 with open(out, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=False)
     f.write("\n")
-print(f"wrote {out}: speedup {doc['pipeline']['speedup']}x on "
-      f"{threads} core(s), checksums_equal={checksums_equal}")
+print(f"wrote {out}: wall {doc['pipeline']['wall_s_threads_1']} s at 1 "
+      f"thread, {doc['pipeline']['wall_s_threads_all']} s at {threads}, "
+      f"checksums_equal={checksums_equal}")
 sys.exit(0 if checksums_equal else 1)
 PY

@@ -1,7 +1,8 @@
 #include "engine/config.h"
 
+#include <climits>
 #include <cmath>
-#include <cstdlib>
+#include <string>
 
 #include "dtfe/audit.h"
 #include "engine/field_kernel.h"
@@ -9,12 +10,31 @@
 
 namespace dtfe::engine {
 
+namespace {
+
+/// Integer flag checked against [lo, hi] before the caller narrows it, so an
+/// out-of-range value can never wrap through the cast.
+long bounded_flag(const CliArgs& args, const std::string& flag, long fallback,
+                  long lo, long hi) {
+  const long v = args.get(flag, fallback);
+  if (v < lo || v > hi)
+    throw Error("--" + flag + " must be " +
+                (hi == LONG_MAX ? ">= " + std::to_string(lo)
+                                : "in [" + std::to_string(lo) + ", " +
+                                      std::to_string(hi) + "]") +
+                ", got " + std::to_string(v));
+  return v;
+}
+
+}  // namespace
+
 EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   EngineConfig cfg;
   const CommonFieldFlags common = parse_common_field_flags(args, 64L, 5.0);
   cfg.snapshot = common.in;
-  cfg.ranks = static_cast<int>(args.get("ranks", 8L));
-  cfg.n_fields = static_cast<std::size_t>(args.get("fields", 64L));
+  cfg.ranks = static_cast<int>(bounded_flag(args, "ranks", 8L, 1L, INT_MAX));
+  cfg.n_fields =
+      static_cast<std::size_t>(bounded_flag(args, "fields", 64L, 1L, LONG_MAX));
 
   PipelineOptions& opt = cfg.pipeline;
   opt.field_length = common.length;
@@ -42,11 +62,13 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   if (opt.resume && opt.checkpoint_dir.empty())
     throw Error("--resume needs --checkpoint-dir");
 
-  const std::string deadline_arg = args.get("item-deadline-ms", std::string{});
-  if (deadline_arg == "auto")
+  if (args.get("item-deadline-ms", std::string{}) == "auto") {
     opt.item_deadline_ms = 0.0;  // derive from the fitted cost model
-  else if (!deadline_arg.empty())
-    opt.item_deadline_ms = std::strtod(deadline_arg.c_str(), nullptr);
+  } else {
+    opt.item_deadline_ms = args.get("item-deadline-ms", opt.item_deadline_ms);
+    if (!std::isfinite(opt.item_deadline_ms))
+      throw Error("--item-deadline-ms must be 'auto' or a finite number");
+  }
 
   opt.audit.level = parse_audit_level(args.get("audit", std::string{"off"}));
   opt.audit_fatal = args.get("audit-fatal", 0L) != 0;
@@ -70,11 +92,7 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
         std::string(field_kind_name(opt.field)) +
         " needs the march or walk kernel");
 
-  // Intra-rank compute pipeline (engine/executor.h).
-  opt.compute_ahead = static_cast<int>(args.get("compute-ahead", 0L));
-  if (opt.compute_ahead < 0) throw Error("--compute-ahead must be >= 0");
-  opt.threads = static_cast<int>(args.get("threads", 0L));
-  if (opt.threads < 0) throw Error("--threads must be >= 0");
+  opt.threads = static_cast<int>(bounded_flag(args, "threads", 0L, 0L, INT_MAX));
 
   cfg.fault_plan = simmpi::FaultPlan::parse(args.get("fault-plan",
                                                      std::string{}));

@@ -35,14 +35,6 @@ inline constexpr const char* kRequests = "pipeline.requests";
 inline constexpr const char* kItemTriangulate = "item.triangulate";
 inline constexpr const char* kItemRender = "item.render";
 
-// Intra-rank compute-pipeline spans (engine/executor.h). These live in their
-// OWN category: the "pipeline" category's cpu_s args must keep summing to
-// PhaseTimes::total() (tests/obs), and executor spans measure overlap, not
-// phase time.
-inline constexpr const char* kExecutorCategory = "executor";
-inline constexpr const char* kExecutorPrepare = "executor.prepare";
-inline constexpr const char* kExecutorStall = "executor.stall";
-
 // Crash-registry in-flight labels: which execution path owned the item when
 // a hard fault hit. Must stay string literals (see framework/crash.h).
 inline constexpr const char* kInFlightModelSample = "model_sample";
@@ -50,10 +42,6 @@ inline constexpr const char* kInFlightLocal = "execute_local";
 inline constexpr const char* kInFlightReceived = "received";
 inline constexpr const char* kInFlightFallback = "fallback";
 inline constexpr const char* kInFlightRecover = "recover";
-/// A pool worker gathering/triangulating a looked-ahead item
-/// (engine/executor.h); the item is re-labeled with its commit-path label
-/// when the rank thread renders and records it.
-inline constexpr const char* kInFlightPrepare = "prepare_ahead";
 
 // Run-report per-rank row keys (obs::RunReport::add_rank_values).
 inline constexpr const char* kReportPartition = "partition_s";

@@ -1,5 +1,7 @@
 #include "engine/stages.h"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +10,6 @@
 #include <span>
 #include <string>
 
-#include "engine/executor.h"
 #include "engine/field_kernel.h"
 #include "engine/phases.h"
 #include "framework/crash.h"
@@ -179,33 +180,42 @@ bool lex_less(const Vec3& a, const Vec3& b) {
   return a.z < b.z;
 }
 
+/// Crash-registry label for the path an item took to this rank.
+const char* in_flight_label(ItemPath path) {
+  switch (path) {
+    case ItemPath::kLocal:
+      return phases::kInFlightLocal;
+    case ItemPath::kReceived:
+      return phases::kInFlightReceived;
+    case ItemPath::kFallback:
+      return phases::kInFlightFallback;
+    case ItemPath::kRecover:
+      return phases::kInFlightRecover;
+  }
+  return phases::kInFlightLocal;
+}
+
 }  // namespace
 
-PreparedItem prepare_item(const EngineState& state,
-                          std::vector<Vec3> cube_particles, double mass,
-                          const Vec3& center, const PipelineOptions& opt,
-                          const Deadline* deadline) {
-  PreparedItem p;
-  ItemRecord& record = p.record;
+FieldGrid compute_item(const EngineState& state,
+                       std::vector<Vec3> cube_particles, double mass,
+                       const Vec3& center, const PipelineOptions& opt,
+                       ItemRecord& record, const Deadline* deadline) {
+  // Callers pre-set the path flags (fallback/recovered) on `record`; every
+  // other field is filled here.
   record.center = center;
   record.n_particles = static_cast<double>(cube_particles.size());
   auto contain = [&](const char* reason) {
     record.failed = true;
     record.fail_reason = reason;
     if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
   };
   for (const Vec3& q : cube_particles)
-    if (!finite3(q)) {
-      contain("non-finite particle position in cube");
-      return p;
-    }
+    if (!finite3(q)) return contain("non-finite particle position in cube");
   if (cube_particles.size() < opt.min_particles) {
     // An (almost) empty region is an expected zero field, not a failure.
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
-    return p;
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
   }
   // Canonical input order: the owner-gathered, shipped, re-fetched, and
   // re-read cubes hold the same particle SET in different orders; sorting
@@ -213,45 +223,14 @@ PreparedItem prepare_item(const EngineState& state,
   // identical across all of them.
   std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
   ThreadCpuTimer t;
-  try {
-    TriangulationOptions topt;
-    topt.deadline = deadline;
-    p.cube.emplace(std::move(cube_particles), mass, topt);
-    record.actual_tri = p.cube->triangulate_seconds();
-  } catch (const Error& e) {
-    // Degenerate cube (e.g. all points coplanar) or a watchdog
-    // cancellation: contained as an empty field, as a production code must
-    // tolerate pathological requests.
-    record.actual_tri = t.seconds();
-    record.failed = true;
-    record.fail_reason = e.what();
-    record.cancelled =
-        record.fail_reason.find("deadline exceeded") != std::string::npos;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
-  }
-  p.prep_cpu = t.seconds();
-  return p;
-}
-
-FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
-                          const PipelineOptions& opt,
-                          const Deadline* deadline) {
-  if (p.done) return std::move(p.grid);
-  ItemRecord& record = p.record;
-  const Vec3 center = record.center;
-  auto contain = [&](const char* reason) {
-    record.failed = true;
-    record.fail_reason = reason;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-  };
-  ThreadCpuTimer t;
   FieldGrid grid;
   AuditResult audit;
   RenderRequest request;
   try {
+    TriangulationOptions topt;
+    topt.deadline = deadline;
+    const FieldCube cube(std::move(cube_particles), mass, topt);
+    record.actual_tri = cube.triangulate_seconds();
     request.spec =
         FieldSpec::centered(center, opt.field_length, opt.field_resolution);
     request.seed = item_seed(opt.seed, center);
@@ -263,13 +242,10 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
     const std::unique_ptr<FieldKernel> kernel =
         state.kernels->create(opt.kernel);
     KernelStats stats;
-    grid = kernel->render(*p.cube, request, deadline, stats);
+    grid = kernel->render(cube, request, deadline, stats);
     // Density/hull construction rides inside the cube build, so it lands in
-    // the interpolation share, exactly as the pre-engine accounting did
-    // (prepare CPU minus the triangulation share, plus the render itself —
-    // valid across threads because both timers are per-thread CPU clocks
-    // over their own work).
-    record.actual_interp = (p.prep_cpu - record.actual_tri) + t.seconds();
+    // the interpolation share together with the render itself.
+    record.actual_interp = t.seconds() - record.actual_tri;
     record.kernel_failed_cells = static_cast<double>(stats.failed_cells);
     record.kernel_perturb_restarts =
         static_cast<double>(stats.perturb_restarts);
@@ -278,15 +254,16 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
       std::uint64_t aseed = request.seed;
       aopt.seed = detail::splitmix64(aseed);  // same cells on replay
       audit = audit_field_item(grid, request.spec, stats.ray_mass,
-                               &p.cube->density(), &p.cube->hull(), aopt,
+                               &cube.density(), &cube.hull(), aopt,
                                request.model_seed);
       record.audit = audit.summary();
     }
   } catch (const Error& e) {
-    // Unknown kernel or a watchdog cancellation inside the render: contained
-    // exactly as the monolithic compute_item did, with the whole elapsed
-    // CPU attributed to actual_tri.
-    record.actual_tri = p.prep_cpu + t.seconds();
+    // Degenerate cube (e.g. all points coplanar), unknown kernel, or a
+    // watchdog cancellation in the triangulation or the render: contained as
+    // an empty field, as a production code must tolerate pathological
+    // requests. The whole elapsed CPU is attributed to actual_tri.
+    record.actual_tri = t.seconds();
     record.failed = true;
     record.fail_reason = e.what();
     record.cancelled =
@@ -312,20 +289,14 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
   return grid;
 }
 
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline) {
-  PreparedItem p = prepare_item(state, std::move(cube_particles), mass, center,
-                                opt, deadline);
-  // Callers pre-set path flags (fallback/recover) on `record` before the
-  // call; carry them into the prepared record the same way the executor's
-  // commit path does.
-  p.record.fallback = record.fallback;
-  p.record.recovered = record.recovered;
-  FieldGrid grid = render_prepared(state, p, opt, deadline);
-  record = std::move(p.record);
-  return grid;
+int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process) {
+  const int total = opt.threads > 0 ? opt.threads : omp_get_max_threads();
+  const int team = std::max(1, total / std::max(1, ranks_in_process));
+  // Per-thread ICVs: each SimMpi rank thread caps its own kernel team, so the
+  // P rank teams together stay within --threads.
+  omp_set_num_threads(team);
+  omp_set_max_active_levels(1);
+  return team;
 }
 
 StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
@@ -349,10 +320,9 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
   obs::add(state.metrics->runs);
-  // Cap this rank thread's OpenMP team (and reserve the prepare pool's
-  // share) so P rank teams plus pool threads never oversubscribe; see
-  // engine/executor.h "Threading model".
-  prepare_workers = configure_rank_threading(opt, P).workers;
+  // Cap this rank thread's OpenMP team so P rank teams never oversubscribe
+  // (DESIGN.md §8).
+  configure_rank_threading(opt, P);
 }
 
 Deadline StageContext::make_deadline(double pred_seconds) const {
@@ -426,35 +396,37 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   if (opt.keep_grids) res.grids.push_back(std::move(grid));
 }
 
+void StageContext::run_item(std::vector<Vec3> cube, const Vec3& center,
+                            std::ptrdiff_t request_index, double n_predict,
+                            ItemPath path) {
+  ItemRecord rec;
+  rec.fallback = path == ItemPath::kFallback;
+  rec.recovered = path == ItemPath::kRecover;
+  const Deadline deadline = make_deadline(res.model.predict(n_predict));
+  const ScopedCrashItem in_flight(me, request_index, in_flight_label(path),
+                                  state.crash);
+  FieldGrid grid = compute_item(state, std::move(cube), particle_mass, center,
+                                opt, rec, &deadline);
+  rec.request_index = request_index;
+  record_item(std::move(rec), std::move(grid),
+              res.model.predict_tri(n_predict),
+              res.model.predict_interp(n_predict),
+              path == ItemPath::kReceived);
+}
+
+std::vector<Vec3> StageContext::gather_local(std::size_t i) const {
+  std::vector<std::uint32_t> ids;
+  index->gather_in_cube(my_requests[i], cube_side, ids);
+  std::vector<Vec3> cube;
+  cube.reserve(ids.size());
+  for (const auto id : ids) cube.push_back(local_particles[id]);
+  return cube;
+}
+
 void StageContext::execute_local(std::size_t idx_in_remaining) {
   const std::size_t i = remaining[idx_in_remaining];
-  ItemTask task;
-  // The gather runs on the preparing thread: GridIndex queries are const and
-  // local_particles is frozen after ExchangeStage, so concurrent look-ahead
-  // gathers are safe.
-  task.gather = [this, i] {
-    std::vector<std::uint32_t> ids;
-    index->gather_in_cube(my_requests[i], cube_side, ids);
-    std::vector<Vec3> cube;
-    cube.reserve(ids.size());
-    for (const auto id : ids) cube.push_back(local_particles[id]);
-    return cube;
-  };
-  task.center = my_requests[i];
-  task.request_index = my_request_ids[i];
-  task.pred_seconds = res.model.predict(item_counts[i]);
-  task.pred_tri = res.model.predict_tri(item_counts[i]);
-  task.pred_interp = res.model.predict_interp(item_counts[i]);
-  task.crash_phase = phases::kInFlightLocal;
-  if (exec) {
-    exec->submit(std::move(task));
-  } else {
-    // No stage-scoped executor (stage driven directly, e.g. from tests):
-    // run the item through a private one, serial or overlapped per opt.
-    ItemExecutor local(*this);
-    local.submit(std::move(task));
-    local.drain();
-  }
+  run_item(gather_local(i), my_requests[i], my_request_ids[i], item_counts[i],
+           ItemPath::kLocal);
 }
 
 // ---- Stage 1: partitioning & redistribution + durable setup ---------------
@@ -605,11 +577,7 @@ void ScheduleStage::run(StageContext& ctx) const {
       ctx.test_item = static_cast<std::ptrdiff_t>(
           ctx.rng.uniform_index(ctx.my_requests.size()));
       const auto ti = static_cast<std::size_t>(ctx.test_item);
-      std::vector<std::uint32_t> ids;
-      ctx.index->gather_in_cube(ctx.my_requests[ti], ctx.cube_side, ids);
-      std::vector<Vec3> cube;
-      cube.reserve(ids.size());
-      for (const auto id : ids) cube.push_back(ctx.local_particles[id]);
+      std::vector<Vec3> cube = ctx.gather_local(ti);
       // No deadline: the cost model this item seeds is not fitted yet.
       const ScopedCrashItem in_flight(ctx.me, ctx.my_request_ids[ti],
                                       phases::kInFlightModelSample,
@@ -684,12 +652,6 @@ void ComputeStage::run(StageContext& ctx) const {
                     res.model.predict_interp(ctx.item_counts[ti]), false);
   }
 
-  // Stage-scoped overlapped executor: every compute path below goes through
-  // submit(), which commits strictly in submission order — so the journal,
-  // metrics, and result bookkeeping replay the serial schedule exactly
-  // (bitwise), for any --compute-ahead window.
-  ItemExecutor exec(ctx);
-
   // A work package the sender keeps until the receiver acknowledges it; on
   // death, timeout, or give-up the sender unpacks it and computes the items
   // itself (degrading toward the paper's no-load-balance baseline).
@@ -712,17 +674,8 @@ void ComputeStage::run(StageContext& ctx) const {
     }
     for (std::size_t i = 0; i < centers.size(); ++i) {
       const double n = static_cast<double>(cubes[i].size());
-      ItemTask task;
-      task.gather = [cube = std::make_shared<std::vector<Vec3>>(
-                         std::move(cubes[i]))] { return std::move(*cube); };
-      task.center = centers[i];
-      task.request_index = req_ids[i];
-      task.pred_seconds = res.model.predict(n);
-      task.pred_tri = res.model.predict_tri(n);
-      task.pred_interp = res.model.predict_interp(n);
-      task.crash_phase = phases::kInFlightFallback;
-      task.fallback = true;
-      exec.submit(std::move(task));
+      ctx.run_item(std::move(cubes[i]), centers[i], req_ids[i], n,
+                   ItemPath::kFallback);
     }
   };
 
@@ -793,12 +746,7 @@ void ComputeStage::run(StageContext& ctx) const {
         const std::size_t i = ctx.remaining[j];
         req_ids.push_back(ctx.my_request_ids[i]);
         centers.push_back(ctx.my_requests[i]);
-        std::vector<std::uint32_t> ids;
-        ctx.index->gather_in_cube(ctx.my_requests[i], ctx.cube_side, ids);
-        std::vector<Vec3> cube;
-        cube.reserve(ids.size());
-        for (const auto id : ids) cube.push_back(ctx.local_particles[id]);
-        cubes.push_back(std::move(cube));
+        cubes.push_back(ctx.gather_local(i));
       }
       const int seq = static_cast<int>(k) + 1;
       auto buf = pack_items(seq, req_ids, centers, cubes);
@@ -837,17 +785,8 @@ void ComputeStage::run(StageContext& ctx) const {
         }
         for (std::size_t i = 0; i < centers.size(); ++i) {
           const double n = static_cast<double>(cubes[i].size());
-          ItemTask task;
-          task.gather = [cube = std::make_shared<std::vector<Vec3>>(
-                             std::move(cubes[i]))] { return std::move(*cube); };
-          task.center = centers[i];
-          task.request_index = req_ids[i];
-          task.pred_seconds = res.model.predict(n);
-          task.pred_tri = res.model.predict_tri(n);
-          task.pred_interp = res.model.predict_interp(n);
-          task.crash_phase = phases::kInFlightReceived;
-          task.received = true;
-          exec.submit(std::move(task));
+          ctx.run_item(std::move(cubes[i]), centers[i], req_ids[i], n,
+                       ItemPath::kReceived);
           ++res.items_received;
         }
       };
@@ -901,10 +840,6 @@ void ComputeStage::run(StageContext& ctx) const {
       }
     }
   }
-
-  // Flush the in-flight window before the stage ends: RecoverStage's done
-  // lists and the final result must see every committed item.
-  exec.drain();
 }
 
 // ---- Recovery: recompute items lost with dead ranks ------------------------
@@ -942,31 +877,16 @@ void RecoverStage::run(StageContext& ctx) const {
   // the slot for every missing id, so the assignment is agreed without
   // another negotiation round.
   std::size_t slot = 0;
-  ItemExecutor exec(ctx);
   for (std::size_t gi = 0; gi < ctx.field_centers.size(); ++gi) {
     if (have[gi]) continue;
     const int who = live[slot++ % live.size()];
     if (who != ctx.me) continue;
     const Vec3 w = wrap_periodic(ctx.field_centers[gi], ctx.box);
-    // Fetch on the rank thread (CubeFetcher implementations are not required
-    // to be thread-safe); the executor still overlaps the triangulation of
-    // this cube with the render of the previous recovered item.
     std::vector<Vec3> cube = ctx.fetch_cube(w, ctx.cube_side);
     const double n = static_cast<double>(cube.size());
-    ItemTask task;
-    task.gather = [c = std::make_shared<std::vector<Vec3>>(std::move(cube))] {
-      return std::move(*c);
-    };
-    task.center = w;
-    task.request_index = static_cast<std::ptrdiff_t>(gi);
-    task.pred_seconds = res.model.predict(n);
-    task.pred_tri = res.model.predict_tri(n);
-    task.pred_interp = res.model.predict_interp(n);
-    task.crash_phase = phases::kInFlightRecover;
-    task.recovered = true;
-    exec.submit(std::move(task));
+    ctx.run_item(std::move(cube), w, static_cast<std::ptrdiff_t>(gi), n,
+                 ItemPath::kRecover);
   }
-  exec.drain();
 }
 
 // ---- Final agreement -------------------------------------------------------

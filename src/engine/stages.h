@@ -38,7 +38,9 @@
 
 namespace dtfe::engine {
 
-class ItemExecutor;
+/// How an item reached the rank that computes it: its ItemRecord path flags,
+/// the crash-registry label, and whether it counts as received.
+enum class ItemPath { kLocal, kReceived, kFallback, kRecover };
 
 /// Everything one rank's pipeline run reads and produces, shared by the
 /// stages. Inputs are set at construction; the rest is filled as stages run.
@@ -65,14 +67,6 @@ struct StageContext {
   double cube_side;
   double ghost_radius;
   Rng rng;  ///< model-sample pick (seeded exactly as the monolith did)
-  /// Prepare-pool size from configure_rank_threading (engine/executor.h);
-  /// the kernel-team cap is applied to this rank thread's OpenMP ICVs at
-  /// construction, so it needs no storage here.
-  int prepare_workers = 0;
-  /// The stage-scoped overlapped executor, when one is live (set/cleared by
-  /// ItemExecutor's constructor/destructor). execute_local falls back to a
-  /// private serial executor when null.
-  ItemExecutor* exec = nullptr;
 
   // --- produced by ExchangeStage -------------------------------------------
   std::optional<Decomposition> decomp;
@@ -103,6 +97,13 @@ struct StageContext {
   /// item trace spans, result bookkeeping.
   void record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
                    double pred_interp, bool received);
+  /// The owned + ghost particles inside my_requests[i]'s cube.
+  std::vector<Vec3> gather_local(std::size_t i) const;
+  /// Compute one item inline on the rank thread and record it: arm the
+  /// watchdog from the model's prediction for `n_predict` particles, label
+  /// the crash registry, compute_item, record_item.
+  void run_item(std::vector<Vec3> cube, const Vec3& center,
+                std::ptrdiff_t request_index, double n_predict, ItemPath path);
   /// Gather the cube for my_requests[remaining[j]], compute, record.
   void execute_local(std::size_t idx_in_remaining);
 };
@@ -134,12 +135,20 @@ PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube);
 
-/// The shared kernel invocation behind compute_field_item (which forwards
-/// with EngineState::process_default()): explicit-state variant used by the
-/// stages so engine-owned metrics/kernels are honored.
+/// Triangulate then render one item: input hardening, canonical cube sort,
+/// the FieldCube build, the kernel render, audit and output hardening.
+/// Callers pre-set the path flags on `record`; contained failures return a
+/// zero grid. compute_field_item forwards here with
+/// EngineState::process_default(); the stages pass their own state so
+/// engine-owned metrics/kernels are honored.
 FieldGrid compute_item(const EngineState& state,
                        std::vector<Vec3> cube_particles, double mass,
                        const Vec3& center, const PipelineOptions& opt,
                        ItemRecord& record, const Deadline* deadline);
+
+/// Cap the calling rank thread's OpenMP team at max(1, threads / ranks) (the
+/// OpenMP default when opt.threads is 0) and disable nested teams. Returns
+/// the team size.
+int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process);
 
 }  // namespace dtfe::engine

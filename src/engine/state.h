@@ -37,17 +37,6 @@ struct PipelineMetrics {
   obs::MetricId checkpoint_commits =
       obs::counter("dtfe.checkpoint.items_committed");
   obs::MetricId cancelled = obs::counter("dtfe.watchdog.items_cancelled");
-  // Intra-rank compute pipeline (engine/executor.h).
-  obs::MetricId executor_items =
-      obs::counter("dtfe.executor.items_pipelined");
-  obs::MetricId executor_stall_s =
-      obs::counter("dtfe.executor.stall_seconds");
-  obs::MetricId executor_prepare_s =
-      obs::counter("dtfe.executor.prepare_seconds");
-  obs::MetricId executor_queue_peak =
-      obs::gauge("dtfe.executor.queue_peak");
-  obs::MetricId executor_overlap_ratio =
-      obs::gauge("dtfe.executor.overlap_ratio");
 };
 
 /// Borrowed references to the services one pipeline run uses. All pointers

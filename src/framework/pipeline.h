@@ -92,17 +92,11 @@ struct PipelineOptions {
   /// Escalate any audit violation to a thrown Error (aborting the run)
   /// instead of counting and tagging it.
   bool audit_fatal = false;
-  // --- intra-rank compute pipeline (see README "Performance") -------------
-  /// Bounded look-ahead window for the intra-rank item pipeline: up to this
-  /// many items are gathered + triangulated on pool threads while the rank
-  /// thread renders earlier items. 0 = fully serial (the legacy path).
-  /// Commits stay in submission order, so grids, checkpoint journals,
-  /// metrics, and report tags are bitwise identical for every setting.
-  int compute_ahead = 0;
   /// Process-wide thread budget shared by all ranks in this process
-  /// (0 = the OpenMP default). Each rank's kernel team plus its prepare
-  /// workers are capped to budget / ranks-per-process so pool threads ×
-  /// OpenMP teams never oversubscribe the machine (engine/executor.h).
+  /// (0 = the OpenMP default). Each rank thread runs its items one after
+  /// another and renders them with an OpenMP team of max(1, threads / ranks)
+  /// threads, so the rank teams never oversubscribe the machine (DESIGN.md
+  /// §8). Grids do not depend on it.
   int threads = 0;
 };
 

@@ -15,7 +15,8 @@ constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // multi-channel FieldGrids, and WorkerPayload ships histogram snapshots.
 // v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
 // v4: that switch is gone again (the marching kernel has one route).
-constexpr std::uint32_t kVersion = 4;
+// v5: PipelineOptions lost the item look-ahead window (one item path).
+constexpr std::uint32_t kVersion = 5;
 
 class ByteWriter {
  public:
@@ -127,7 +128,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.min_item_deadline_ms);
   w.pod(o.audit);  // trivially copyable
   w.pod(static_cast<std::uint8_t>(o.audit_fatal));
-  w.pod(o.compute_ahead);
   w.pod(o.threads);
   w.pod(static_cast<std::uint64_t>(o.field));
   w.pod(o.smooth_ensemble);
@@ -155,7 +155,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.min_item_deadline_ms = r.pod<double>();
   o.audit = r.pod<AuditOptions>();
   o.audit_fatal = r.pod<std::uint8_t>() != 0;
-  o.compute_ahead = r.pod<int>();
   o.threads = r.pod<int>();
   o.field = static_cast<FieldKind>(r.pod<std::uint64_t>());
   o.smooth_ensemble = r.pod<int>();

@@ -4,6 +4,7 @@
 // subcommand; typed accessors with defaults; unknown-flag detection.
 #pragma once
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -37,14 +38,17 @@ class CliArgs {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Numeric getters throw dtfe::Error naming the flag when the value is
+  /// empty, has trailing characters, or is out of range.
   double get(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return parse_number(key, fallback, [](const char* s, char** end) {
+      return std::strtod(s, end);
+    });
   }
   long get(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtol(it->second.c_str(), nullptr, 10);
+    return parse_number(key, fallback, [](const char* s, char** end) {
+      return std::strtol(s, end, 10);
+    });
   }
 
   /// Throws if any flag outside `known` was provided (typo guard).
@@ -58,6 +62,21 @@ class CliArgs {
   }
 
  private:
+  template <typename T, typename Parse>
+  T parse_number(const std::string& key, T fallback, Parse parse) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T v = parse(s, &end);
+    if (end == s || *end != '\0')
+      throw Error("--" + key + " expects a number, got '" + it->second + "'");
+    if (errno == ERANGE)
+      throw Error("--" + key + " is out of range: " + it->second);
+    return v;
+  }
+
   std::map<std::string, std::string> values_;
 };
 

@@ -1,7 +1,9 @@
 // Engine-layer tests: the kernel registry contract, cross-kernel grid
 // parity on one fixture cube, stage-by-stage equivalence with the one-call
-// pipeline, and Engine::run_batch re-entrancy/determinism.
+// pipeline, Engine::run_batch re-entrancy/determinism, and grids that do
+// not depend on the thread budget.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 #include <cstdint>
@@ -9,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -339,6 +342,61 @@ TEST(Engine, RunBatchIsReentrantAndBitwiseDeterministic) {
   }
 }
 
+// The thread budget only sizes each rank's OpenMP kernel team; it must never
+// change a result. Two ranks, so work sharing ships items between them.
+TEST(Engine, GridsBitwiseIdenticalAcrossThreadBudgets) {
+  std::vector<Vec3> centers = fixture_centers();
+  centers.push_back({6.0, 6.5, 3.0});
+  centers.push_back({4.5, 2.5, 7.0});
+  const auto run_grids = [&](int threads) {
+    PipelineOptions opt = fixture_pipeline_options();
+    opt.threads = threads;
+    std::mutex mtx;
+    std::map<std::ptrdiff_t, FieldGrid> grids;
+    simmpi::run(2, [&](simmpi::Comm& comm) {
+      const PipelineResult res = run_pipeline(comm, fixture_set(), centers, opt);
+      const std::lock_guard<std::mutex> lock(mtx);
+      for (std::size_t i = 0; i < res.items.size(); ++i)
+        if (res.items[i].request_index >= 0)
+          grids.emplace(res.items[i].request_index, res.grids[i]);
+    });
+    return grids;
+  };
+  const auto reference = run_grids(0);
+  ASSERT_EQ(reference.size(), centers.size());
+  for (const int threads : {1, 2, 4}) {
+    const auto grids = run_grids(threads);
+    ASSERT_EQ(grids.size(), reference.size()) << "threads=" << threads;
+    for (const auto& [id, ref] : reference) {
+      ASSERT_TRUE(grids.count(id)) << "threads=" << threads << " field " << id;
+      EXPECT_TRUE(planes_bitwise_equal(grids.at(id), ref))
+          << "threads=" << threads << " field " << id;
+    }
+  }
+}
+
+/// configure_rank_threading on a fresh thread, so the per-thread OpenMP ICVs
+/// it sets never leak into the other tests; checks they were applied.
+int team_on_rank_thread(int threads, int ranks) {
+  PipelineOptions opt;
+  opt.threads = threads;
+  int team = 0;
+  std::thread([&] {
+    team = configure_rank_threading(opt, ranks);
+    EXPECT_EQ(omp_get_max_threads(), team);
+    EXPECT_EQ(omp_get_max_active_levels(), 1);
+  }).join();
+  return team;
+}
+
+TEST(ThreadBudget, KernelTeamGetsTheRankShareOfTheBudget) {
+  EXPECT_EQ(team_on_rank_thread(8, 2), 4);
+}
+
+TEST(ThreadBudget, OneThreadOverFourRanksStillGetsATeamOfOne) {
+  EXPECT_EQ(team_on_rank_thread(1, 4), 1);
+}
+
 TEST(Engine, CustomKernelRegistrySelectsTheKernel) {
   KernelRegistry reg;
   reg.add("walk", [](const KernelOptions& o) {
@@ -428,13 +486,21 @@ TEST(EngineConfig, FromCliParsesAndValidates) {
                        const_cast<char**>(argv));
     EXPECT_THROW(EngineConfig::from_cli(args), Error);
   }
-  // Field geometry is rejected before any work: a non-positive grid would
-  // wrap through the unsigned cast or render an empty run, and a
+  // Bad flags are rejected before any work, naming the flag: a non-positive
+  // grid would wrap through the unsigned cast or render an empty run, and a
   // non-positive or non-finite length would reach the decomposition.
-  const std::pair<const char*, const char*> bad_geometry[] = {
+  const std::pair<const char*, const char*> bad_flags[] = {
       {"--grid", "0"},   {"--grid", "-3"},    {"--length", "0"},
-      {"--length", "-2"}, {"--length", "inf"}, {"--length", "nan"}};
-  for (const auto& [flag, value] : bad_geometry) {
+      {"--length", "-2"}, {"--length", "inf"}, {"--length", "nan"},
+      // Engine ranges are checked before the narrowing casts, which would
+      // wrap 2^32 + 2 ranks to 2 and -3 fields to 2^64 - 3.
+      {"--ranks", "0"},  {"--ranks", "-2"},   {"--ranks", "4294967298"},
+      {"--fields", "0"}, {"--fields", "-3"},  {"--threads", "-1"},
+      {"--threads", "4294967297"},
+      // Numeric flags take whole values only.
+      {"--item-deadline-ms", "5x"}, {"--item-deadline-ms", "abc"},
+      {"--item-deadline-ms", "inf"}, {"--ranks", "2x"}};
+  for (const auto& [flag, value] : bad_flags) {
     const char* argv[] = {"pdtfe", "pipeline", flag, value};
     const CliArgs args(static_cast<int>(std::size(argv)),
                        const_cast<char**>(argv));

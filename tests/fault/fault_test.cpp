@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -433,6 +434,76 @@ TEST(FaultPipeline, SurvivesReceiverDeathAndDroppedPackageAtEightRanks) {
     ASSERT_TRUE(fault_sums.count(id)) << "field " << id << " missing";
     EXPECT_NEAR(fault_sums[id], base, 1e-6 * std::max(1.0, std::abs(base)))
         << "field " << id;
+  }
+}
+
+bool bitwise_equal(const FieldGrid& a, const FieldGrid& b) {
+  if (a.kind() != b.kind() || a.channels() != b.channels()) return false;
+  for (std::size_t c = 0; c < a.channels(); ++c) {
+    const auto& av = a.plane(c).values();
+    const auto& bv = b.plane(c).values();
+    if (av.size() != bv.size() ||
+        std::memcmp(av.data(), bv.data(), av.size() * sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+// Kill a work-sharing receiver mid-run: the survivors recompute its items in
+// RecoverStage to grids bitwise identical to an undisturbed run (the
+// canonical cube order and per-item seeds make every data path replay the
+// same render).
+TEST(FaultPipeline, ReceiverKillRecoversBitwiseIdenticalToUndisturbedRun) {
+  const ParticleSet set = clustered_set();
+  const std::vector<Vec3> centers = clustered_centers();
+  PipelineOptions opt;
+  opt.field_length = 3.0;
+  opt.field_resolution = 16;
+  opt.comm_timeout_ms = 500;
+  opt.keep_grids = true;
+
+  // Undisturbed baseline; also discover a receiver to kill.
+  std::mutex mtx;
+  std::map<std::ptrdiff_t, FieldGrid> baseline;
+  std::map<int, int> receiver_to_sender;
+  simmpi::run(4, [&](simmpi::Comm& c) {
+    const PipelineResult res = run_pipeline(c, set, centers, opt);
+    const std::lock_guard<std::mutex> lock(mtx);
+    for (std::size_t i = 0; i < res.items.size(); ++i)
+      if (res.items[i].request_index >= 0)
+        baseline.emplace(res.items[i].request_index, res.grids[i]);
+    if (!res.schedule.recv_list.empty())
+      receiver_to_sender[c.rank()] = res.schedule.recv_list[0];
+  });
+  ASSERT_EQ(baseline.size(), centers.size());
+  ASSERT_FALSE(receiver_to_sender.empty())
+      << "the clustered workload produced no work-sharing receiver";
+
+  // The receiver dies at its first work-package operation.
+  const int receiver = receiver_to_sender.begin()->first;
+  const FaultPlan plan = FaultPlan::parse(
+      "kill:rank=" + std::to_string(receiver) + ",tag=200,at=1");
+  simmpi::RunOptions run_opts;
+  run_opts.fault_plan = &plan;
+  std::map<std::ptrdiff_t, FieldGrid> recovered;
+  std::size_t items_recovered = 0;
+  std::set<int> dead;
+  simmpi::run(4, run_opts, [&](simmpi::Comm& c) {
+    const PipelineResult res = run_pipeline(c, set, centers, opt);
+    const std::lock_guard<std::mutex> lock(mtx);
+    items_recovered += res.items_recovered;
+    for (const int r : res.failed_ranks) dead.insert(r);
+    for (std::size_t i = 0; i < res.items.size(); ++i)
+      if (res.items[i].request_index >= 0)
+        recovered.emplace(res.items[i].request_index, res.grids[i]);
+  });
+  EXPECT_EQ(dead, std::set<int>{receiver}) << "the fault plan did not fire";
+  EXPECT_GT(items_recovered, 0u) << "nothing was recovered";
+  ASSERT_EQ(recovered.size(), centers.size());
+  for (const auto& [id, ref] : baseline) {
+    ASSERT_TRUE(recovered.count(id)) << "field " << id << " missing";
+    EXPECT_TRUE(bitwise_equal(recovered.at(id), ref))
+        << "field " << id << " not bitwise identical after recovery";
   }
 }
 

@@ -254,7 +254,7 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   p.wire.note(2000, 3e-4);
   p.counters = {{"dtfe.pipeline.items_computed", 12.0},
                 {"dtfe.simmpi.messages", 40.0}};
-  p.gauges = {{"dtfe.executor.queue_peak", 2.0}};
+  p.gauges = {{"dtfe.schedule.binpack_fill_ratio", 0.75}};
   obs::HistogramSnapshot h;
   h.bounds = {1.0, 10.0, 100.0};
   h.counts = {2.0, 5.0, 1.0, 0.0};  // 3 bounds -> 4 buckets
@@ -285,7 +285,7 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   EXPECT_EQ(back.wire.messages, 2u);
   EXPECT_DOUBLE_EQ(back.wire.sum_latency_s, p.wire.sum_latency_s);
   EXPECT_EQ(back.counters.at("dtfe.simmpi.messages"), 40.0);
-  EXPECT_EQ(back.gauges.at("dtfe.executor.queue_peak"), 2.0);
+  EXPECT_EQ(back.gauges.at("dtfe.schedule.binpack_fill_ratio"), 0.75);
   ASSERT_EQ(back.result.items.size(), 1u);
   EXPECT_EQ(back.result.items[0].request_index, 7);
   EXPECT_DOUBLE_EQ(back.result.items[0].grid_sum, 123.456);

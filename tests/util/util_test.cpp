@@ -346,6 +346,40 @@ TEST(CommonFieldFlags, ParsesDefaultsAndRejectsNonPositiveGrid) {
   }
 }
 
+// Numeric getters take the whole value or throw naming the flag: strtol alone
+// would read "5x" as 5 and an empty or non-numeric value as 0.
+TEST(CliArgs, NumericGettersRejectMalformedValues) {
+  const char* good[] = {"pdtfe", "pipeline", "--n=12", "--x=2.5e-1"};
+  const CliArgs ok(4, const_cast<char**>(good));
+  EXPECT_EQ(ok.get("n", 0L), 12L);
+  EXPECT_DOUBLE_EQ(ok.get("x", 0.0), 0.25);
+  EXPECT_EQ(ok.get("absent", 7L), 7L);
+
+  const char* bad_longs[] = {"--n=5x", "--n=abc", "--n=", "--n=1.5",
+                             "--n=99999999999999999999999"};
+  for (const char* const bad : bad_longs) {
+    const char* argv[] = {"pdtfe", "pipeline", bad};
+    try {
+      CliArgs(3, const_cast<char**>(argv)).get("n", 0L);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* bad_doubles[] = {"--x=5x", "--x=abc", "--x=", "--x=1e999"};
+  for (const char* const bad : bad_doubles) {
+    const char* argv[] = {"pdtfe", "pipeline", bad};
+    try {
+      CliArgs(3, const_cast<char**>(argv)).get("x", 0.0);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Timer, ThreadCpuAdvancesUnderWork) {
   ThreadCpuTimer t;
   volatile double sink = 0.0;
