@@ -123,23 +123,6 @@ void BM_HullLocatorBuckets(benchmark::State& state) {
 }
 BENCHMARK(BM_HullLocatorBuckets);
 
-void BM_HullLocatorWalk(benchmark::State& state) {
-  // The paper's described locator: walk the projected hull triangulation.
-  Rng rng(7);
-  std::vector<Vec3> pts(20000);
-  for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
-  static const Triangulation tri(pts);
-  static const HullProjection hull(tri);
-  Rng qrng(3);
-  std::ptrdiff_t hint = -1;
-  std::uint64_t wrng = 1;
-  for (auto _ : state) {
-    const Vec2 xi{qrng.uniform(), qrng.uniform()};
-    benchmark::DoNotOptimize(hull.first_entry_walk(xi, hint, wrng).cell);
-  }
-}
-BENCHMARK(BM_HullLocatorWalk);
-
 }  // namespace
 }  // namespace dtfe
 

@@ -63,7 +63,7 @@ void BM_MarchRays(benchmark::State& state) {
   const auto spec = bench_spec(static_cast<std::size_t>(state.range(0)));
   MarchingOptions opt;
   opt.monte_carlo_samples = static_cast<int>(state.range(1));
-  const MarchingKernel kernel(recon.density(), recon.hull(), opt);
+  const MarchingKernel kernel(recon.cube(), opt);
   for (auto _ : state) benchmark::DoNotOptimize(kernel.render(spec).sum());
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(0));

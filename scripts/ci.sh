@@ -115,7 +115,9 @@ cmake --build build-thread -j"$JOBS"
 echo "== tsan: fault + durable + engine labels"
 # TSAN_OPTIONS: fail the job on any report; second_deadlock_stack aids triage.
 # The engine label carries the thread-budget determinism test (two rank
-# threads, each with its own OpenMP kernel team). libgomp's
+# threads, each with its own OpenMP kernel team) and the shared-cube test
+# (two threads marching one FieldCube's tables and querying one
+# Reconstructor, including density_at's point location). libgomp's
 # uninstrumented barriers need scripts/tsan.supp (see its header). Its rules
 # match on the OpenMP worker's stack, so history_size=7 keeps enough access
 # history for TSan to restore that stack; with the default history, reports
@@ -133,7 +135,8 @@ echo "== ubsan: geometry/kernel/nbody/engine suites"
 # UBSan is built with -fno-sanitize-recover=all, so any undefined operation
 # (signed overflow in the walk counters, bad enum cast in the codec, a shift
 # out of range in the FOF 64-bit cell keys) aborts the test. fastpath_test
-# drives the coefficient-table march against its AoS oracles; nbody_test
+# drives the coefficient-table march against its AoS oracles and the
+# Reconstructor view against the pipeline's march kernel; nbody_test
 # drives FOF over one and two cells per axis, ~1600 cells per axis, and
 # non-finite positions.
 # The targeted binaries run directly (ctest registers per-CASE names, not

@@ -1,7 +1,7 @@
 // Umbrella header: the public API of the parallel DTFE surface density
 // library. Include this to get everything.
 //
-//   Single volume:   dtfe::Reconstructor
+//   Single volume:   dtfe::Reconstructor (a view over one dtfe::FieldCube)
 //   Many fields:     dtfe::engine::Engine::run_batch (or the thinner
 //                    dtfe::run_pipeline) over dtfe::simmpi ranks
 //   Data:            dtfe::generate_* / snapshot I/O / FOF halos
@@ -15,6 +15,7 @@
 #include "delaunay/triangulation.h"
 #include "dtfe/density.h"
 #include "dtfe/field.h"
+#include "dtfe/field_cube.h"
 #include "dtfe/lensing.h"
 #include "dtfe/marching_kernel.h"
 #include "dtfe/tess_kernel.h"

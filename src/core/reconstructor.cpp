@@ -1,60 +1,53 @@
 #include "core/reconstructor.h"
 
+#include <cstdint>
+
 namespace dtfe {
 
 Reconstructor::Reconstructor(std::vector<Vec3> points, double particle_mass)
-    : points_(std::move(points)),
-      masses_(points_.size(), particle_mass) {
-  tri_ = std::make_unique<Triangulation>(points_);
-  density_ = std::make_unique<DensityField>(*tri_, masses_);
-  hull_ = std::make_unique<HullProjection>(*tri_);
-}
-
-Reconstructor::Reconstructor(std::vector<Vec3> points,
-                             std::span<const double> masses)
-    : points_(std::move(points)), masses_(masses.begin(), masses.end()) {
-  tri_ = std::make_unique<Triangulation>(points_);
-  density_ = std::make_unique<DensityField>(*tri_, masses_);
-  hull_ = std::make_unique<HullProjection>(*tri_);
-}
+    : cube_(std::move(points), particle_mass) {}
 
 Reconstructor Reconstructor::rotated_for_direction(const Vec3& direction) const {
   const Rotation frame = Rotation::frame_for_direction(direction);
   std::vector<Vec3> rotated;
-  rotated.reserve(points_.size());
-  for (const Vec3& p : points_) rotated.push_back(frame.apply(p));
-  return Reconstructor(std::move(rotated), masses_);
+  rotated.reserve(cube_.n_particles());
+  for (const Vec3& p : cube_.points()) rotated.push_back(frame.apply(p));
+  return Reconstructor(std::move(rotated), cube_.particle_mass());
 }
 
 Grid2D Reconstructor::surface_density(const FieldSpec& spec,
                                       const MarchingOptions& opt) const {
-  return MarchingKernel(*density_, *hull_, opt).render(spec);
+  return MarchingKernel(cube_, opt).render(spec);
 }
 
 Grid2D Reconstructor::surface_density_walking(const FieldSpec& spec,
                                               const WalkingOptions& opt) const {
-  return WalkingKernel(*density_, opt).render(spec);
+  return WalkingKernel(density(), opt).render(spec);
 }
 
 Grid2D Reconstructor::surface_density_zero_order(const FieldSpec& spec,
                                                  const TessOptions& opt) const {
-  return TessKernel(*density_, opt).render(spec);
+  return TessKernel(density(), opt).render(spec);
 }
 
 Grid3D Reconstructor::density_grid(const FieldSpec& spec,
                                    const WalkingOptions& opt) const {
-  return WalkingKernel(*density_, opt).render_3d(spec);
+  return WalkingKernel(density(), opt).render_3d(spec);
 }
 
 double Reconstructor::density_at(const Vec3& p) const {
-  const auto loc = tri_->locate(p);
+  // A call-local walk state: the cube is shared by concurrent callers, so
+  // the stateful Triangulation::locate is off limits here.
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  const auto loc =
+      triangulation().locate_from(p, Triangulation::kNoCell, rng);
   if (loc.status == Triangulation::LocateStatus::kOutsideHull) return 0.0;
-  return density_->interpolate_in_cell(loc.cell, p);
+  return density().interpolate_in_cell(loc.cell, p);
 }
 
 double Reconstructor::integrate_los(double x, double y, double zmin,
                                     double zmax) const {
-  return MarchingKernel(*density_, *hull_).integrate_line({x, y}, zmin, zmax);
+  return MarchingKernel(cube_).integrate_line({x, y}, zmin, zmax);
 }
 
 }  // namespace dtfe

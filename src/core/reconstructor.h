@@ -1,33 +1,27 @@
 // High-level single-volume API: the "just give me a surface density map"
-// entry point wrapping triangulation + DTFE densities + hull projection +
-// the rendering kernels.
+// entry point — a view over one dtfe::FieldCube (triangulation + DTFE
+// densities + hull projection + march tables) and the rendering kernels.
 #pragma once
 
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "delaunay/hull_projection.h"
-#include "delaunay/triangulation.h"
-#include "dtfe/density.h"
 #include "dtfe/field.h"
-#include "geometry/rotation.h"
+#include "dtfe/field_cube.h"
 #include "dtfe/marching_kernel.h"
 #include "dtfe/tess_kernel.h"
 #include "dtfe/walking_kernel.h"
+#include "geometry/rotation.h"
 
 namespace dtfe {
 
-/// Owns the full DTFE stack for one particle volume. Build once, render any
-/// number of fields; all render calls are OpenMP-parallel and thread-safe
-/// with respect to each other.
+/// Renders fields from one FieldCube, which it owns and which builds every
+/// artefact once. Build once, render any number of fields; all render calls
+/// are OpenMP-parallel and thread-safe with respect to each other.
 class Reconstructor {
  public:
   /// Equal-mass particles. Throws dtfe::Error for degenerate inputs
   /// (fewer than 4 non-coplanar points).
   Reconstructor(std::vector<Vec3> points, double particle_mass = 1.0);
-  /// Per-particle masses.
-  Reconstructor(std::vector<Vec3> points, std::span<const double> masses);
 
   /// Surface density by the paper's marching kernel (exact per-tetra
   /// line-of-sight integration; no 3D grid).
@@ -58,20 +52,16 @@ class Reconstructor {
   /// the paper's "any arbitrary direction can be chosen by a simple rotation
   /// of the triangulation". Fields rendered from the result are projections
   /// along `direction`; their (x, y) plane is Rotation::frame_for_direction's
-  /// in-plane basis. Rebuilds the triangulation on rotated copies of the
-  /// points.
+  /// in-plane basis. Rebuilds the cube on rotated copies of the points.
   Reconstructor rotated_for_direction(const Vec3& direction) const;
 
-  const Triangulation& triangulation() const { return *tri_; }
-  const DensityField& density() const { return *density_; }
-  const HullProjection& hull() const { return *hull_; }
+  const FieldCube& cube() const { return cube_; }
+  const Triangulation& triangulation() const { return cube_.triangulation(); }
+  const DensityField& density() const { return cube_.density(); }
+  const HullProjection& hull() const { return cube_.hull(); }
 
  private:
-  std::vector<Vec3> points_;
-  std::vector<double> masses_;
-  std::unique_ptr<Triangulation> tri_;
-  std::unique_ptr<DensityField> density_;
-  std::unique_ptr<HullProjection> hull_;
+  FieldCube cube_;
 };
 
 }  // namespace dtfe

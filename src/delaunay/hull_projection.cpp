@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "geometry/predicates.h"
 #include "util/error.h"
 
 namespace dtfe {
 
-HullProjection::HullProjection(const Triangulation& tri,
-                               std::size_t grid_resolution) {
+HullProjection::HullProjection(const Triangulation& tri) {
   // A hull facet is the face opposite the infinite vertex of an infinite
   // cell; its stored winding points INTO the hull. The facet faces downward
   // (outward normal with n·ẑ < 0, paper Eq. 14) exactly when its stored
@@ -31,10 +29,8 @@ HullProjection::HullProjection(const Triangulation& tri,
     f.cell = t.n[inf_slot];  // the finite tetra behind the hull facet
     f.entry_face = tri.mirror_index(ic, inf_slot);
     facets_.push_back(f);
-    source_cell_.push_back(ic);
   }
   DTFE_CHECK_MSG(!facets_.empty(), "triangulation has no downward hull facets");
-  build_adjacency(tri);
 
   lo_ = {facets_[0].a.x, facets_[0].a.y};
   hi_ = lo_;
@@ -47,10 +43,10 @@ HullProjection::HullProjection(const Triangulation& tri,
     }
   }
 
-  res_ = grid_resolution ? grid_resolution
-                         : static_cast<std::size_t>(std::ceil(
-                               std::sqrt(static_cast<double>(facets_.size()))));
-  res_ = std::clamp<std::size_t>(res_, 1, 2048);
+  res_ = std::clamp<std::size_t>(
+      static_cast<std::size_t>(
+          std::ceil(std::sqrt(static_cast<double>(facets_.size())))),
+      1, 2048);
   buckets_.assign(res_ * res_, {});
   const double ex = std::max(hi_.x - lo_.x, 1e-300);
   const double ey = std::max(hi_.y - lo_.y, 1e-300);
@@ -77,72 +73,6 @@ HullProjection::HullProjection(const Triangulation& tri,
       for (std::size_t bx = bx0; bx <= bx1; ++bx)
         buckets_[by * res_ + bx].push_back(static_cast<std::uint32_t>(i));
   }
-}
-
-void HullProjection::build_adjacency(const Triangulation& tri) {
-  // Facet adjacency is the 3D infinite-cell adjacency projected down: the
-  // neighbor across the edge opposite projected vertex k is the infinite
-  // cell reached by crossing the face of the source cell opposite that
-  // vertex (it keeps the other two facet vertices).
-  std::unordered_map<CellId, std::ptrdiff_t> facet_of;
-  for (std::size_t i = 0; i < source_cell_.size(); ++i)
-    facet_of[source_cell_[i]] = static_cast<std::ptrdiff_t>(i);
-
-  for (std::size_t i = 0; i < facets_.size(); ++i) {
-    const CellId ic = source_cell_[i];
-    const int inf_slot = tri.index_of(ic, Triangulation::kInfinite);
-    for (int k = 0; k < 3; ++k) {
-      const VertexId vk = tri.cell(ic).v[kTetraFace[inf_slot][k]];
-      const CellId nb = tri.cell(ic).n[tri.index_of(ic, vk)];
-      const auto it = facet_of.find(nb);
-      facets_[i].neighbor[k] = it == facet_of.end() ? -1 : it->second;
-    }
-  }
-}
-
-HullProjection::Entry HullProjection::first_entry_walk(
-    const Vec2& xi, std::ptrdiff_t& facet_hint,
-    std::uint64_t& rng_state) const {
-  if (rng_state == 0) rng_state = 0x9e3779b97f4a7c15ull;
-  auto next_rand = [&rng_state] {
-    rng_state ^= rng_state << 13;
-    rng_state ^= rng_state >> 7;
-    rng_state ^= rng_state << 17;
-    return rng_state;
-  };
-  std::ptrdiff_t f = facet_hint;
-  if (f < 0 || f >= static_cast<std::ptrdiff_t>(facets_.size()))
-    f = static_cast<std::ptrdiff_t>(next_rand() % facets_.size());
-
-  const std::size_t max_steps = 8 * facets_.size() + 32;
-  for (std::size_t step = 0; step < max_steps; ++step) {
-    const Facet& fac = facets_[static_cast<std::size_t>(f)];
-    const Vec2 v[3] = {fac.a, fac.b, fac.c};
-    const auto r = static_cast<int>(next_rand() % 3);
-    bool moved = false;
-    for (int j = 0; j < 3; ++j) {
-      const int k = (j + r) % 3;  // edge opposite vertex k: (v[k+1], v[k+2])
-      const Vec2& u = v[(k + 1) % 3];
-      const Vec2& w = v[(k + 2) % 3];
-      if (orient2d(u, w, xi) < 0.0) {
-        const std::ptrdiff_t nb = fac.neighbor[k];
-        if (nb < 0) {
-          // Left through a silhouette-boundary edge: ξ is outside (the
-          // silhouette is convex).
-          facet_hint = f;
-          return {Triangulation::kNoCell, -1};
-        }
-        f = nb;
-        moved = true;
-        break;
-      }
-    }
-    if (!moved) {
-      facet_hint = f;
-      return {fac.cell, fac.entry_face};
-    }
-  }
-  throw Error("hull projection walk failed to terminate");
 }
 
 bool HullProjection::facet_contains(const Facet& f, const Vec2& p) const {

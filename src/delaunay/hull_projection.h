@@ -7,8 +7,9 @@
 // downward-facing facets of a convex polytope project injectively onto the
 // xy-plane, the projection *is* already a triangulation of the hull's
 // silhouette polygon — no extra Delaunay construction is needed, only a point
-// location structure. We bucket the projected triangles in a uniform grid
-// ("any point location method can be used").
+// location structure. We bucket the projected triangles in a uniform grid of
+// about √facets buckets per axis ("any point location method can be used");
+// a walk over the projected facets was measured slower per query.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +24,8 @@ namespace dtfe {
 class HullProjection {
  public:
   /// Collect the downward-facing hull facets of `tri` and index their xy
-  /// projections. `grid_resolution` buckets per axis (0 = auto from facet
-  /// count).
-  explicit HullProjection(const Triangulation& tri,
-                          std::size_t grid_resolution = 0);
+  /// projections.
+  explicit HullProjection(const Triangulation& tri);
 
   /// The finite cell whose downward hull facet's projection contains ξ —
   /// i.e. the first tetrahedron a +z line through ξ intersects. Returns
@@ -41,16 +40,6 @@ class HullProjection {
   };
   Entry first_entry(const Vec2& xi) const;
 
-  /// Alternative locator: a stochastic orientation WALK over the projected
-  /// hull triangulation, using the facet adjacency induced by the 3D
-  /// infinite-cell adjacency — the point-location method the paper describes
-  /// verbatim ("constructing a 2D triangulation from the 3D Delaunay
-  /// triangulation's convex hull ... where any point location method can be
-  /// used"). `facet_hint` (index into the facet list, or -1) makes repeated
-  /// nearby queries O(1); the located facet index is written back to it.
-  Entry first_entry_walk(const Vec2& xi, std::ptrdiff_t& facet_hint,
-                         std::uint64_t& rng_state) const;
-
   std::size_t num_facets() const { return facets_.size(); }
 
   /// Axis-aligned bounds of the projected silhouette.
@@ -62,16 +51,11 @@ class HullProjection {
     Vec2 a, b, c;    ///< projected vertices, counterclockwise
     CellId cell;     ///< finite cell incident to the hull facet
     int entry_face;  ///< face index of `cell` that IS the hull facet
-    /// Neighbor facet across the edge OPPOSITE each projected vertex
-    /// (a→0, b→1, c→2); -1 at the silhouette boundary.
-    std::ptrdiff_t neighbor[3] = {-1, -1, -1};
   };
 
   bool facet_contains(const Facet& f, const Vec2& p) const;
-  void build_adjacency(const Triangulation& tri);
 
   std::vector<Facet> facets_;
-  std::vector<CellId> source_cell_;  ///< the infinite cell behind each facet
   std::vector<std::vector<std::uint32_t>> buckets_;
   std::size_t res_ = 1;
   Vec2 lo_{0, 0}, hi_{1, 1};

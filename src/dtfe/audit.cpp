@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "dtfe/field_cube.h"
 #include "dtfe/marching_kernel.h"
 #include "dtfe/vector_field.h"
 #include "dtfe/velocity_model.h"
@@ -90,8 +91,7 @@ std::string AuditResult::summary() const {
 }
 
 AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
-                             double ray_mass, const DensityField* density,
-                             const HullProjection* hull,
+                             double ray_mass, const FieldCube* cube,
                              const AuditOptions& opt) {
   AuditResult res;
   if (opt.level == AuditLevel::kOff) return res;
@@ -135,12 +135,12 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
 
   // full: equal-cells spot check — marching (z_samples mode) vs walking at
   // the SAME fixed z planes (paper Fig. 6 protocol).
-  if (opt.level == AuditLevel::kFull && density != nullptr && hull != nullptr &&
+  if (opt.level == AuditLevel::kFull && cube != nullptr &&
       std::isfinite(spec.zmin) && std::isfinite(spec.zmax)) {
     MarchingOptions mo;
     mo.z_samples = opt.spot_z_samples;
     mo.seed = opt.seed;
-    const MarchingKernel march(*density, *hull, mo);
+    const MarchingKernel march(*cube, mo);
     std::uint64_t rng = opt.seed ? opt.seed : 0x5eedf00dULL;
     for (int s = 0; s < opt.spot_checks; ++s) {
       ++res.checks_run;
@@ -151,7 +151,7 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
       const Vec2 xi = spec.cell_center(ix, iy);
       const double via_march = march.integrate_line(xi, spec.zmin, spec.zmax);
       std::uint64_t walk_rng = detail::splitmix64(rng);
-      const double via_walk = walking_column(*density, xi, spec.zmin,
+      const double via_walk = walking_column(cube->density(), xi, spec.zmin,
                                              spec.zmax, opt.spot_z_samples,
                                              walk_rng);
       const double scale =
@@ -181,15 +181,14 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
 }
 
 AuditResult audit_field_item(const FieldGrid& grid, const FieldSpec& spec,
-                             double ray_mass, const DensityField* density,
-                             const HullProjection* hull,
+                             double ray_mass, const FieldCube* cube,
                              const AuditOptions& opt,
                              std::uint64_t velocity_model_seed) {
   // Density delegates to the scalar audit above: identical findings,
   // identical metrics — the bitwise-compatibility contract for --field
   // defaults extends to the audit trail.
   if (grid.kind() == FieldKind::kDensity && grid.channels() == 1)
-    return audit_field_item(grid.plane(0), spec, ray_mass, density, hull, opt);
+    return audit_field_item(grid.plane(0), spec, ray_mass, cube, opt);
 
   AuditResult res;
   if (opt.level == AuditLevel::kOff) return res;
@@ -210,9 +209,9 @@ AuditResult audit_field_item(const FieldGrid& grid, const FieldSpec& spec,
                                                 " non-finite cells (first " +
                                                 first_bad + ")"});
 
-  if (grid.kind() == FieldKind::kVelocity && density != nullptr &&
+  if (grid.kind() == FieldKind::kVelocity && cube != nullptr &&
       bad_finite == 0) {
-    const Triangulation& tri = density->triangulation();
+    const Triangulation& tri = cube->triangulation();
     const VelocityModel model(velocity_model_seed,
                               spec.length > 0.0 ? spec.length : 1.0);
     std::vector<Vec3> vel;
@@ -296,7 +295,6 @@ AuditResult audit_field_item(const FieldGrid& grid, const FieldSpec& spec,
       }
     }
   }
-  (void)hull;
   (void)ray_mass;  // no mass identity for the vector channels
 
   if (obs::metrics_enabled()) {

@@ -28,11 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "delaunay/hull_projection.h"
-#include "dtfe/density.h"
 #include "dtfe/field.h"
 
 namespace dtfe {
+
+class FieldCube;
 
 enum class AuditLevel { kOff, kCheap, kFull };
 
@@ -72,11 +72,11 @@ struct AuditResult {
 
 /// Audit one rendered item. `ray_mass` is MarchingStats::ray_mass from the
 /// render that produced `grid` (ignored, along with the mass check, when NaN
-/// — the tess/walking paths don't provide it). `density`/`hull` are only
-/// needed for AuditLevel::kFull and may be null otherwise.
+/// — the tess/walking paths don't provide it). `cube` is the cube the item
+/// was rendered from; it is only needed for AuditLevel::kFull and may be
+/// null otherwise.
 AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
-                             double ray_mass, const DensityField* density,
-                             const HullProjection* hull,
+                             double ray_mass, const FieldCube* cube,
                              const AuditOptions& opt);
 
 /// Multi-channel variant. A density FieldGrid delegates to the scalar audit
@@ -90,11 +90,11 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
 ///    face-centroid flux of the interpolated velocity must equal ∇·v × V —
 ///    an identity that is exact for the linear interpolant, so any mismatch
 ///    beyond spot_rel_tol means corrupted gradients or vertex values.
-/// vdiv/grad items run the non-finite scan only. `velocity_model_seed` is
-/// the run-level analytic-model seed (engine/field_kernel.h RenderRequest).
+/// vdiv/grad items run the non-finite scan only; velocity checks need
+/// `cube`. `velocity_model_seed` is the run-level analytic-model seed
+/// (engine/field_kernel.h RenderRequest).
 AuditResult audit_field_item(const FieldGrid& grid, const FieldSpec& spec,
-                             double ray_mass, const DensityField* density,
-                             const HullProjection* hull,
+                             double ray_mass, const FieldCube* cube,
                              const AuditOptions& opt,
                              std::uint64_t velocity_model_seed = 0);
 

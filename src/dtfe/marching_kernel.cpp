@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "dtfe/field_cube.h"
 #include "geometry/ray_tetra.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,18 +63,26 @@ std::uint64_t ray_seed(std::uint64_t seed, std::uint64_t ray_index) {
   const std::uint64_t v = detail::splitmix64(state);
   return v ? v : 0x9e3779b97f4a7c15ull;
 }
+const MarchingOptions& checked(const MarchingOptions& opt) {
+  DTFE_CHECK(opt.monte_carlo_samples >= 1);
+  DTFE_CHECK(opt.max_perturb_retries >= 1);
+  return opt;
+}
 }  // namespace
+
+MarchingKernel::MarchingKernel(const FieldCube& cube, MarchingOptions opt)
+    : density_(&cube.density()), hull_(&cube.hull()), opt_(checked(opt)) {
+  if (uses_tables()) {
+    geom_ = cube.geom_table();
+    field_ = cube.coef_table();
+  }
+}
 
 MarchingKernel::MarchingKernel(const DensityField& density,
                                const HullProjection& hull, MarchingOptions opt,
                                std::shared_ptr<const TetraGeomTable> geom)
-    : density_(&density), hull_(&hull), opt_(opt) {
-  DTFE_CHECK(opt_.monte_carlo_samples >= 1);
-  DTFE_CHECK(opt_.max_perturb_retries >= 1);
-  // The coefficient tables back the vertical (Plücker-specialized) fast
-  // path only; the Möller/general-Plücker ablation oracles march the AoS
-  // geometry directly and need no tables.
-  if (!opt_.use_moller_trumbore && !opt_.use_general_plucker) {
+    : density_(&density), hull_(&hull), opt_(checked(opt)) {
+  if (uses_tables()) {
     geom_ = geom != nullptr ? std::move(geom)
                             : std::make_shared<const TetraGeomTable>(
                                   density.triangulation());

@@ -16,24 +16,6 @@ VectorField::VectorField(const Triangulation& tri, std::span<const Vec3> values)
     fields_[static_cast<std::size_t>(i)] = std::make_unique<DensityField>(
         DensityField::with_vertex_values(tri, comp));
   }
-  hull_ = std::make_unique<HullProjection>(tri);
-}
-
-Grid2D VectorField::los_mean_component(int i, const FieldSpec& spec) const {
-  DTFE_CHECK(i >= 0 && i < 3);
-  // ∫v dz via the marching kernel on the component field; path length via
-  // the same kernel on a unit field.
-  const MarchingKernel value_kernel(component(i), *hull_);
-  std::vector<double> ones(tri_->num_vertices(), 1.0);
-  const DensityField unit = DensityField::with_vertex_values(*tri_, ones);
-  const MarchingKernel length_kernel(unit, *hull_);
-
-  const Grid2D integral = value_kernel.render(spec);
-  const Grid2D path = length_kernel.render(spec);
-  Grid2D mean(spec.nx(), spec.ny());
-  for (std::size_t k = 0; k < mean.size(); ++k)
-    mean.flat(k) = path.flat(k) > 0.0 ? integral.flat(k) / path.flat(k) : 0.0;
-  return mean;
 }
 
 }  // namespace dtfe

@@ -5,19 +5,16 @@
 // live on the particles, the Delaunay provides the multidimensional linear
 // interpolant, and — unlike mass-weighted grid assignment — averages over
 // volumes are volume-weighted. This module applies the library's machinery
-// to a per-particle Vec3 quantity: pointwise interpolation, the per-cell
-// velocity-gradient tensor (divergence / vorticity / shear), and
-// volume-weighted line-of-sight means via the marching kernel.
+// to a per-particle Vec3 quantity: pointwise interpolation and the per-cell
+// velocity-gradient tensor (divergence / vorticity / shear). Volume-weighted
+// line-of-sight means are the engine's `velocity` field (DESIGN.md §10).
 #pragma once
 
 #include <array>
 #include <memory>
 #include <span>
 
-#include "delaunay/hull_projection.h"
 #include "dtfe/density.h"
-#include "dtfe/field.h"
-#include "dtfe/marching_kernel.h"
 
 namespace dtfe {
 
@@ -54,20 +51,13 @@ class VectorField {
     return {g[2].y - g[1].z, g[0].z - g[2].x, g[1].x - g[0].y};
   }
 
-  /// Volume-weighted mean of one component along vertical lines of sight:
-  /// ∫v_i dz / ∫dz per 2D cell, both integrals marched exactly. Cells whose
-  /// line misses the hull hold 0.
-  Grid2D los_mean_component(int i, const FieldSpec& spec) const;
-
   /// Per-component DensityField (exposes vertex values, gradients, hull
   /// flags).
   const DensityField& component(int i) const { return *fields_[static_cast<std::size_t>(i)]; }
-  const HullProjection& hull() const { return *hull_; }
 
  private:
   const Triangulation* tri_;
   std::array<std::unique_ptr<DensityField>, 3> fields_;
-  std::unique_ptr<HullProjection> hull_;
 };
 
 }  // namespace dtfe

@@ -8,7 +8,6 @@
 #include "dtfe/velocity_model.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace dtfe::engine {
 
@@ -146,17 +145,6 @@ Grid2D los_ratio(const Grid2D& integral, const Grid2D& path) {
 
 }  // namespace
 
-FieldCube::FieldCube(std::vector<Vec3> particles, double particle_mass,
-                     const TriangulationOptions& topt)
-    : points_(std::move(particles)), particle_mass_(particle_mass) {
-  ThreadCpuTimer t;
-  tri_ = std::make_unique<Triangulation>(points_, topt);
-  tri_seconds_ = t.seconds();
-  density_ = std::make_unique<DensityField>(*tri_, particle_mass);
-  hull_ = std::make_unique<HullProjection>(*tri_);
-  geom_ = std::make_shared<const TetraGeomTable>(*tri_);
-}
-
 FieldGrid FieldKernel::render(const FieldCube& cube,
                               const RenderRequest& request,
                               const Deadline* deadline,
@@ -205,14 +193,9 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
   MarchingOptions opt = base_;
   if (request.seed != 0) opt.seed = request.seed;
   if (deadline != nullptr) opt.deadline = deadline;
-  // The vertical fast path shares the cube's SoA geometry tables; the
-  // ablation oracles (Möller / general Plücker) ignore the handle, so
-  // skip the (possibly lazy) build for them.
-  const bool fast = !opt.use_moller_trumbore && !opt.use_general_plucker;
-  const std::shared_ptr<const TetraGeomTable> geom =
-      fast ? cube.geom_table() : nullptr;
   if (request.field == FieldKind::kDensity) {
-    const MarchingKernel kernel(cube.density(), cube.hull(), opt, geom);
+    // The density march borrows the cube's tables; it builds nothing.
+    const MarchingKernel kernel(cube, opt);
     Grid2D grid = kernel.render(request.spec);
     stats.ray_mass = kernel.stats().ray_mass;
     stats.failed_cells = kernel.stats().failed_cells;
@@ -221,8 +204,11 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
   }
 
   // Vector channels: march ∫f dz and ∫dz with the same kernel options and
-  // take the per-cell ratio — the volume-weighted line-of-sight mean.
-  // ray_mass stays NaN (there is no mass identity for these channels).
+  // take the per-cell ratio — the volume-weighted line-of-sight mean. Each
+  // channel is its own field, so each kernel builds its coefficient table
+  // but shares the cube's geometry table. ray_mass stays NaN (there is no
+  // mass identity for these channels).
+  const std::shared_ptr<const TetraGeomTable> geom = cube.geom_table();
   const Triangulation& tri = cube.triangulation();
   const auto channels = channel_vertex_values(cube, request);
   const std::vector<double> ones(tri.num_vertices(), 1.0);

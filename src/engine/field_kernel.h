@@ -21,10 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "delaunay/hull_projection.h"
-#include "delaunay/triangulation.h"
-#include "dtfe/density.h"
 #include "dtfe/field.h"
+#include "dtfe/field_cube.h"
 #include "dtfe/marching_kernel.h"
 #include "dtfe/tess_kernel.h"
 #include "dtfe/walking_kernel.h"
@@ -32,46 +30,8 @@
 
 namespace dtfe::engine {
 
-/// The triangulated particle cube every kernel renders from: one Delaunay
-/// mesh plus its DTFE densities and hull silhouette, built once per work
-/// item and shared by whichever kernel (or audit) needs it. Construction
-/// throws dtfe::Error for degenerate inputs, exactly like the pieces it
-/// bundles.
-class FieldCube {
- public:
-  /// `particles` should already be in canonical (deterministic) order when
-  /// bitwise reproducibility matters — the cube does not reorder them.
-  FieldCube(std::vector<Vec3> particles, double particle_mass,
-            const TriangulationOptions& topt = {});
-
-  const Triangulation& triangulation() const { return *tri_; }
-  const DensityField& density() const { return *density_; }
-  const HullProjection& hull() const { return *hull_; }
-  std::size_t n_particles() const { return points_.size(); }
-  /// Canonical-order particle positions (ensemble smoothing jitters copies
-  /// of these; velocity channels sample the analytic model at them).
-  std::span<const Vec3> points() const { return points_; }
-  double particle_mass() const { return particle_mass_; }
-
-  /// Thread-CPU seconds spent in the Delaunay build alone (the pipeline
-  /// accounts triangulation and interpolation phases separately).
-  double triangulate_seconds() const { return tri_seconds_; }
-
-  /// The SoA crossing-test tables for this cube's triangulation
-  /// (dtfe/march_tables.h), built once with the cube and shared by every
-  /// marching kernel rendering from it — the unit path and each channel of
-  /// a vector render reuse one table instead of rebuilding per kernel.
-  std::shared_ptr<const TetraGeomTable> geom_table() const { return geom_; }
-
- private:
-  std::vector<Vec3> points_;
-  double particle_mass_ = 1.0;
-  std::unique_ptr<Triangulation> tri_;
-  std::unique_ptr<DensityField> density_;
-  std::unique_ptr<HullProjection> hull_;
-  double tri_seconds_ = 0.0;
-  std::shared_ptr<const TetraGeomTable> geom_;
-};
+/// Kept under the engine namespace: apps and benches spell engine::FieldCube.
+using dtfe::FieldCube;
 
 /// One resolved render request: where/how to evaluate the field, which
 /// estimator set to reconstruct, plus the stream seed (0 = keep the

@@ -253,9 +253,8 @@ FieldGrid compute_item(const EngineState& state,
       AuditOptions aopt = opt.audit;
       std::uint64_t aseed = request.seed;
       aopt.seed = detail::splitmix64(aseed);  // same cells on replay
-      audit = audit_field_item(grid, request.spec, stats.ray_mass,
-                               &cube.density(), &cube.hull(), aopt,
-                               request.model_seed);
+      audit = audit_field_item(grid, request.spec, stats.ray_mass, &cube,
+                               aopt, request.model_seed);
       record.audit = audit.summary();
     }
   } catch (const Error& e) {

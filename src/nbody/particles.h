@@ -83,9 +83,10 @@ SanitizeCounts sanitize_positions(std::vector<Vec3>& positions, double box,
                                   BadParticlePolicy policy);
 
 /// All positions plus the periodic images within `pad` outside the box on
-/// every side: build a Reconstructor on this to render full-box fields
-/// without convex-hull boundary artifacts (the hull then encloses the whole
-/// box with correctly replicated neighbors). pad must be < box/2.
+/// every side: build a FieldCube (or a Reconstructor, which holds one) on
+/// this to render full-box fields without convex-hull boundary artifacts
+/// (the hull then encloses the whole box with correctly replicated
+/// neighbors). pad must be < box/2.
 std::vector<Vec3> with_periodic_pad(const ParticleSet& set, double pad);
 
 }  // namespace dtfe

@@ -1,15 +1,19 @@
 // Tests for the marching kernel's vertical-line fast path (the AoS vertical
-// test and the coefficient-table route the march runs) and the zero-order
-// kernel's warm-started nearest-site search: the optimized code must agree
-// with the general-purpose reference implementations.
+// test and the coefficient-table route the march runs), the Reconstructor
+// view against the pipeline's march, and the zero-order kernel's
+// warm-started nearest-site search: the optimized code must agree with the
+// general-purpose reference implementations.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <utility>
 
 #include "core/reconstructor.h"
 #include "dtfe/tess_kernel.h"
+#include "engine/field_kernel.h"
 #include "geometry/predicates.h"
 #include "geometry/ray_tetra.h"
 #include "geometry/tetra_coef.h"
@@ -154,6 +158,59 @@ TEST(MarchingAblations, AllThreeIntersectionBackendsAgree) {
     for (std::size_t i = 0; i < ga.size(); ++i)
       EXPECT_NEAR(ga.flat(i), gb.flat(i), 1e-7 * (std::abs(ga.flat(i)) + 1.0))
           << "cell " << i << " mc " << mc << " z_samples " << nz;
+  }
+}
+
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Reconstructor is a view over one FieldCube: its marching render and line
+// integral are exactly what the pipeline's march kernel computes over a
+// cube of the same points, in every sampling mode.
+TEST(Reconstructor, RendersExactlyWhatThePipelineRenders) {
+  HaloModelOptions gen;
+  gen.n_particles = 3000;
+  gen.box_length = 1.0;
+  gen.n_halos = 4;
+  gen.seed = 9;
+  const auto set = generate_halo_model(gen);
+  const Reconstructor recon(set.positions, 1.0);
+  const FieldCube cube(set.positions, 1.0);
+
+  FieldSpec spec;
+  spec.origin = {0.1, 0.1};
+  spec.length = 0.8;
+  spec.resolution = 16;
+  spec.zmin = 0.0;
+  spec.zmax = 1.0;
+  MarchingOptions mc, adaptive, planes;
+  mc.monte_carlo_samples = 4;
+  adaptive.adaptive_max_depth = 2;
+  planes.z_samples = 16;
+  for (const MarchingOptions& opt :
+       {MarchingOptions{}, mc, adaptive, planes}) {
+    engine::KernelOptions kopt;
+    kopt.marching = opt;
+    engine::KernelStats stats;
+    const FieldGrid pipeline =
+        engine::KernelRegistry::builtin()
+            .create("march", kopt)
+            ->render(cube, engine::RenderRequest{spec}, nullptr, stats);
+    const Grid2D view = recon.surface_density(spec, opt);
+    EXPECT_TRUE(bitwise_equal(view.values(), pipeline.plane(0).values()))
+        << "mc " << opt.monte_carlo_samples << " adaptive "
+        << opt.adaptive_max_depth << " z_samples " << opt.z_samples;
+  }
+
+  const MarchingKernel line(cube);
+  Rng rng(23);
+  for (int iter = 0; iter < 100; ++iter) {
+    const double x = rng.uniform(0.1, 0.9), y = rng.uniform(0.1, 0.9);
+    const double a = recon.integrate_los(x, y, 0.0, 1.0);
+    const double b = line.integrate_line({x, y}, 0.0, 1.0);
+    EXPECT_TRUE(bitwise_equal({&a, 1}, {&b, 1})) << iter;
   }
 }
 

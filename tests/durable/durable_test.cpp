@@ -274,7 +274,7 @@ TEST(Audit, HonestGridPasses) {
   const Grid2D grid = make_grid(8, 1.0);
   const FieldSpec spec = FieldSpec::centered({0, 0, 0}, 1.0, 8);
   const AuditResult r =
-      audit_field_item(grid, spec, grid.sum(), nullptr, nullptr, cheap_audit());
+      audit_field_item(grid, spec, grid.sum(), nullptr, cheap_audit());
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.summary(), "pass");
   EXPECT_GT(r.checks_run, 0);
@@ -285,7 +285,7 @@ TEST(Audit, CatchesNonFiniteCell) {
   grid.at(3, 4) = std::numeric_limits<double>::quiet_NaN();
   const FieldSpec spec = FieldSpec::centered({0, 0, 0}, 1.0, 8);
   const AuditResult r =
-      audit_field_item(grid, spec, grid.sum(), nullptr, nullptr, cheap_audit());
+      audit_field_item(grid, spec, grid.sum(), nullptr, cheap_audit());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.summary().find("non_finite"), std::string::npos);
 }
@@ -295,7 +295,7 @@ TEST(Audit, CatchesNegativeCell) {
   grid.at(0, 0) = -1e-3;
   const FieldSpec spec = FieldSpec::centered({0, 0, 0}, 1.0, 8);
   const AuditResult r =
-      audit_field_item(grid, spec, grid.sum(), nullptr, nullptr, cheap_audit());
+      audit_field_item(grid, spec, grid.sum(), nullptr, cheap_audit());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.summary().find("negative"), std::string::npos);
 }
@@ -309,7 +309,7 @@ TEST(Audit, CatchesMassMismatch) {
   grid.at(5, 5) *= 2.0;
   const FieldSpec spec = FieldSpec::centered({0, 0, 0}, 1.0, 8);
   const AuditResult r =
-      audit_field_item(grid, spec, honest_mass, nullptr, nullptr, cheap_audit());
+      audit_field_item(grid, spec, honest_mass, nullptr, cheap_audit());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.summary().find("mass"), std::string::npos);
 }
@@ -320,7 +320,7 @@ TEST(Audit, NaNRayMassSkipsTheMassCheck) {
   Grid2D grid = make_grid(8, 1.0);
   const FieldSpec spec = FieldSpec::centered({0, 0, 0}, 1.0, 8);
   const AuditResult r = audit_field_item(
-      grid, spec, std::numeric_limits<double>::quiet_NaN(), nullptr, nullptr,
+      grid, spec, std::numeric_limits<double>::quiet_NaN(), nullptr,
       cheap_audit());
   EXPECT_TRUE(r.ok());
 }

@@ -66,42 +66,6 @@ TEST(HullProjection, EntryFaceIsTheDownwardHullFacet) {
   EXPECT_GT(tested, 150);
 }
 
-TEST(HullProjection, WalkLocatorAgreesWithBuckets) {
-  // The paper's walk-based 2D locator and the grid-bucket locator must
-  // agree everywhere (including outside-silhouette verdicts).
-  Rng rng(17);
-  std::vector<Vec3> pts(400);
-  for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
-  Triangulation tri(pts);
-  HullProjection hull(tri);
-  std::ptrdiff_t hint = -1;
-  std::uint64_t wrng = 1;
-  int inside = 0, outside = 0;
-  for (int iter = 0; iter < 1000; ++iter) {
-    const Vec2 xi{rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2)};
-    const auto a = hull.first_entry(xi);
-    const auto b = hull.first_entry_walk(xi, hint, wrng);
-    ASSERT_EQ(a.cell == Triangulation::kNoCell,
-              b.cell == Triangulation::kNoCell)
-        << "iter " << iter;
-    if (a.cell == Triangulation::kNoCell) {
-      ++outside;
-      continue;
-    }
-    ++inside;
-    // Ties on shared facet edges may resolve to either incident facet; both
-    // must still name a cell whose hull facet the line enters.
-    if (a.cell != b.cell) {
-      const auto hit = line_tetra_vertical(xi, tri.cell_points(b.cell));
-      EXPECT_TRUE(hit.intersects || hit.degenerate);
-    } else {
-      EXPECT_EQ(a.entry_face, b.entry_face);
-    }
-  }
-  EXPECT_GT(inside, 300);
-  EXPECT_GT(outside, 100);
-}
-
 // ---------------- marching failure injection ------------------------------------
 
 TEST(MarchingKernel, RetryCapCountsFailuresWithoutCrashing) {
