@@ -1,6 +1,9 @@
 // Delaunay construction and point-location ablations: spatial sort on/off,
-// uniform vs clustered input, walk hint strategies.
+// uniform vs clustered input, concurrent builds, walk hint strategies.
 #include <benchmark/benchmark.h>
+
+#include <thread>
+#include <vector>
 
 #include "delaunay/hull_projection.h"
 #include "delaunay/triangulation.h"
@@ -31,37 +34,23 @@ BENCHMARK(BM_DelaunayBuild)
     ->Args({20000, 0})
     ->Unit(benchmark::kMillisecond);
 
-void BM_DelaunayBuildClustered(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+std::vector<Vec3> clustered_points(std::size_t n) {
   HaloModelOptions gen;
   gen.n_particles = n;
   gen.box_length = 1.0;
   gen.n_halos = 8;
   gen.seed = 3;
-  const auto set = generate_halo_model(gen);
-  for (auto _ : state) {
-    Triangulation tri(set.positions);
-    benchmark::DoNotOptimize(tri.num_cells());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  return generate_halo_model(gen).positions;
 }
-BENCHMARK(BM_DelaunayBuildClustered)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-void BM_DelaunayInsertScratch(benchmark::State& state) {
-  // A/B for the insertion fast path: reusing the conflict-BFS scratch and
-  // cavity boundary buffers across insertions vs per-insert allocation.
-  // Reports inserts/sec and allocations-per-insert (container regrowth
-  // events counted by the triangulation itself).
+void BM_DelaunayBuildClustered(benchmark::State& state) {
+  // Also reports allocations-per-insert: container regrowth events counted
+  // by the triangulation itself (alloc_events()).
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool reuse = state.range(1) != 0;
-  Rng rng(1);
-  std::vector<Vec3> pts(n);
-  for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
-  TriangulationOptions opt;
-  opt.reuse_insert_scratch = reuse;
+  const auto pts = clustered_points(n);
   std::size_t alloc_events = 0;
   for (auto _ : state) {
-    Triangulation tri(pts, opt);
+    Triangulation tri(pts);
     benchmark::DoNotOptimize(tri.num_cells());
     alloc_events = tri.alloc_events();
   }
@@ -69,9 +58,31 @@ void BM_DelaunayInsertScratch(benchmark::State& state) {
   state.counters["allocs_per_insert"] =
       static_cast<double>(alloc_events) / static_cast<double>(n);
 }
-BENCHMARK(BM_DelaunayInsertScratch)
-    ->Args({20000, 1})
-    ->Args({20000, 0})
+BENCHMARK(BM_DelaunayBuildClustered)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+void BM_DelaunayBuildConcurrent(benchmark::State& state) {
+  // T threads each build their own 20k-point clustered mesh at once;
+  // items_per_second is the per-thread insert rate over wall time, so equal
+  // rates at 1 and 4 threads mean concurrent builds share nothing hot.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 20000;
+  const auto pts = clustered_points(n);
+  for (auto _ : state) {
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t)
+      pool.emplace_back([&pts] {
+        Triangulation tri(pts);
+        benchmark::DoNotOptimize(tri.num_cells());
+      });
+    for (auto& th : pool) th.join();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DelaunayBuildConcurrent)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_LocateWithHints(benchmark::State& state) {

@@ -4,8 +4,8 @@
 # numbers ride along with the code and regressions show up in review diffs.
 #
 # Three measurements:
-#   (1) micro_delaunay insert-scratch A/B — inserts/sec and allocations per
-#       insert with and without TriangulationOptions::reuse_insert_scratch;
+#   (1) micro_delaunay clustered build — inserts/sec and allocations per
+#       insert of BM_DelaunayBuildClustered/20000;
 #   (2) micro_kernels render throughput (marching tables + rays, walking)
 #       and the crossing-test A/B (SoA coefficient form vs AoS oracle);
 #   (3) end-to-end `pdtfe pipeline` on a generated snapshot at --threads 1
@@ -13,7 +13,9 @@
 #       equal (the thread budget must never change results) and recording
 #       both wall times, the crossing throughput, and the machine-independent
 #       op counters (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings)
-#       that CI pins.
+#       for the trajectory. On the --smoke fixture these are the counts that
+#       the `perf` ctest (tests/perf/op_counters_test.cpp) pins to
+#       bench/perf_reference.json.
 #
 # usage: run_bench.sh [--smoke] [--out FILE]
 #   --smoke   small fixture + short benchmark reps (the CI perf-smoke job)
@@ -48,9 +50,9 @@ else
 fi
 THREADS="$(nproc)"
 
-echo "== micro_delaunay (insert-scratch A/B)"
+echo "== micro_delaunay (clustered build)"
 "$BUILD/bench/micro_delaunay" \
-    --benchmark_filter='BM_DelaunayInsertScratch' \
+    --benchmark_filter='BM_DelaunayBuildClustered/20000' \
     --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
     > "$TMP/delaunay.json" 2>/dev/null
 
@@ -81,8 +83,7 @@ def load(name):
         return json.load(f)
 
 dl = {b["name"]: b for b in load("delaunay.json")["benchmarks"]}
-reuse = dl["BM_DelaunayInsertScratch/20000/1"]
-noreuse = dl["BM_DelaunayInsertScratch/20000/0"]
+clustered = dl["BM_DelaunayBuildClustered/20000"]
 
 kjson = load("kernels.json")
 # The custom micro_kernels main records the compiled SIMD ISA in the
@@ -124,15 +125,14 @@ if not checksums_equal:
           file=sys.stderr)
 
 doc = {
-    "schema": "pdtfe-bench-v2",
+    "schema": "pdtfe-bench-v3",
     "mode": mode,
     "host": {"cores": os.cpu_count(), "platform": os.uname().sysname,
              "simd_isa": simd_isa},
     "micro_delaunay": {
-        "inserts_per_sec_reuse": round(reuse["items_per_second"]),
-        "inserts_per_sec_noreuse": round(noreuse["items_per_second"]),
-        "allocs_per_insert_reuse": round(reuse["allocs_per_insert"], 6),
-        "allocs_per_insert_noreuse": round(noreuse["allocs_per_insert"], 6),
+        "benchmark": clustered["name"],
+        "inserts_per_sec": round(clustered["items_per_second"]),
+        "allocs_per_insert": round(clustered["allocs_per_insert"], 6),
     },
     "micro_kernels": kernels,
     "coef_vs_aos": coef_vs_aos,

@@ -94,7 +94,46 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
   return (a << 32) | b;
 }
 
+/// Boundary facet of the conflict cavity, already reversed to face it.
+struct BoundaryFacet {
+  VertexId a, b, d;  // new cell base
+  CellId outside;    // surviving neighbor
+  int outside_slot;  // slot in `outside` that pointed at the dead cell
+};
+
+/// Open cavity edge awaiting its partner during retriangulation.
+struct CavityEdge {
+  std::uint64_t key;  // unordered vertex pair
+  CellId cell;
+  std::int32_t slot;
+};
+
 }  // namespace
+
+struct Triangulation::InsertState {
+  CellId hint = kNoCell;  ///< walk start: the last insert's first new cell
+  std::uint64_t walk_rng = 0x9e3779b97f4a7c15ull;  ///< one sequence per build
+  std::vector<CellId> conflict;         // conflict-BFS queue
+  std::vector<std::int8_t> mark;        // 0 unknown, 1 conflict, 2 boundary-safe
+  std::vector<CellId> visited;          // every marked id, for cleanup
+  std::vector<BoundaryFacet> boundary;  // cavity surface of the current insert
+  std::vector<CavityEdge> edges;        // open edges during retriangulation
+  std::array<std::size_t, 7> capacity{};  // at the previous growth() call
+
+  /// Containers whose capacity changed since the previous call (a vector
+  /// only reallocates to grow): one insert's alloc_events() increment.
+  std::size_t growth(const std::vector<Cell>& cells,
+                     const std::vector<CellId>& free_list) {
+    const std::array<std::size_t, 7> now = {
+        cells.capacity(),    free_list.capacity(), mark.capacity(),
+        conflict.capacity(), visited.capacity(),   boundary.capacity(),
+        edges.capacity()};
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < now.size(); ++i) changed += now[i] != capacity[i];
+    capacity = now;
+    return changed;
+  }
+};
 
 Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
     : points_(points.begin(), points.end()) {
@@ -148,21 +187,20 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
   // Size the cell store up front: a 3D Delaunay triangulation of n points has
   // ~6.7n finite cells plus hull cells, and the free list recycles transient
   // cavity churn, so 7n slots covers the whole build without reallocating the
-  // (hot) cell array mid-insertion.
-  reuse_insert_scratch_ = opt.reuse_insert_scratch;
+  // (hot) cell array mid-insertion. The scratch buffers are reused across
+  // insertions and freed when the constructor returns.
   cells_.reserve(7 * n + 64);
-  if (reuse_insert_scratch_) {
-    conflict_cells_.reserve(64);
-    visited_.reserve(128);
-    boundary_.reserve(64);
-    cavity_edges_.reserve(192);
-  }
+  InsertState st;
+  st.conflict.reserve(64);
+  st.visited.reserve(128);
+  st.boundary.reserve(64);
+  st.edges.reserve(192);
 
-  init_first_cell(a, b, c, d);
+  st.hint = init_first_cell(a, b, c, d);
   num_unique_ = 4;
+  st.growth(cells_, free_list_);  // capacities before the first insert
 
   // Insert the rest in spatial order with a remembering hint.
-  CellId hint = hint_cell_;
   for (std::size_t k = 0; k < n; ++k) {
     if (k == i0 || k == i1 || k == i2 || k == i3) continue;
     // Cooperative watchdog: a pathological cube can make incremental
@@ -171,11 +209,8 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
     // while bounding cancellation latency even under sanitizer slowdowns.
     if (opt.deadline && (k & 63) == 0 && opt.deadline->expired())
       throw Error("triangulation cancelled: item deadline exceeded");
-    CellId created = kNoCell;
-    insert(order[k], hint, &created);
-    if (created != kNoCell) hint = created;
+    insert(order[k], st);
   }
-  hint_cell_ = hint;
 
   if (obs::metrics_enabled()) {
     const DelaunayMetrics& m = delaunay_metrics();
@@ -185,12 +220,10 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
     obs::add(m.cells_created, static_cast<double>(cells_allocated_));
   }
   span.add_arg("cells", static_cast<double>(live_cells_));
-
-  if (opt.verify) validate(/*check_delaunay=*/num_unique_ <= 600);
 }
 
-void Triangulation::init_first_cell(VertexId a, VertexId b, VertexId c,
-                                    VertexId d) {
+CellId Triangulation::init_first_cell(VertexId a, VertexId b, VertexId c,
+                                      VertexId d) {
   cells_.reserve(64);
   const CellId t0 = new_cell();
   cells_[static_cast<std::size_t>(t0)].v = {a, b, c, d};
@@ -235,7 +268,7 @@ void Triangulation::init_first_cell(VertexId a, VertexId b, VertexId c,
     const VertexId vv = cells_[static_cast<std::size_t>(t0)].v[s];
     incident_cell_[static_cast<std::size_t>(vv)] = t0;
   }
-  hint_cell_ = t0;
+  return t0;
 }
 
 CellId Triangulation::new_cell() {
@@ -292,14 +325,6 @@ bool Triangulation::cell_in_conflict(CellId c, const Vec3& p) const {
   DTFE_DCHECK(!is_infinite(fin));
   const auto np = cell_points(fin);
   return insphere_conflict_perturbed(np[0], np[1], np[2], np[3], p);
-}
-
-Triangulation::LocateResult Triangulation::locate(const Vec3& p,
-                                                  CellId hint) const {
-  const LocateResult r =
-      locate_from(p, hint == kNoCell ? hint_cell_ : hint, walk_rng_);
-  hint_cell_ = r.cell;
-  return r;
 }
 
 Triangulation::LocateResult Triangulation::locate_from(
@@ -375,97 +400,75 @@ Triangulation::LocateResult Triangulation::locate_from(
   throw Error("point location walk failed to terminate");
 }
 
-VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) {
+void Triangulation::insert(VertexId vid, InsertState& st) {
   const Vec3 p = points_[static_cast<std::size_t>(vid)];
-  const LocateResult loc = locate(p, hint);
+  const LocateResult loc = locate_from(p, st.hint, st.walk_rng);
   if (loc.status == LocateStatus::kOnVertex) {
     duplicate_of_[static_cast<std::size_t>(vid)] = loc.vertex;
-    return loc.vertex;
+    return;
   }
   ++num_unique_;
 
-  // Scratch selection: the persistent members when reuse is on (fast path),
-  // fresh locals otherwise — the allocate-per-insert behavior kept for the
-  // scratch-reuse A/B in bench/micro_delaunay.
-  std::vector<CellId> local_visited;
-  std::vector<BoundaryFacet> local_boundary;
-  std::vector<CavityEdge> local_edges;
-  std::vector<CellId>& visited = reuse_insert_scratch_ ? visited_ : local_visited;
-  std::vector<BoundaryFacet>& boundary =
-      reuse_insert_scratch_ ? boundary_ : local_boundary;
-  std::vector<CavityEdge>& edges =
-      reuse_insert_scratch_ ? cavity_edges_ : local_edges;
+  std::vector<CellId>& conflict = st.conflict;
+  std::vector<std::int8_t>& mark = st.mark;
+  std::vector<CellId>& visited = st.visited;
+  std::vector<CavityEdge>& edges = st.edges;
+  conflict.clear();
   visited.clear();
-  boundary.clear();
+  st.boundary.clear();
   edges.clear();
 
-  // Allocation accounting for bench/micro_delaunay: capacity snapshots of
-  // every container this insert can grow.
-  const std::size_t cap_cells = cells_.capacity();
-  const std::size_t cap_free = free_list_.capacity();
-  const std::size_t cap_mark = cell_mark_.capacity();
-  const std::size_t cap_conflict = conflict_cells_.capacity();
-  const std::size_t cap_visited = visited.capacity();
-  const std::size_t cap_boundary = boundary.capacity();
-  const std::size_t cap_edges = edges.capacity();
-
   // --- grow the conflict region by BFS from the located cell ---------------
-  if (cell_mark_.size() < cells_.size() + 8) cell_mark_.resize(cells_.size() + 8, 0);
-  conflict_cells_.clear();
+  if (mark.size() < cells_.size() + 8) mark.resize(cells_.size() + 8, 0);
 
   DTFE_DCHECK(cell_in_conflict(loc.cell, p));
-  conflict_cells_.push_back(loc.cell);
+  conflict.push_back(loc.cell);
   visited.push_back(loc.cell);
-  cell_mark_[static_cast<std::size_t>(loc.cell)] = 1;
+  mark[static_cast<std::size_t>(loc.cell)] = 1;
 
-  // BFS over strictly conflicting cells; `bfs_from` processes queue entries
-  // from the given index onward so repair-added cells get the same treatment.
-  auto bfs_from = [&](std::size_t start) {
-    for (std::size_t qi = start; qi < conflict_cells_.size(); ++qi) {
-      const Cell t = cell(conflict_cells_[qi]);
-      for (int f = 0; f < 4; ++f) {
-        const CellId nb = t.n[f];
-        if (cell_mark_[static_cast<std::size_t>(nb)] != 0) continue;
-        if (cell_in_conflict(nb, p)) {
-          cell_mark_[static_cast<std::size_t>(nb)] = 1;
-          conflict_cells_.push_back(nb);
-        } else {
-          cell_mark_[static_cast<std::size_t>(nb)] = 2;
-        }
-        visited.push_back(nb);
+  // BFS over strictly conflicting cells (the queue grows while it is read).
+  for (std::size_t qi = 0; qi < conflict.size(); ++qi) {
+    const Cell t = cell(conflict[qi]);
+    for (int f = 0; f < 4; ++f) {
+      const CellId nb = t.n[f];
+      if (mark[static_cast<std::size_t>(nb)] != 0) continue;
+      if (cell_in_conflict(nb, p)) {
+        mark[static_cast<std::size_t>(nb)] = 1;
+        conflict.push_back(nb);
+      } else {
+        mark[static_cast<std::size_t>(nb)] = 2;
       }
+      visited.push_back(nb);
     }
-  };
-  bfs_from(0);
+  }
   if (obs::metrics_enabled())
     obs::add(delaunay_metrics().conflict_cells,
-             static_cast<double>(conflict_cells_.size()));
+             static_cast<double>(conflict.size()));
 
-  for (std::size_t qi = 0; qi < conflict_cells_.size(); ++qi) {
-    const CellId cc = conflict_cells_[qi];
+  for (const CellId cc : conflict) {
     const Cell t = cell(cc);  // copy: cells_ may reallocate later, not here
     for (int f = 0; f < 4; ++f) {
       const CellId nb = t.n[f];
-      if (cell_mark_[static_cast<std::size_t>(nb)] == 1) continue;
+      if (mark[static_cast<std::size_t>(nb)] == 1) continue;
       BoundaryFacet bf;
       bf.a = t.v[kTetraFace[f][0]];
       bf.b = t.v[kTetraFace[f][1]];
       bf.d = t.v[kTetraFace[f][2]];
       bf.outside = nb;
       bf.outside_slot = mirror_index(cc, f);
-      boundary.push_back(bf);
+      st.boundary.push_back(bf);
     }
   }
 
   // --- retriangulate the cavity --------------------------------------------
-  for (const CellId cc : conflict_cells_) free_cell(cc);
+  for (const CellId cc : conflict) free_cell(cc);
 
   // Create all cavity cells first, collecting the open apex-face edges; each
   // cavity edge is shared by exactly two boundary facets, so sorting the list
   // and pairing adjacent equal keys wires the same adjacency the per-insert
   // hash map used to — without its node allocations.
   CellId first_new = kNoCell;
-  for (const BoundaryFacet& bf : boundary) {
+  for (const BoundaryFacet& bf : st.boundary) {
     const CellId nc = new_cell();
     if (first_new == kNoCell) first_new = nc;
     Cell& t = cells_[static_cast<std::size_t>(nc)];
@@ -499,19 +502,9 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
     cells_[static_cast<std::size_t>(y.cell)].n[y.slot] = x.cell;
   }
 
-  for (const CellId cid : visited) cell_mark_[static_cast<std::size_t>(cid)] = 0;
-  hint_cell_ = first_new;
-  if (last_created) *last_created = first_new;
-
-  alloc_events_ +=
-      static_cast<std::size_t>(cells_.capacity() != cap_cells) +
-      static_cast<std::size_t>(free_list_.capacity() != cap_free) +
-      static_cast<std::size_t>(cell_mark_.capacity() != cap_mark) +
-      static_cast<std::size_t>(conflict_cells_.capacity() != cap_conflict) +
-      static_cast<std::size_t>(visited.capacity() != cap_visited) +
-      static_cast<std::size_t>(boundary.capacity() != cap_boundary) +
-      static_cast<std::size_t>(edges.capacity() != cap_edges);
-  return vid;
+  for (const CellId cid : visited) mark[static_cast<std::size_t>(cid)] = 0;
+  st.hint = first_new;
+  alloc_events_ += st.growth(cells_, free_list_);
 }
 
 std::vector<CellId> Triangulation::finite_cells() const {

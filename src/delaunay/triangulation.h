@@ -15,8 +15,10 @@
 //    cell, finite or not, is combinatorially positively oriented).
 //
 // Point location is a remembering stochastic walk (paper §III-C-1); insertion
-// order is Morton/BRIO spatially sorted by the builder for near-linear total
-// walk cost.
+// order is Morton/BRIO spatially sorted for near-linear total walk cost. The
+// walk hint, walk RNG and insertion scratch live only while the constructor
+// runs, so a finished Triangulation holds just the mesh and every const
+// method is safe to call from many threads.
 #pragma once
 
 #include <array>
@@ -35,11 +37,6 @@ using CellId = std::int32_t;
 
 struct TriangulationOptions {
   bool spatial_sort = true;  ///< Morton-order the insertion sequence
-  bool verify = false;       ///< run full validation after build (tests)
-  /// Reuse the insertion scratch buffers (conflict-BFS queue, visited list,
-  /// boundary-facet list, cavity-edge list) across insertions. Off restores
-  /// the allocate-per-insert behavior for A/B runs in bench/micro_delaunay.
-  bool reuse_insert_scratch = true;
   /// Cooperative cancellation (borrowed; may be null = never cancel). The
   /// incremental insertion loop polls it and throws dtfe::Error on expiry.
   const Deadline* deadline = nullptr;
@@ -85,7 +82,7 @@ class Triangulation {
   /// Container-growth events (capacity changes of the cell store and the
   /// insertion scratch buffers) observed while inserting points. Divided by
   /// the number of inserts this is the allocations-per-insert figure that
-  /// bench/micro_delaunay reports for the scratch-reuse A/B.
+  /// bench/micro_delaunay and perfbench report.
   std::size_t alloc_events() const { return alloc_events_; }
 
   /// Slot (0..3) of vertex `v` in cell `c`; -1 if absent.
@@ -143,13 +140,10 @@ class Triangulation {
     VertexId vertex = kInfinite;  ///< set for kOnVertex
   };
 
-  /// Remembering stochastic walk from `hint` (or an internal default).
-  /// Stateful convenience wrapper: remembers the last located cell. NOT
-  /// thread-safe; concurrent callers must use locate_from().
-  LocateResult locate(const Vec3& p, CellId hint = kNoCell) const;
-
-  /// Pure walk: all state (hint + RNG for stochastic face order) is caller
-  /// provided, making this safe to call concurrently from many threads.
+  /// Stochastic walk from `hint` (any live cell if kNoCell or dead). All walk
+  /// state (hint + RNG for the stochastic face order; 0 seeds it) is caller
+  /// provided, so concurrent callers never share it. Pass the previous
+  /// result's cell as the next hint for a remembering walk.
   LocateResult locate_from(const Vec3& p, CellId hint,
                            std::uint64_t& rng_state) const;
 
@@ -170,26 +164,14 @@ class Triangulation {
  private:
   static constexpr VertexId kDead = -2;
 
-  friend class TriangulationBuilder;
-
-  /// Boundary facet of the conflict cavity, already reversed to face it.
-  struct BoundaryFacet {
-    VertexId a, b, d;  // new cell base
-    CellId outside;    // surviving neighbor
-    int outside_slot;  // slot in `outside` that pointed at the dead cell
-  };
-  /// Open cavity edge awaiting its partner during retriangulation.
-  struct CavityEdge {
-    std::uint64_t key;  // unordered vertex pair
-    CellId cell;
-    std::int32_t slot;
-  };
+  /// Walk state and scratch buffers of one construction (triangulation.cpp).
+  struct InsertState;
 
   bool cell_in_conflict(CellId c, const Vec3& p) const;
-  VertexId insert(VertexId vid, CellId hint, CellId* last_created);
+  void insert(VertexId vid, InsertState& st);
   CellId new_cell();
   void free_cell(CellId c);
-  void init_first_cell(VertexId a, VertexId b, VertexId c, VertexId d);
+  CellId init_first_cell(VertexId a, VertexId b, VertexId c, VertexId d);
 
   std::vector<Vec3> points_;
   std::vector<VertexId> duplicate_of_;
@@ -200,16 +182,6 @@ class Triangulation {
   std::size_t cells_allocated_ = 0;  ///< new_cell() calls, incl. slot reuse
   std::size_t num_unique_ = 0;
   std::size_t alloc_events_ = 0;  ///< container growth during insertion
-  bool reuse_insert_scratch_ = true;
-
-  // scratch buffers reused across insertions
-  mutable std::vector<CellId> conflict_cells_;
-  mutable std::vector<std::int8_t> cell_mark_;  // 0 unknown, 1 conflict, 2 boundary-safe
-  std::vector<CellId> visited_;          // every marked id, for cleanup
-  std::vector<BoundaryFacet> boundary_;  // cavity surface of the current insert
-  std::vector<CavityEdge> cavity_edges_;  // open edges during retriangulation
-  mutable std::uint64_t walk_rng_ = 0x9e3779b97f4a7c15ull;
-  mutable CellId hint_cell_ = kNoCell;
 };
 
 }  // namespace dtfe

@@ -5,7 +5,6 @@
 // |det| > errbound; otherwise we re-evaluate with exact expansions.
 #include "geometry/predicates.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "geometry/expansion.h"
@@ -20,20 +19,9 @@ constexpr double kO3dErrBoundA = (7.0 + 56.0 * kEpsilon) * kEpsilon;
 constexpr double kIspErrBoundA = (16.0 + 224.0 * kEpsilon) * kEpsilon;
 constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
 
-// Relaxed atomics: the predicates are called concurrently from OpenMP
-// regions (parallel triangulations), so plain counters would race. The
-// counts are independent tallies — no ordering is needed, only atomicity.
-struct AtomicPredicateStats {
-  std::atomic<unsigned long long> orient3d_calls{0};
-  std::atomic<unsigned long long> orient3d_exact{0};
-  std::atomic<unsigned long long> insphere_calls{0};
-  std::atomic<unsigned long long> insphere_exact{0};
-};
-AtomicPredicateStats g_stats;
-
-inline void bump(std::atomic<unsigned long long>& c) {
-  c.fetch_add(1, std::memory_order_relaxed);
-}
+// Per-thread tallies: concurrent triangulations each count into their own
+// thread's counters, so the hot path writes no shared cache line.
+thread_local PredicateStats t_stats;
 
 double orient2d_exact(const Vec2& a, const Vec2& b, const Vec2& c) {
   const Expansion acx = Expansion::from_diff(a.x, c.x);
@@ -126,20 +114,8 @@ double insphere_exact(const Vec3& a, const Vec3& b, const Vec3& c,
 
 }  // namespace
 
-PredicateStats predicate_stats() {
-  PredicateStats s;
-  s.orient3d_calls = g_stats.orient3d_calls.load(std::memory_order_relaxed);
-  s.orient3d_exact = g_stats.orient3d_exact.load(std::memory_order_relaxed);
-  s.insphere_calls = g_stats.insphere_calls.load(std::memory_order_relaxed);
-  s.insphere_exact = g_stats.insphere_exact.load(std::memory_order_relaxed);
-  return s;
-}
-void reset_predicate_stats() {
-  g_stats.orient3d_calls.store(0, std::memory_order_relaxed);
-  g_stats.orient3d_exact.store(0, std::memory_order_relaxed);
-  g_stats.insphere_calls.store(0, std::memory_order_relaxed);
-  g_stats.insphere_exact.store(0, std::memory_order_relaxed);
-}
+PredicateStats predicate_stats() { return t_stats; }
+void reset_predicate_stats() { t_stats = {}; }
 
 double orient2d(const Vec2& a, const Vec2& b, const Vec2& c) {
   const double detleft = (a.x - c.x) * (b.y - c.y);
@@ -194,7 +170,7 @@ double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c,
 }
 
 double orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
-  bump(g_stats.orient3d_calls);
+  ++t_stats.orient3d_calls;
   const double bax = b.x - a.x, bay = b.y - a.y, baz = b.z - a.z;
   const double cax = c.x - a.x, cay = c.y - a.y, caz = c.z - a.z;
   const double dax = d.x - a.x, day = d.y - a.y, daz = d.z - a.z;
@@ -211,7 +187,7 @@ double orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
                            (std::abs(caxday) + std::abs(caydax)) * std::abs(baz);
   const double errbound = kO3dErrBoundA * permanent;
   if (det > errbound || -det > errbound) return det;
-  bump(g_stats.orient3d_exact);
+  ++t_stats.orient3d_exact;
   return orient3d_exact(a, b, c, d);
 }
 
@@ -247,7 +223,7 @@ double insphere_fast(const Vec3& a, const Vec3& b, const Vec3& c,
 
 double insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
                 const Vec3& e) {
-  bump(g_stats.insphere_calls);
+  ++t_stats.insphere_calls;
   const double aex = a.x - e.x, aey = a.y - e.y, aez = a.z - e.z;
   const double bex = b.x - e.x, bey = b.y - e.y, bez = b.z - e.z;
   const double cex = c.x - e.x, cey = c.y - e.y, cez = c.z - e.z;
@@ -307,7 +283,7 @@ double insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
   // det here is the raw matrix determinant; our convention negates it (see
   // insphere_fast). The filter test is symmetric, so certify then negate.
   if (det > errbound || -det > errbound) return -det;
-  bump(g_stats.insphere_exact);
+  ++t_stats.insphere_exact;
   return insphere_exact(a, b, c, d, e);
 }
 

@@ -33,9 +33,10 @@ double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c,
 double insphere_fast(const Vec3& a, const Vec3& b, const Vec3& c,
                      const Vec3& d, const Vec3& e);
 
-/// Counters for filter effectiveness reporting. The live tallies are
-/// relaxed atomics (predicates run concurrently inside OpenMP regions);
-/// predicate_stats() returns a point-in-time snapshot.
+/// Counters for filter effectiveness reporting. Each thread keeps its own
+/// tallies (plain thread_local integers, so concurrent triangulations share
+/// no cache line): predicate_stats() returns and reset_predicate_stats()
+/// zeroes the calling thread's counts only.
 struct PredicateStats {
   unsigned long long orient3d_calls = 0;
   unsigned long long orient3d_exact = 0;

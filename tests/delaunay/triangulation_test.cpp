@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "geometry/predicates.h"
 #include "geometry/tetra_math.h"
+#include "nbody/generators.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -21,6 +24,37 @@ std::vector<Vec3> random_points(std::size_t n, std::uint64_t seed,
   for (auto& p : pts)
     p = {rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)};
   return pts;
+}
+
+// FNV-1a over num_cells() and every live cell's v/n arrays, in cell-id
+// order: equal hashes mean the same mesh with the same cell ids.
+std::uint64_t mesh_hash(const Triangulation& tri) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(tri.num_cells(), 8);
+  for (std::size_t i = 0; i < tri.cell_storage_size(); ++i) {
+    const auto c = static_cast<CellId>(i);
+    if (!tri.cell_alive(c)) continue;
+    for (const VertexId v : tri.cell(c).v) mix(static_cast<std::uint32_t>(v), 4);
+    for (const CellId n : tri.cell(c).n) mix(static_cast<std::uint32_t>(n), 4);
+  }
+  return h;
+}
+
+// 20k points in 8 NFW halos plus background: the micro_delaunay
+// BM_DelaunayBuildClustered fixture.
+std::vector<Vec3> clustered_points() {
+  HaloModelOptions gen;
+  gen.n_particles = 20000;
+  gen.box_length = 1.0;
+  gen.n_halos = 8;
+  gen.seed = 3;
+  return generate_halo_model(gen).positions;
 }
 
 TEST(Triangulation, SingleTetra) {
@@ -132,6 +166,8 @@ TEST(Triangulation, LocateInsideEveryCell) {
   auto pts = random_points(80, 12);
   Triangulation tri(pts);
   Rng rng(55);
+  CellId hint = Triangulation::kNoCell;  // remembering walk: last result
+  std::uint64_t walk_rng = 0;
   for (const CellId c : tri.finite_cells()) {
     const auto p = tri.cell_points(c);
     // Random strictly interior point via barycentric mix.
@@ -140,7 +176,8 @@ TEST(Triangulation, LocateInsideEveryCell) {
     const double ws = w[0] + w[1] + w[2] + w[3];
     Vec3 q{0, 0, 0};
     for (int i = 0; i < 4; ++i) q += p[static_cast<std::size_t>(i)] * (w[i] / ws);
-    const auto loc = tri.locate(q);
+    const auto loc = tri.locate_from(q, hint, walk_rng);
+    hint = loc.cell;
     ASSERT_EQ(loc.status, Triangulation::LocateStatus::kInside);
     // q must be inside (or on boundary of) the reported cell.
     const auto lp = tri.cell_points(loc.cell);
@@ -155,7 +192,9 @@ TEST(Triangulation, LocateInsideEveryCell) {
 TEST(Triangulation, LocateOutsideHull) {
   auto pts = random_points(60, 13);
   Triangulation tri(pts);
-  const auto loc = tri.locate({5.0, 5.0, 5.0});
+  std::uint64_t walk_rng = 0;
+  const auto loc =
+      tri.locate_from({5.0, 5.0, 5.0}, Triangulation::kNoCell, walk_rng);
   EXPECT_EQ(loc.status, Triangulation::LocateStatus::kOutsideHull);
   EXPECT_TRUE(tri.is_infinite(loc.cell));
 }
@@ -163,8 +202,10 @@ TEST(Triangulation, LocateOutsideHull) {
 TEST(Triangulation, LocateOnVertex) {
   auto pts = random_points(60, 14);
   Triangulation tri(pts);
+  std::uint64_t walk_rng = 0;
   for (VertexId v : {0, 17, 59}) {
-    const auto loc = tri.locate(pts[static_cast<std::size_t>(v)]);
+    const auto loc = tri.locate_from(pts[static_cast<std::size_t>(v)],
+                                     Triangulation::kNoCell, walk_rng);
     ASSERT_EQ(loc.status, Triangulation::LocateStatus::kOnVertex);
     EXPECT_EQ(loc.vertex, v);
   }
@@ -243,6 +284,27 @@ TEST(Triangulation, CosphericalShellPoints) {
   pts.push_back({0, 0, 0});
   Triangulation tri(pts);
   tri.validate(/*check_delaunay=*/true);
+}
+
+TEST(Triangulation, ClusteredMeshIsPinned) {
+  // Pins cell ids and adjacency, not just the Delaunay property: insertion
+  // order, walk RNG and cavity retriangulation must all stay unchanged.
+  const Triangulation tri(clustered_points());
+  EXPECT_EQ(tri.num_cells(), 132379u);
+  EXPECT_EQ(mesh_hash(tri), 0xddb93bb9fec9b063ull);
+}
+
+TEST(Triangulation, ConcurrentBuildsMatchSerial) {
+  // Builds share no state: four threads triangulating the same points at
+  // once each get the serial mesh.
+  const std::vector<Vec3> pts = clustered_points();
+  const std::uint64_t serial = mesh_hash(Triangulation(pts));
+  std::vector<std::uint64_t> hashes(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < hashes.size(); ++t)
+    threads.emplace_back([&, t] { hashes[t] = mesh_hash(Triangulation(pts)); });
+  for (auto& th : threads) th.join();
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, serial);
 }
 
 }  // namespace

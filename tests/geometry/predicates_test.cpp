@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "util/rng.h"
 
@@ -159,6 +160,25 @@ TEST(PredicateStatsCounters, ExactPathIsRareOnRandomInput) {
   const auto& st = predicate_stats();
   EXPECT_EQ(st.orient3d_calls, 2000u);
   EXPECT_LT(st.orient3d_exact, 20u);
+}
+
+TEST(PredicateStatsCounters, OtherThreadsCallsAreNotCounted) {
+  reset_predicate_stats();
+  (void)orient3d(kA, kB, kC, kD);
+  PredicateStats other;
+  std::thread worker([&] {
+    for (int i = 0; i < 100; ++i) {
+      (void)orient3d(kA, kB, kC, kD);
+      (void)insphere(kA, kB, kC, kD, Vec3{0.1, 0.1, 0.1});
+    }
+    other = predicate_stats();
+  });
+  worker.join();
+  EXPECT_EQ(other.orient3d_calls, 100u);
+  EXPECT_EQ(other.insphere_calls, 100u);
+  const PredicateStats mine = predicate_stats();
+  EXPECT_EQ(mine.orient3d_calls, 1u);
+  EXPECT_EQ(mine.insphere_calls, 0u);
 }
 
 }  // namespace
