@@ -34,6 +34,7 @@
 // runtime (grammar in simmpi/fault.h); the pipeline's containment, retry,
 // fallback, and recovery paths keep the run completing with every field.
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -184,16 +185,14 @@ int cmd_render(const CliArgs& args) {
   try {
     common = parse_common_field_flags(args, 512L);
     field = parse_field_kind(args.get("field", std::string{"density"}));
-    ensemble = static_cast<int>(args.get("smooth-ensemble", 1L));
-    if (ensemble < 1) throw Error("--smooth-ensemble must be >= 1");
+    ensemble = static_cast<int>(
+        bounded_flag(args, "smooth-ensemble", 1L, 1L, INT_MAX));
     if (common.method == "cic" && field != FieldKind::kDensity)
       throw Error("--method cic renders density only");
-    kopt.marching.monte_carlo_samples = static_cast<int>(args.get("mc", 1L));
-    if (kopt.marching.monte_carlo_samples < 1) throw Error("--mc must be >= 1");
+    kopt.marching.monte_carlo_samples =
+        static_cast<int>(bounded_flag(args, "mc", 1L, 1L, INT_MAX));
     kopt.marching.adaptive_max_depth =
-        static_cast<int>(args.get("adaptive", 0L));
-    if (kopt.marching.adaptive_max_depth < 0)
-      throw Error("--adaptive must be >= 0");
+        static_cast<int>(bounded_flag(args, "adaptive", 0L, 0L, INT_MAX));
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -10,24 +10,6 @@
 
 namespace dtfe::engine {
 
-namespace {
-
-/// Integer flag checked against [lo, hi] before the caller narrows it, so an
-/// out-of-range value can never wrap through the cast.
-long bounded_flag(const CliArgs& args, const std::string& flag, long fallback,
-                  long lo, long hi) {
-  const long v = args.get(flag, fallback);
-  if (v < lo || v > hi)
-    throw Error("--" + flag + " must be " +
-                (hi == LONG_MAX ? ">= " + std::to_string(lo)
-                                : "in [" + std::to_string(lo) + ", " +
-                                      std::to_string(hi) + "]") +
-                ", got " + std::to_string(v));
-  return v;
-}
-
-}  // namespace
-
 EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   EngineConfig cfg;
   const CommonFieldFlags common = parse_common_field_flags(args, 64L, 5.0);
@@ -42,8 +24,10 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
     throw Error("--length must be a positive finite number");
   opt.field_resolution = common.grid;
   opt.load_balance = args.get("balance", 1L) != 0;
-  opt.max_retries = static_cast<int>(args.get("max-retries", 3L));
-  opt.comm_timeout_ms = static_cast<int>(args.get("comm-timeout-ms", 2000L));
+  opt.max_retries =
+      static_cast<int>(bounded_flag(args, "max-retries", 3L, 0L, INT_MAX));
+  opt.comm_timeout_ms = static_cast<int>(
+      bounded_flag(args, "comm-timeout-ms", 2000L, 1L, INT_MAX));
 
   const std::string bad = args.get("bad-particles", std::string{"reject"});
   if (bad == "reject") {
@@ -80,10 +64,8 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   // Field channel selection (DESIGN.md §10). parse_field_kind throws the
   // user-facing message for unknown names.
   opt.field = parse_field_kind(args.get("field", std::string{"density"}));
-  opt.smooth_ensemble =
-      static_cast<int>(args.get("smooth-ensemble", 1L));
-  if (opt.smooth_ensemble < 1)
-    throw Error("--smooth-ensemble must be >= 1");
+  opt.smooth_ensemble = static_cast<int>(
+      bounded_flag(args, "smooth-ensemble", 1L, 1L, INT_MAX));
   // Fail fast instead of surfacing this as a contained per-item failure on
   // every item of the run.
   if (opt.kernel == "tess" && opt.field != FieldKind::kDensity)
@@ -107,14 +89,10 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
     throw Error("unknown --transport " + transport +
                 " (expected thread or socket)");
   }
-  cfg.transport.heartbeat_interval_ms =
-      static_cast<int>(args.get("heartbeat-interval-ms", 100L));
-  if (cfg.transport.heartbeat_interval_ms < 1)
-    throw Error("--heartbeat-interval-ms must be >= 1");
-  cfg.transport.heartbeat_miss_limit =
-      static_cast<int>(args.get("heartbeat-miss-limit", 20L));
-  if (cfg.transport.heartbeat_miss_limit < 1)
-    throw Error("--heartbeat-miss-limit must be >= 1");
+  cfg.transport.heartbeat_interval_ms = static_cast<int>(
+      bounded_flag(args, "heartbeat-interval-ms", 100L, 1L, INT_MAX));
+  cfg.transport.heartbeat_miss_limit = static_cast<int>(
+      bounded_flag(args, "heartbeat-miss-limit", 20L, 1L, INT_MAX));
   cfg.transport.worker_binary = args.get("worker-binary", std::string{});
   return cfg;
 }

@@ -4,8 +4,6 @@
 #include <mutex>
 #include <utility>
 
-#include "engine/stages.h"
-#include "nbody/snapshot_io.h"
 #include "util/error.h"
 
 namespace dtfe::engine {
@@ -49,7 +47,6 @@ std::vector<FieldResult> Engine::run_batch(
   PipelineOptions opt = config_.pipeline;
   opt.keep_grids = true;  // the results carry their grids back to the caller
 
-  const EngineState state{&metrics_, &crash_, kernels_};
   simmpi::RunOptions run_opts;
   run_opts.fault_plan =
       config_.fault_plan.empty() ? nullptr : &config_.fault_plan;
@@ -61,42 +58,10 @@ std::vector<FieldResult> Engine::run_batch(
   std::mutex mtx;
   std::vector<RankRun> runs;
   simmpi::run(config_.ranks, run_opts, [&](simmpi::Comm& comm) {
-    PipelineResult res;
-    if (particles_) {
-      // Arbitrary block assignment standing in for the MPI-IO read: rank r
-      // takes the r-th contiguous slice of the file order.
-      const ParticleSet& set = *particles_;
-      const auto P = static_cast<std::size_t>(comm.size());
-      const auto me = static_cast<std::size_t>(comm.rank());
-      const std::size_t n = set.size();
-      std::vector<Vec3> block(
-          set.positions.begin() + static_cast<std::ptrdiff_t>(n * me / P),
-          set.positions.begin() +
-              static_cast<std::ptrdiff_t>(n * (me + 1) / P));
-      const CubeFetcher fetch = [&set](const Vec3& center, double side) {
-        return extract_cube(set, center, side);
-      };
-      res = run_stages(comm, opt, state, set.box_length, set.particle_mass,
-                       std::move(block), centers, fetch);
-    } else {
-      // Parallel snapshot read with round-robin block assignment; recovery
-      // re-fetches cubes from the file.
-      const SnapshotHeader header = read_snapshot_header(config_.snapshot);
-      std::vector<Vec3> block;
-      for (std::size_t b = static_cast<std::size_t>(comm.rank());
-           b < header.blocks.size();
-           b += static_cast<std::size_t>(comm.size())) {
-        const auto part = read_snapshot_block(config_.snapshot, header, b);
-        block.insert(block.end(), part.begin(), part.end());
-      }
-      const std::string& path = config_.snapshot;
-      const CubeFetcher fetch = [&path, &header](const Vec3& center,
-                                                 double side) {
-        return read_snapshot_cube(path, header, center, side);
-      };
-      res = run_stages(comm, opt, state, header.box_length,
-                       header.particle_mass, std::move(block), centers, fetch);
-    }
+    PipelineResult res =
+        particles_ ? run_pipeline(comm, *particles_, centers, opt)
+                   : run_pipeline_from_snapshot(comm, config_.snapshot,
+                                                centers, opt);
 
     std::lock_guard<std::mutex> lock(mtx);
     merge_rank_items(res, results);

@@ -6,13 +6,16 @@
 //   std::vector<FieldRequest> reqs = {{center0}, {center1}, ...};
 //   const std::vector<FieldResult> fields = engine.run_batch(reqs);
 //
-// run_batch drives the full staged pipeline (engine/stages.h) across
-// cfg.ranks simulated MPI ranks and merges the per-rank outputs into one
-// result per request. It is re-entrant: every Engine owns its metric ids
-// and crash-diagnostics registry, so multiple engines — and multiple
-// sequential batches per engine — coexist in one process with no shared
-// mutable state. Grids are bitwise identical from batch to batch (per-item
-// kernel seeds are pure functions of the request identity).
+// run_batch runs the per-rank pipeline entry (run_pipeline or
+// run_pipeline_from_snapshot, framework/pipeline.h) on cfg.ranks simulated
+// MPI ranks (threads, or worker processes under the socket transport) and
+// merges the per-rank outputs into one result per request. It is
+// re-entrant: an Engine holds only its config, its particles and its last
+// batch's outcome, and the process-wide services every engine shares (the
+// metrics registry, the crash-diagnostics slots) are thread-safe, so several
+// engines may run batches at once from different threads and each gets the
+// grids of a serial run. Grids are bitwise identical from batch to batch
+// (per-item kernel seeds are pure functions of the request identity).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +26,6 @@
 
 #include "engine/config.h"
 #include "engine/field_kernel.h"
-#include "engine/state.h"
 #include "framework/crash.h"
 #include "framework/pipeline.h"
 #include "nbody/particles.h"
@@ -93,11 +95,6 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// Swap in a custom kernel registry (tests, plug-in estimators). The
-  /// registry must outlive the engine; pipeline.kernel names resolve in it.
-  void set_kernels(const KernelRegistry* kernels) { kernels_ = kernels; }
-  const KernelRegistry& kernels() const { return *kernels_; }
-
  private:
   /// Multi-process path (engine/multiproc.cpp): spawn one worker process
   /// per rank, route frames between them, merge their shipped-back results.
@@ -106,9 +103,6 @@ class Engine {
 
   EngineConfig config_;
   std::optional<ParticleSet> particles_;
-  PipelineMetrics metrics_;     ///< engine-owned: no function-local statics
-  CrashItemRegistry crash_;     ///< engine-owned crash-diagnostics slots
-  const KernelRegistry* kernels_ = &KernelRegistry::builtin();
   std::vector<RankRun> rank_runs_;
   simmpi::TransportStats wire_stats_{};
 };

@@ -277,47 +277,29 @@ FieldGrid TessFieldKernel::render_one(const FieldCube& cube,
 }
 
 const KernelRegistry& KernelRegistry::builtin() {
-  static const KernelRegistry reg = [] {
-    KernelRegistry r;
-    r.add("march", [](const KernelOptions& o) {
-      return std::make_unique<MarchingFieldKernel>(o.marching);
-    });
-    r.add("walk", [](const KernelOptions& o) {
-      return std::make_unique<WalkingFieldKernel>(o.walking);
-    });
-    r.add("tess", [](const KernelOptions& o) {
-      return std::make_unique<TessFieldKernel>(o.tess);
-    });
-    return r;
-  }();
+  static const KernelRegistry reg;
   return reg;
 }
 
-void KernelRegistry::add(const std::string& name, Factory factory) {
-  factories_[name] = std::move(factory);
-}
-
 bool KernelRegistry::contains(const std::string& name) const {
-  return factories_.count(name) > 0;
+  const std::vector<std::string> all = names();
+  return std::find(all.begin(), all.end(), name) != all.end();
 }
 
 std::vector<std::string> KernelRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
+  return {"march", "tess", "walk"};
 }
 
 std::unique_ptr<FieldKernel> KernelRegistry::create(
     const std::string& name, const KernelOptions& opt) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    std::string known;
-    for (const auto& n : names()) known += " " + n;
-    throw Error("unknown field kernel '" + name + "' (registered:" + known +
-                ")");
-  }
-  return it->second(opt);
+  if (name == "march")
+    return std::make_unique<MarchingFieldKernel>(opt.marching);
+  if (name == "tess") return std::make_unique<TessFieldKernel>(opt.tess);
+  if (name == "walk") return std::make_unique<WalkingFieldKernel>(opt.walking);
+  std::string known;
+  for (const auto& n : names()) known += " " + n;
+  throw Error("unknown field kernel '" + name + "' (registered:" + known +
+              ")");
 }
 
 }  // namespace dtfe::engine

@@ -7,15 +7,13 @@
 //   render(cube, request, deadline, stats)
 // contract over a shared FieldCube (the triangulated particle cube), and
 // KernelRegistry makes them addressable by the strings the CLI and
-// EngineConfig already speak ("march" / "walk" / "tess"). New estimators
-// (GPU backends, multi-resolution kernels) plug in by registering a factory;
-// nothing in the stages changes.
+// EngineConfig already speak ("march" / "walk" / "tess"). A new estimator is
+// one FieldKernel subclass plus a case in KernelRegistry::create; nothing in
+// the stages changes.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -133,20 +131,11 @@ class TessFieldKernel final : public FieldKernel {
   TessOptions base_;
 };
 
-/// String-keyed kernel factory table. builtin() carries march/walk/tess;
-/// custom registries (tests, plug-in backends) start empty.
+/// The built-in kernels by name: "march", "tess" and "walk".
 class KernelRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<FieldKernel>(const KernelOptions&)>;
-
-  KernelRegistry() = default;
-
-  /// The immutable process-wide registry of the built-in kernels.
+  /// The process-wide registry.
   static const KernelRegistry& builtin();
-
-  /// Register (or replace) a factory under `name`.
-  void add(const std::string& name, Factory factory);
 
   bool contains(const std::string& name) const;
   std::vector<std::string> names() const;  ///< sorted
@@ -156,7 +145,7 @@ class KernelRegistry {
                                       const KernelOptions& opt = {}) const;
 
  private:
-  std::map<std::string, Factory> factories_;
+  KernelRegistry() = default;
 };
 
 }  // namespace dtfe::engine

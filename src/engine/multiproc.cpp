@@ -19,9 +19,7 @@
 #include <utility>
 
 #include "engine/engine.h"
-#include "engine/stages.h"
 #include "framework/result_codec.h"
-#include "nbody/snapshot_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simmpi/socket_transport.h"
@@ -180,9 +178,10 @@ std::vector<FieldResult> Engine::run_batch_socket(
       // one process's worth of totals regardless of transport — counters,
       // gauges, AND histograms, so launch reports match the thread
       // transport field-for-field (per-phase duration distributions
-      // included).
-      for (const auto& [name, v] : p.counters)
-        if (v != 0.0) obs::add(obs::counter(name), v);
+      // included). Zero counters are folded too, so the launcher lists
+      // every counter a rank registered, as one thread-transport process
+      // does.
+      for (const auto& [name, v] : p.counters) obs::add(obs::counter(name), v);
       for (const auto& [name, v] : p.gauges) obs::set(obs::gauge(name), v);
       for (const auto& [name, h] : p.histograms)
         obs::MetricsRegistry::global().merge_histogram(name, h);
@@ -218,30 +217,9 @@ int run_worker(const WorkerOptions& wopt) {
     PipelineOptions opt = lc.pipeline;
     opt.keep_grids = true;
 
-    // Worker-local service bundle: this process IS one rank, so the
-    // process-default instances would work, but owning them keeps the
-    // worker path symmetric with Engine's thread path.
-    const PipelineMetrics pmetrics;
-    CrashItemRegistry crash;
-    const EngineState state{&pmetrics, &crash, &KernelRegistry::builtin()};
-
-    const SnapshotHeader header = read_snapshot_header(lc.snapshot);
-    std::vector<Vec3> block;
-    for (std::size_t b = static_cast<std::size_t>(wopt.rank);
-         b < header.blocks.size(); b += static_cast<std::size_t>(wopt.ranks)) {
-      const auto part = read_snapshot_block(lc.snapshot, header, b);
-      block.insert(block.end(), part.begin(), part.end());
-    }
-    const std::string& path = lc.snapshot;
-    const CubeFetcher fetch = [&path, &header](const Vec3& center,
-                                               double side) {
-      return read_snapshot_cube(path, header, center, side);
-    };
-
     simmpi::Comm comm(&ep, wopt.rank);
     PipelineResult res =
-        run_stages(comm, opt, state, header.box_length, header.particle_mass,
-                   std::move(block), lc.field_centers, fetch);
+        run_pipeline_from_snapshot(comm, lc.snapshot, lc.field_centers, opt);
 
     WorkerPayload payload;
     payload.rank = wopt.rank;

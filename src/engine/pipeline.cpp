@@ -1,33 +1,12 @@
-// Legacy entry points (framework/pipeline.h) over the staged engine:
-// run_pipeline / run_pipeline_from_snapshot / compute_field_item keep their
-// exact pre-engine signatures and behavior, running on the process-default
-// service bundle. Engine instances (engine/engine.h) reach the same stages
-// with their own state.
+// The per-rank pipeline entries (framework/pipeline.h), one per data source:
+// each assigns this rank its input block, names the recovery source, and
+// runs the staged pipeline (engine/stages.h). Engine::run_batch and the
+// socket workers call these too, so the rank-input code exists once.
 #include "engine/stages.h"
-#include "engine/state.h"
 #include "framework/pipeline.h"
 #include "nbody/snapshot_io.h"
 
-namespace dtfe::engine {
-
-const EngineState& EngineState::process_default() {
-  static const PipelineMetrics metrics;
-  static const EngineState state{&metrics, &CrashItemRegistry::process_default(),
-                                 &KernelRegistry::builtin()};
-  return state;
-}
-
-}  // namespace dtfe::engine
-
 namespace dtfe {
-
-FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
-                             const Vec3& center, const PipelineOptions& opt,
-                             ItemRecord& record, const Deadline* deadline) {
-  return engine::compute_item(engine::EngineState::process_default(),
-                              std::move(cube_particles), mass, center, opt,
-                              record, deadline);
-}
 
 PipelineResult run_pipeline(simmpi::Comm& comm, const ParticleSet& particles,
                             std::vector<Vec3> field_centers,
@@ -48,9 +27,9 @@ PipelineResult run_pipeline(simmpi::Comm& comm, const ParticleSet& particles,
   const CubeFetcher fetch = [&particles](const Vec3& center, double side) {
     return extract_cube(particles, center, side);
   };
-  return engine::run_stages(comm, opt, engine::EngineState::process_default(),
-                            particles.box_length, particles.particle_mass,
-                            std::move(block), std::move(field_centers), fetch);
+  return engine::run_stages(comm, opt, particles.box_length,
+                            particles.particle_mass, std::move(block),
+                            std::move(field_centers), fetch);
 }
 
 PipelineResult run_pipeline_from_snapshot(simmpi::Comm& comm,
@@ -72,9 +51,9 @@ PipelineResult run_pipeline_from_snapshot(simmpi::Comm& comm,
                                                       double side) {
     return read_snapshot_cube(snapshot_path, header, center, side);
   };
-  return engine::run_stages(comm, opt, engine::EngineState::process_default(),
-                            header.box_length, header.particle_mass,
-                            std::move(block), std::move(field_centers), fetch);
+  return engine::run_stages(comm, opt, header.box_length,
+                            header.particle_mass, std::move(block),
+                            std::move(field_centers), fetch);
 }
 
 }  // namespace dtfe

@@ -19,6 +19,155 @@
 #include "util/retry.h"
 #include "util/timer.h"
 
+namespace dtfe {
+
+namespace {
+
+/// The pipeline's metric ids, resolved once against the global registry.
+struct PipelineMetrics {
+  obs::MetricId items_computed = obs::counter("dtfe.pipeline.items_computed");
+  obs::MetricId items_received = obs::counter("dtfe.pipeline.items_received");
+  obs::MetricId items_sent = obs::counter("dtfe.pipeline.items_sent");
+  obs::MetricId work_packages =
+      obs::counter("dtfe.pipeline.work_packages_sent");
+  obs::MetricId runs = obs::counter("dtfe.pipeline.runs");
+  obs::MetricId items_failed = obs::counter("dtfe.item.failed");
+  obs::MetricId items_recovered =
+      obs::counter("dtfe.pipeline.items_recovered");
+  obs::MetricId fallback = obs::counter("dtfe.workshare.fallback");
+  obs::MetricId retries = obs::counter("dtfe.workshare.retries");
+  obs::MetricId packages_lost = obs::counter("dtfe.workshare.packages_lost");
+  obs::MetricId bad_particles = obs::counter("dtfe.input.bad_particles");
+  obs::MetricId items_replayed =
+      obs::counter("dtfe.pipeline.items_replayed");
+  obs::MetricId checkpoint_commits =
+      obs::counter("dtfe.checkpoint.items_committed");
+  obs::MetricId cancelled = obs::counter("dtfe.watchdog.items_cancelled");
+};
+
+const PipelineMetrics& pipeline_metrics() {
+  static const PipelineMetrics m;
+  return m;
+}
+
+bool finite3(const Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+
+/// Per-item kernel seed: a pure function of the pipeline seed and the
+/// field center's bit patterns. Every data path that computes this item
+/// derives the same seed, so renders replay bitwise on resume.
+std::uint64_t item_seed(std::uint64_t base, const Vec3& center) {
+  std::uint64_t h = base ^ 0x9e3779b97f4a7c15ull;
+  for (const double v : {center.x, center.y, center.z}) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    h ^= bits;
+    h = detail::splitmix64(h);
+  }
+  return h ? h : 0x9e3779b97f4a7c15ull;
+}
+
+bool lex_less(const Vec3& a, const Vec3& b) {
+  if (a.x != b.x) return a.x < b.x;
+  if (a.y != b.y) return a.y < b.y;
+  return a.z < b.z;
+}
+
+}  // namespace
+
+FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
+                             const Vec3& center, const PipelineOptions& opt,
+                             ItemRecord& record, const Deadline* deadline) {
+  // Callers pre-set the path flags (fallback/recovered) on `record`; every
+  // other field is filled here.
+  record.center = center;
+  record.n_particles = static_cast<double>(cube_particles.size());
+  auto contain = [&](const char* reason) {
+    record.failed = true;
+    record.fail_reason = reason;
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().items_failed);
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
+  };
+  for (const Vec3& q : cube_particles)
+    if (!finite3(q)) return contain("non-finite particle position in cube");
+  if (cube_particles.size() < opt.min_particles) {
+    // An (almost) empty region is an expected zero field, not a failure.
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
+  }
+  // Canonical input order: the owner-gathered, shipped, re-fetched, and
+  // re-read cubes hold the same particle SET in different orders; sorting
+  // makes the triangulation input — and hence the rendered grid — bitwise
+  // identical across all of them.
+  std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
+  ThreadCpuTimer t;
+  FieldGrid grid;
+  AuditResult audit;
+  engine::RenderRequest request;
+  try {
+    TriangulationOptions topt;
+    topt.deadline = deadline;
+    const FieldCube cube(std::move(cube_particles), mass, topt);
+    record.actual_tri = cube.triangulate_seconds();
+    request.spec =
+        FieldSpec::centered(center, opt.field_length, opt.field_resolution);
+    request.seed = item_seed(opt.seed, center);
+    request.field = opt.field;
+    request.smooth_ensemble = opt.smooth_ensemble;
+    // The velocity model is a run-level field: every rank that may render
+    // this item must sample the same one, so it seeds from the RUN seed.
+    request.model_seed = opt.seed;
+    const std::unique_ptr<engine::FieldKernel> kernel =
+        engine::KernelRegistry::builtin().create(opt.kernel);
+    engine::KernelStats stats;
+    grid = kernel->render(cube, request, deadline, stats);
+    // Density/hull construction rides inside the cube build, so it lands in
+    // the interpolation share together with the render itself.
+    record.actual_interp = t.seconds() - record.actual_tri;
+    record.kernel_failed_cells = static_cast<double>(stats.failed_cells);
+    record.kernel_perturb_restarts =
+        static_cast<double>(stats.perturb_restarts);
+    if (opt.audit.level != AuditLevel::kOff) {
+      AuditOptions aopt = opt.audit;
+      std::uint64_t aseed = request.seed;
+      aopt.seed = detail::splitmix64(aseed);  // same cells on replay
+      audit = audit_field_item(grid, request.spec, stats.ray_mass, &cube,
+                               aopt, request.model_seed);
+      record.audit = audit.summary();
+    }
+  } catch (const Error& e) {
+    // Degenerate cube (e.g. all points coplanar), unknown kernel, or a
+    // watchdog cancellation in the triangulation or the render: contained as
+    // an empty field, as a production code must tolerate pathological
+    // requests. The whole elapsed CPU is attributed to actual_tri.
+    record.actual_tri = t.seconds();
+    record.failed = true;
+    record.fail_reason = e.what();
+    record.cancelled =
+        record.fail_reason.find("deadline exceeded") != std::string::npos;
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().items_failed);
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
+  }
+  // Fatal audits escalate OUTSIDE the containment catch: a conservation
+  // violation means the run's outputs cannot be trusted, so it aborts the
+  // rank instead of zeroing the item.
+  if (!audit.ok() && opt.audit_fatal) {
+    std::string what = "audit failed for item at center (";
+    what += std::to_string(center.x) + ", " + std::to_string(center.y) + ", " +
+            std::to_string(center.z) + "):";
+    for (const AuditFinding& f : audit.violations)
+      what += " [" + f.check + "] " + f.detail;
+    throw Error(what);
+  }
+  for (std::size_t c = 0; c < grid.channels(); ++c)
+    for (const double v : grid.plane(c).values())
+      if (!std::isfinite(v))
+        return contain("non-finite value in rendered grid");
+  return grid;
+}
+
+}  // namespace dtfe
+
 namespace dtfe::engine {
 
 namespace {
@@ -156,31 +305,7 @@ void unpack_items(const std::vector<double>& buf,
   DTFE_CHECK(pos == buf.size());
 }
 
-bool finite3(const Vec3& p) {
-  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
-}
-
-/// Per-item kernel seed: a pure function of the pipeline seed and the
-/// field center's bit patterns. Every data path that computes this item
-/// derives the same seed, so renders replay bitwise on resume.
-std::uint64_t item_seed(std::uint64_t base, const Vec3& center) {
-  std::uint64_t h = base ^ 0x9e3779b97f4a7c15ull;
-  for (const double v : {center.x, center.y, center.z}) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    h ^= bits;
-    h = detail::splitmix64(h);
-  }
-  return h ? h : 0x9e3779b97f4a7c15ull;
-}
-
-bool lex_less(const Vec3& a, const Vec3& b) {
-  if (a.x != b.x) return a.x < b.x;
-  if (a.y != b.y) return a.y < b.y;
-  return a.z < b.z;
-}
-
-/// Crash-registry label for the path an item took to this rank.
+/// Crash-slot label for the path an item took to this rank.
 const char* in_flight_label(ItemPath path) {
   switch (path) {
     case ItemPath::kLocal:
@@ -197,97 +322,6 @@ const char* in_flight_label(ItemPath path) {
 
 }  // namespace
 
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline) {
-  // Callers pre-set the path flags (fallback/recovered) on `record`; every
-  // other field is filled here.
-  record.center = center;
-  record.n_particles = static_cast<double>(cube_particles.size());
-  auto contain = [&](const char* reason) {
-    record.failed = true;
-    record.fail_reason = reason;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-  };
-  for (const Vec3& q : cube_particles)
-    if (!finite3(q)) return contain("non-finite particle position in cube");
-  if (cube_particles.size() < opt.min_particles) {
-    // An (almost) empty region is an expected zero field, not a failure.
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-  }
-  // Canonical input order: the owner-gathered, shipped, re-fetched, and
-  // re-read cubes hold the same particle SET in different orders; sorting
-  // makes the triangulation input — and hence the rendered grid — bitwise
-  // identical across all of them.
-  std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
-  ThreadCpuTimer t;
-  FieldGrid grid;
-  AuditResult audit;
-  RenderRequest request;
-  try {
-    TriangulationOptions topt;
-    topt.deadline = deadline;
-    const FieldCube cube(std::move(cube_particles), mass, topt);
-    record.actual_tri = cube.triangulate_seconds();
-    request.spec =
-        FieldSpec::centered(center, opt.field_length, opt.field_resolution);
-    request.seed = item_seed(opt.seed, center);
-    request.field = opt.field;
-    request.smooth_ensemble = opt.smooth_ensemble;
-    // The velocity model is a run-level field: every rank that may render
-    // this item must sample the same one, so it seeds from the RUN seed.
-    request.model_seed = opt.seed;
-    const std::unique_ptr<FieldKernel> kernel =
-        state.kernels->create(opt.kernel);
-    KernelStats stats;
-    grid = kernel->render(cube, request, deadline, stats);
-    // Density/hull construction rides inside the cube build, so it lands in
-    // the interpolation share together with the render itself.
-    record.actual_interp = t.seconds() - record.actual_tri;
-    record.kernel_failed_cells = static_cast<double>(stats.failed_cells);
-    record.kernel_perturb_restarts =
-        static_cast<double>(stats.perturb_restarts);
-    if (opt.audit.level != AuditLevel::kOff) {
-      AuditOptions aopt = opt.audit;
-      std::uint64_t aseed = request.seed;
-      aopt.seed = detail::splitmix64(aseed);  // same cells on replay
-      audit = audit_field_item(grid, request.spec, stats.ray_mass, &cube,
-                               aopt, request.model_seed);
-      record.audit = audit.summary();
-    }
-  } catch (const Error& e) {
-    // Degenerate cube (e.g. all points coplanar), unknown kernel, or a
-    // watchdog cancellation in the triangulation or the render: contained as
-    // an empty field, as a production code must tolerate pathological
-    // requests. The whole elapsed CPU is attributed to actual_tri.
-    record.actual_tri = t.seconds();
-    record.failed = true;
-    record.fail_reason = e.what();
-    record.cancelled =
-        record.fail_reason.find("deadline exceeded") != std::string::npos;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-  }
-  // Fatal audits escalate OUTSIDE the containment catch: a conservation
-  // violation means the run's outputs cannot be trusted, so it aborts the
-  // rank instead of zeroing the item.
-  if (!audit.ok() && opt.audit_fatal) {
-    std::string what = "audit failed for item at center (";
-    what += std::to_string(center.x) + ", " + std::to_string(center.y) + ", " +
-            std::to_string(center.z) + "):";
-    for (const AuditFinding& f : audit.violations)
-      what += " [" + f.check + "] " + f.detail;
-    throw Error(what);
-  }
-  for (std::size_t c = 0; c < grid.channels(); ++c)
-    for (const double v : grid.plane(c).values())
-      if (!std::isfinite(v))
-        return contain("non-finite value in rendered grid");
-  return grid;
-}
-
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process) {
   const int total = opt.threads > 0 ? opt.threads : omp_get_max_threads();
   const int team = std::max(1, total / std::max(1, ranks_in_process));
@@ -299,14 +333,12 @@ int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process) {
 }
 
 StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
-                           const EngineState& state_in, double box_in,
-                           double particle_mass_in,
+                           double box_in, double particle_mass_in,
                            std::vector<Vec3> my_block_in,
                            std::vector<Vec3> field_centers_in,
                            const CubeFetcher& fetch_cube_in)
     : comm(comm_in),
       opt(opt_in),
-      state(state_in),
       box(box_in),
       particle_mass(particle_mass_in),
       my_block(std::move(my_block_in)),
@@ -318,7 +350,7 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       ghost_radius(0.5 * opt_in.cube_pad * opt_in.field_length),
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
-  obs::add(state.metrics->runs);
+  obs::add(pipeline_metrics().runs);
   // Cap this rank thread's OpenMP team so P rank teams never oversubscribe
   // (DESIGN.md §8).
   configure_rank_threading(opt, P);
@@ -361,10 +393,10 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   // would only bloat the directory.
   if (ckpt && !rec.replayed && rec.request_index >= 0) {
     ckpt->append(static_cast<std::int64_t>(rec.request_index), grid);
-    if (obs::metrics_enabled()) obs::add(state.metrics->checkpoint_commits);
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().checkpoint_commits);
   }
   if (obs::metrics_enabled()) {
-    const PipelineMetrics& m = *state.metrics;
+    const PipelineMetrics& m = pipeline_metrics();
     obs::add(m.items_computed);
     if (received) obs::add(m.items_received);
     if (rec.fallback) obs::add(m.fallback);
@@ -402,10 +434,9 @@ void StageContext::run_item(std::vector<Vec3> cube, const Vec3& center,
   rec.fallback = path == ItemPath::kFallback;
   rec.recovered = path == ItemPath::kRecover;
   const Deadline deadline = make_deadline(res.model.predict(n_predict));
-  const ScopedCrashItem in_flight(me, request_index, in_flight_label(path),
-                                  state.crash);
-  FieldGrid grid = compute_item(state, std::move(cube), particle_mass, center,
-                                opt, rec, &deadline);
+  const ScopedCrashItem in_flight(me, request_index, in_flight_label(path));
+  FieldGrid grid = compute_field_item(std::move(cube), particle_mass, center,
+                                      opt, rec, &deadline);
   rec.request_index = request_index;
   record_item(std::move(rec), std::move(grid),
               res.model.predict_tri(n_predict),
@@ -441,7 +472,7 @@ void ExchangeStage::run(StageContext& ctx) const {
   res.bad_particles =
       sanitize_positions(ctx.my_block, ctx.box, opt.bad_particles);
   if (res.bad_particles.bad() > 0 && obs::metrics_enabled())
-    obs::add(ctx.state.metrics->bad_particles,
+    obs::add(pipeline_metrics().bad_particles,
              static_cast<double>(res.bad_particles.bad()));
 
   ctx.decomp.emplace(ctx.P, ctx.box);
@@ -579,11 +610,10 @@ void ScheduleStage::run(StageContext& ctx) const {
       std::vector<Vec3> cube = ctx.gather_local(ti);
       // No deadline: the cost model this item seeds is not fitted yet.
       const ScopedCrashItem in_flight(ctx.me, ctx.my_request_ids[ti],
-                                      phases::kInFlightModelSample,
-                                      ctx.state.crash);
+                                      phases::kInFlightModelSample);
       ctx.test_grid =
-          compute_item(ctx.state, std::move(cube), ctx.particle_mass,
-                       ctx.my_requests[ti], opt, ctx.test_record, nullptr);
+          compute_field_item(std::move(cube), ctx.particle_mass,
+                             ctx.my_requests[ti], opt, ctx.test_record);
       ctx.test_record.request_index = ctx.my_request_ids[ti];
       my_samples.push_back({ctx.item_counts[ti], ctx.test_record.actual_tri,
                             ctx.test_record.actual_interp});
@@ -663,7 +693,7 @@ void ComputeStage::run(StageContext& ctx) const {
 
   auto fallback_package = [&](const PendingSend& p) {
     ++res.packages_lost;
-    if (obs::metrics_enabled()) obs::add(ctx.state.metrics->packages_lost);
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().packages_lost);
     std::vector<std::ptrdiff_t> req_ids;
     std::vector<Vec3> centers;
     std::vector<std::vector<Vec3>> cubes;
@@ -719,7 +749,7 @@ void ComputeStage::run(StageContext& ctx) const {
           return;
         }
         ++res.package_retries;
-        if (obs::metrics_enabled()) obs::add(ctx.state.metrics->retries);
+        if (obs::metrics_enabled()) obs::add(pipeline_metrics().retries);
         // Pace resends on a struggling link; the receiver is blocked on
         // its own timed recv, so the backoff cannot deadlock the pair.
         retry_policy.backoff(resends);
@@ -753,13 +783,12 @@ void ComputeStage::run(StageContext& ctx) const {
                                buf);
       res.items_sent += centers.size();
       if (obs::metrics_enabled()) {
-        const PipelineMetrics& m = *ctx.state.metrics;
+        const PipelineMetrics& m = pipeline_metrics();
         obs::add(m.work_packages);
         obs::add(m.items_sent, static_cast<double>(centers.size()));
       }
-      if (opt.fault_tolerant)
-        pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
-                           std::move(buf)});
+      pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
+                         std::move(buf)});
     }
     for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
       if (ctx.plan.item_assignment[j] == SenderPlan::kRunAtEnd)
@@ -789,15 +818,6 @@ void ComputeStage::run(StageContext& ctx) const {
           ++res.items_received;
         }
       };
-
-      if (!opt.fault_tolerant) {
-        const auto buf = comm.recv_vector<double>(sender, kTagWork);
-        const std::string problem = package_problem(buf);
-        DTFE_CHECK_MSG(problem.empty(), "work package from rank "
-                                            << sender << ": " << problem);
-        handle_package(buf);
-        continue;
-      }
 
       int attempts = 0;
       while (true) {
@@ -844,10 +864,9 @@ void ComputeStage::run(StageContext& ctx) const {
 // ---- Recovery: recompute items lost with dead ranks ------------------------
 
 void RecoverStage::run(StageContext& ctx) const {
-  const PipelineOptions& opt = ctx.opt;
   PipelineResult& res = ctx.res;
   simmpi::Comm& comm = ctx.comm;
-  if (!(opt.fault_tolerant && ctx.P > 1)) return;
+  if (ctx.P <= 1) return;
   comm.barrier();
   // All live ranks must agree on entering recovery — a rank can die after
   // some peers have already sampled any_rank_failed(), so the decision
@@ -905,11 +924,11 @@ PipelineResult run_stages(StageContext& ctx) {
 }
 
 PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
-                          const EngineState& state, double box,
-                          double particle_mass, std::vector<Vec3> my_block,
+                          double box, double particle_mass,
+                          std::vector<Vec3> my_block,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube) {
-  StageContext ctx(comm, opt, state, box, particle_mass, std::move(my_block),
+  StageContext ctx(comm, opt, box, particle_mass, std::move(my_block),
                    std::move(field_centers), fetch_cube);
   return run_stages(ctx);
 }

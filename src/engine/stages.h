@@ -15,9 +15,12 @@
 //
 // A StageContext carries the evolving per-rank state between stages; each
 // stage is a pure function of the context, so tests can drive them one at a
-// time and inspect the intermediate state. run_stages() chains all five —
-// it IS the old run_pipeline_impl, behavior-preserved (identical grids,
-// spans, metrics, checkpoint and resume semantics).
+// time and inspect the intermediate state. run_stages() chains all five;
+// run_pipeline and run_pipeline_from_snapshot (framework/pipeline.h) are the
+// per-rank entries that feed it, one per data source, and every caller (the
+// Engine's rank threads, socket workers, tests) goes through them. Each item
+// runs through compute_field_item. The stages' metric ids and crash markers
+// are process-wide, so concurrent runs need no per-run service objects.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/state.h"
 #include "framework/decomposition.h"
 #include "framework/durable.h"
 #include "framework/pipeline.h"
@@ -39,22 +41,21 @@
 namespace dtfe::engine {
 
 /// How an item reached the rank that computes it: its ItemRecord path flags,
-/// the crash-registry label, and whether it counts as received.
+/// the crash-slot label, and whether it counts as received.
 enum class ItemPath { kLocal, kReceived, kFallback, kRecover };
 
 /// Everything one rank's pipeline run reads and produces, shared by the
 /// stages. Inputs are set at construction; the rest is filled as stages run.
 struct StageContext {
   StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
-               const EngineState& state_in, double box_in,
-               double particle_mass_in, std::vector<Vec3> my_block_in,
+               double box_in, double particle_mass_in,
+               std::vector<Vec3> my_block_in,
                std::vector<Vec3> field_centers_in,
                const CubeFetcher& fetch_cube_in);
 
   // --- inputs --------------------------------------------------------------
   simmpi::Comm& comm;
   const PipelineOptions& opt;
-  EngineState state;
   double box;
   double particle_mass;
   std::vector<Vec3> my_block;       ///< consumed by ExchangeStage
@@ -101,7 +102,7 @@ struct StageContext {
   std::vector<Vec3> gather_local(std::size_t i) const;
   /// Compute one item inline on the rank thread and record it: arm the
   /// watchdog from the model's prediction for `n_predict` particles, label
-  /// the crash registry, compute_item, record_item.
+  /// the crash slot, compute_field_item, record_item.
   void run_item(std::vector<Vec3> cube, const Vec3& center,
                 std::ptrdiff_t request_index, double n_predict, ItemPath path);
   /// Gather the cube for my_requests[remaining[j]], compute, record.
@@ -127,24 +128,13 @@ struct ReduceStage {
 /// Run all five stages in order and return the finished per-rank result.
 PipelineResult run_stages(StageContext& ctx);
 
-/// One-call convenience over a fresh context (the engine and the legacy
-/// run_pipeline* entry points both come through here).
+/// One-call convenience over a fresh context (the run_pipeline* entry
+/// points come through here).
 PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
-                          const EngineState& state, double box,
-                          double particle_mass, std::vector<Vec3> my_block,
+                          double box, double particle_mass,
+                          std::vector<Vec3> my_block,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube);
-
-/// Triangulate then render one item: input hardening, canonical cube sort,
-/// the FieldCube build, the kernel render, audit and output hardening.
-/// Callers pre-set the path flags on `record`; contained failures return a
-/// zero grid. compute_field_item forwards here with
-/// EngineState::process_default(); the stages pass their own state so
-/// engine-owned metrics/kernels are honored.
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline);
 
 /// Cap the calling rank thread's OpenMP team at max(1, threads / ranks) (the
 /// OpenMP default when opt.threads is 0) and disable nested teams. Returns

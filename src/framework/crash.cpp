@@ -14,7 +14,6 @@ namespace dtfe {
 namespace {
 
 constexpr int kMaxSlots = 256;
-constexpr int kMaxRegistries = 32;
 
 struct ItemSlot {
   std::atomic<bool> used{false};
@@ -23,21 +22,9 @@ struct ItemSlot {
   std::atomic<const char*> phase{nullptr};
 };
 
-}  // namespace
-
-/// The slot array behind one CrashItemRegistry. Lives outside the class so
-/// the signal handler can scan raw pointers without touching C++ members.
-struct CrashItemRegistry::Impl {
-  ItemSlot slots[kMaxSlots];
-};
-
-namespace {
-
-// Global scan list of live registries: lock-free claim/release so engine
-// construction and the signal handler never contend on a mutex. The handler
-// reads whatever is published; a registry mid-destruction simply vanishes
-// from the scan (its items are gone anyway).
-std::atomic<CrashItemRegistry::Impl*> g_registries[kMaxRegistries];
+// The process-wide in-flight slots: lock-free claim/release, so rank threads
+// and the signal handler never contend on a mutex.
+ItemSlot g_slots[kMaxSlots];
 
 std::atomic<obs::RunReport*> g_report{nullptr};
 char g_report_path[1024] = {0};
@@ -80,21 +67,17 @@ void crash_handler(int sig) {
   put_str(" ===\n");
 
   int in_flight = 0;
-  for (const auto& reg : g_registries) {
-    const CrashItemRegistry::Impl* impl = reg.load(std::memory_order_acquire);
-    if (impl == nullptr) continue;
-    for (const ItemSlot& s : impl->slots) {
-      if (!s.used.load(std::memory_order_acquire)) continue;
-      ++in_flight;
-      put_str("in-flight: rank ");
-      put_i64(s.rank.load(std::memory_order_relaxed));
-      put_str(" item ");
-      put_i64(s.request_index.load(std::memory_order_relaxed));
-      put_str(" phase ");
-      const char* ph = s.phase.load(std::memory_order_relaxed);
-      put_str(ph != nullptr ? ph : "?");
-      put_str("\n");
-    }
+  for (const ItemSlot& s : g_slots) {
+    if (!s.used.load(std::memory_order_acquire)) continue;
+    ++in_flight;
+    put_str("in-flight: rank ");
+    put_i64(s.rank.load(std::memory_order_relaxed));
+    put_str(" item ");
+    put_i64(s.request_index.load(std::memory_order_relaxed));
+    put_str(" phase ");
+    const char* ph = s.phase.load(std::memory_order_relaxed);
+    put_str(ph != nullptr ? ph : "?");
+    put_str("\n");
   }
   if (in_flight == 0) put_str("in-flight: none recorded\n");
 
@@ -139,55 +122,18 @@ void set_crash_report(obs::RunReport* report) {
   g_report.store(report, std::memory_order_release);
 }
 
-CrashItemRegistry::CrashItemRegistry() : impl_(new Impl) {
-  for (auto& reg : g_registries) {
-    Impl* expect = nullptr;
-    if (reg.compare_exchange_strong(expect, impl_,
-                                    std::memory_order_acq_rel))
-      return;
-  }
-  // More live registries than scan entries: the registry still works, its
-  // items just don't appear in crash dumps.
-}
-
-CrashItemRegistry::~CrashItemRegistry() {
-  for (auto& reg : g_registries) {
-    Impl* expect = impl_;
-    if (reg.compare_exchange_strong(expect, nullptr,
-                                    std::memory_order_acq_rel))
-      break;
-  }
-  delete impl_;
-}
-
-CrashItemRegistry& CrashItemRegistry::process_default() {
-  static CrashItemRegistry reg;
-  return reg;
-}
-
-int CrashItemRegistry::in_flight() const {
-  int n = 0;
-  for (const ItemSlot& s : impl_->slots)
-    if (s.used.load(std::memory_order_acquire)) ++n;
-  return n;
-}
-
 ScopedCrashItem::ScopedCrashItem(int rank, std::int64_t request_index,
-                                 const char* phase,
-                                 CrashItemRegistry* registry)
-    : impl_((registry != nullptr ? *registry
-                                 : CrashItemRegistry::process_default())
-                .impl_) {
+                                 const char* phase) {
   for (int i = 0; i < kMaxSlots; ++i) {
+    ItemSlot& s = g_slots[i];
     bool expect = false;
-    if (impl_->slots[i].used.compare_exchange_strong(
-            expect, true, std::memory_order_acq_rel)) {
+    if (s.used.compare_exchange_strong(expect, true,
+                                       std::memory_order_acq_rel)) {
       // Publish the fields after claiming; the handler tolerates a slot
       // observed mid-publication (it prints whatever is there).
-      impl_->slots[i].rank.store(rank, std::memory_order_relaxed);
-      impl_->slots[i].request_index.store(request_index,
-                                          std::memory_order_relaxed);
-      impl_->slots[i].phase.store(phase, std::memory_order_relaxed);
+      s.rank.store(rank, std::memory_order_relaxed);
+      s.request_index.store(request_index, std::memory_order_relaxed);
+      s.phase.store(phase, std::memory_order_relaxed);
       slot_ = i;
       return;
     }
@@ -196,18 +142,13 @@ ScopedCrashItem::ScopedCrashItem(int rank, std::int64_t request_index,
 }
 
 ScopedCrashItem::~ScopedCrashItem() {
-  if (slot_ >= 0)
-    impl_->slots[slot_].used.store(false, std::memory_order_release);
+  if (slot_ >= 0) g_slots[slot_].used.store(false, std::memory_order_release);
 }
 
 int crash_items_in_flight() {
   int n = 0;
-  for (const auto& reg : g_registries) {
-    const CrashItemRegistry::Impl* impl = reg.load(std::memory_order_acquire);
-    if (impl == nullptr) continue;
-    for (const ItemSlot& s : impl->slots)
-      if (s.used.load(std::memory_order_acquire)) ++n;
-  }
+  for (const ItemSlot& s : g_slots)
+    if (s.used.load(std::memory_order_acquire)) ++n;
   return n;
 }
 

@@ -56,9 +56,6 @@ struct PipelineOptions {
   /// mass-conserving stochastic smoothing); 1 = exact legacy render.
   int smooth_ensemble = 1;
   // --- fault tolerance (see README "Fault tolerance") ---------------------
-  /// Run the acknowledged work-package protocol plus the post-execution
-  /// recovery phase. Off = the paper's original fire-and-forget exchange.
-  bool fault_tolerant = true;
   /// How many times a corrupt or missing work package is re-requested before
   /// the pair gives up and the sender computes the items itself.
   int max_retries = 3;

@@ -16,7 +16,8 @@ constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
 // v4: that switch is gone again (the marching kernel has one route).
 // v5: PipelineOptions lost the item look-ahead window (one item path).
-constexpr std::uint32_t kVersion = 5;
+// v6: PipelineOptions lost the fault-tolerance switch (always acknowledged).
+constexpr std::uint32_t kVersion = 6;
 
 class ByteWriter {
  public:
@@ -117,7 +118,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(static_cast<std::uint64_t>(o.count_grid_cells));
   w.pod(o.seed);
   w.str(o.kernel);
-  w.pod(static_cast<std::uint8_t>(o.fault_tolerant));
   w.pod(o.max_retries);
   w.pod(o.comm_timeout_ms);
   w.pod(static_cast<std::int32_t>(o.bad_particles));
@@ -144,7 +144,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.count_grid_cells = static_cast<std::size_t>(r.pod<std::uint64_t>());
   o.seed = r.pod<std::uint64_t>();
   o.kernel = r.str();
-  o.fault_tolerant = r.pod<std::uint8_t>() != 0;
   o.max_retries = r.pod<int>();
   o.comm_timeout_ms = r.pod<int>();
   o.bad_particles = static_cast<BadParticlePolicy>(r.pod<std::int32_t>());

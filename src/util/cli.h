@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -79,6 +80,21 @@ class CliArgs {
 
   std::map<std::string, std::string> values_;
 };
+
+/// Integer flag checked against [lo, hi] before the caller narrows it, so an
+/// out-of-range value can never wrap through the cast. Throws dtfe::Error
+/// naming the flag and the range.
+inline long bounded_flag(const CliArgs& args, const std::string& flag,
+                         long fallback, long lo, long hi) {
+  const long v = args.get(flag, fallback);
+  if (v < lo || v > hi)
+    throw Error("--" + flag + " must be " +
+                (hi == LONG_MAX ? ">= " + std::to_string(lo)
+                                : "in [" + std::to_string(lo) + ", " +
+                                      std::to_string(hi) + "]") +
+                ", got " + std::to_string(v));
+  return v;
+}
 
 /// The flag quartet every field-producing subcommand understands. Each
 /// command passes its own defaults (render: grid 512; pipeline: grid 64,

@@ -1,8 +1,8 @@
 // Engine-layer tests: the kernel registry contract, cross-kernel grid
 // parity on one fixture cube, concurrent renders over one shared cube,
 // stage-by-stage equivalence with the one-call pipeline, Engine::run_batch
-// re-entrancy/determinism, and grids that do not depend on the thread
-// budget.
+// re-entrancy/determinism (sequential and from concurrent threads), and
+// grids that do not depend on the thread budget.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -55,19 +55,6 @@ TEST(KernelRegistry, BuiltinNamesRoundTrip) {
   }
   EXPECT_FALSE(reg.contains("cic"));
   EXPECT_THROW(reg.create("cic"), Error);
-}
-
-TEST(KernelRegistry, CustomRegistryIsIndependent) {
-  KernelRegistry reg;
-  EXPECT_TRUE(reg.names().empty());
-  reg.add("march2", [](const KernelOptions& o) {
-    return std::make_unique<MarchingFieldKernel>(o.marching);
-  });
-  EXPECT_TRUE(reg.contains("march2"));
-  EXPECT_FALSE(reg.contains("march"));  // builtin() is untouched
-  EXPECT_TRUE(KernelRegistry::builtin().contains("march"));
-  const auto kernel = reg.create("march2");
-  EXPECT_STREQ(kernel->name(), "march");
 }
 
 TEST(FieldKernel, AllRegisteredKernelsRenderFiniteGrids) {
@@ -299,9 +286,8 @@ TEST(Stages, StageByStageMatchesRunPipeline) {
     const CubeFetcher fetch = [&](const Vec3& center, double side) {
       return extract_cube(set, center, side);
     };
-    StageContext ctx(comm, opt, EngineState::process_default(),
-                     set.box_length, set.particle_mass, set.positions,
-                     centers, fetch);
+    StageContext ctx(comm, opt, set.box_length, set.particle_mass,
+                     set.positions, centers, fetch);
     ExchangeStage{}.run(ctx);
     EXPECT_TRUE(ctx.decomp.has_value());
     EXPECT_EQ(ctx.my_requests.size(), centers.size());  // single rank owns all
@@ -417,6 +403,40 @@ TEST(Engine, RunBatchIsReentrantAndBitwiseDeterministic) {
   }
 }
 
+// Engines share only process-wide, thread-safe services (metrics registry,
+// crash slots, kernel table), so batches run from several threads at once
+// give the serial grids.
+TEST(Engine, ConcurrentEnginesMatchSerial) {
+  EngineConfig cfg;
+  cfg.ranks = 2;
+  cfg.pipeline = fixture_pipeline_options();
+  std::vector<FieldRequest> requests;
+  for (const Vec3& c : fixture_centers()) requests.push_back({c});
+
+  Engine serial(cfg, fixture_set());
+  const auto reference = serial.run_batch(requests);
+
+  constexpr int kEngines = 3;
+  std::vector<std::vector<FieldResult>> got(kEngines);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kEngines; ++t)
+    threads.emplace_back([&, t] {
+      Engine engine(cfg, fixture_set());
+      got[static_cast<std::size_t>(t)] = engine.run_batch(requests);
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kEngines; ++t) {
+    const auto& results = got[static_cast<std::size_t>(t)];
+    ASSERT_EQ(results.size(), reference.size()) << "engine " << t;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].completed) << "engine " << t << " request " << i;
+      EXPECT_TRUE(planes_bitwise_equal(results[i].grid, reference[i].grid))
+          << "engine " << t << " request " << i;
+    }
+  }
+}
+
 // The thread budget only sizes each rank's OpenMP kernel team; it must never
 // change a result. Two ranks, so work sharing ships items between them.
 TEST(Engine, GridsBitwiseIdenticalAcrossThreadBudgets) {
@@ -472,28 +492,14 @@ TEST(ThreadBudget, OneThreadOverFourRanksStillGetsATeamOfOne) {
   EXPECT_EQ(team_on_rank_thread(1, 4), 1);
 }
 
-TEST(Engine, CustomKernelRegistrySelectsTheKernel) {
-  KernelRegistry reg;
-  reg.add("walk", [](const KernelOptions& o) {
-    return std::make_unique<WalkingFieldKernel>(o.walking);
-  });
+// An unknown kernel name is a contained per-item failure, not a crash.
+TEST(Engine, UnknownKernelIsAContainedItemFailure) {
   EngineConfig cfg;
   cfg.ranks = 2;
   cfg.pipeline = fixture_pipeline_options();
-  cfg.pipeline.kernel = "walk";
-  Engine engine(cfg, fixture_set());
-  engine.set_kernels(&reg);
-
-  std::vector<FieldRequest> requests = {{{5.0, 5.0, 5.0}}};
-  const auto results = engine.run_batch(requests);
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].completed);
-  EXPECT_FALSE(results[0].failed);
-  EXPECT_GT(results[0].checksum, 0.0);
-
-  // An unknown kernel name is a contained per-item failure, not a crash.
   cfg.pipeline.kernel = "no-such-kernel";
   Engine broken(cfg, fixture_set());
+  const std::vector<FieldRequest> requests = {{{5.0, 5.0, 5.0}}};
   const auto failed = broken.run_batch(requests);
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_TRUE(failed[0].failed);
@@ -572,6 +578,15 @@ TEST(EngineConfig, FromCliParsesAndValidates) {
       {"--ranks", "0"},  {"--ranks", "-2"},   {"--ranks", "4294967298"},
       {"--fields", "0"}, {"--fields", "-3"},  {"--threads", "-1"},
       {"--threads", "4294967297"},
+      // 2^32 + 1 would wrap to 1 through static_cast<int>.
+      {"--smooth-ensemble", "4294967297"},
+      {"--max-retries", "-7"},  {"--max-retries", "4294967297"},
+      {"--comm-timeout-ms", "-1"}, {"--comm-timeout-ms", "0"},
+      {"--comm-timeout-ms", "4294967297"},
+      {"--heartbeat-interval-ms", "0"},
+      {"--heartbeat-interval-ms", "4294967297"},
+      {"--heartbeat-miss-limit", "-1"},
+      {"--heartbeat-miss-limit", "4294967297"},
       // Numeric flags take whole values only.
       {"--item-deadline-ms", "5x"}, {"--item-deadline-ms", "abc"},
       {"--item-deadline-ms", "inf"}, {"--ranks", "2x"}};

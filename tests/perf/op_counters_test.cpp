@@ -4,7 +4,9 @@
 //   pdtfe pipeline --ranks 2 --fields 6 --grid 24 --length 3
 // and the counters are machine-independent: a change here means the
 // triangulation walk or the marching kernel now does DIFFERENT work, which
-// must be intentional (update the reference file in the same change).
+// must be intentional (update the reference file in the same change). The
+// fixture then runs again at --threads 1: the thread budget only sizes the
+// kernel teams, so every grid must be bitwise equal to the default run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,6 +77,12 @@ TEST(OpCounters, SmokeFixtureMatchesPerfReference) {
   const auto fields = eng.run_batch(requests);
   const obs::MetricsSnapshot got = reg.snapshot();
   reg.set_enabled(false);
+
+  // The same run with --threads 1.
+  engine::EngineConfig cfg1 = cfg;
+  cfg1.pipeline.threads = 1;
+  engine::Engine eng1(cfg1);
+  const auto fields1 = eng1.run_batch(requests);
   std::filesystem::remove(snap);
 
   ASSERT_EQ(fields.size(), 6u);
@@ -83,6 +91,17 @@ TEST(OpCounters, SmokeFixtureMatchesPerfReference) {
        {"dtfe.delaunay.walk_steps", "dtfe.kernel.tetra_crossings"})
     EXPECT_EQ(got.counter(name), reference_counter(reference, name))
         << name << ": the amount of work changed";
+
+  ASSERT_EQ(fields1.size(), fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const FieldGrid& a = fields[i].grid;
+    const FieldGrid& b = fields1[i].grid;
+    ASSERT_EQ(a.channels(), b.channels()) << "field " << i;
+    for (std::size_t c = 0; c < a.channels(); ++c)
+      EXPECT_TRUE(std::ranges::equal(a.plane(c).values(), b.plane(c).values()))
+          << "field " << i << " channel " << c
+          << " changed with --threads 1";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -342,6 +343,28 @@ TEST(CommonFieldFlags, ParsesDefaultsAndRejectsNonPositiveGrid) {
       ADD_FAILURE() << bad << " was accepted";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("--grid"), std::string::npos);
+    }
+  }
+}
+
+// bounded_flag checks the range before any narrowing cast: 2^32 + 1 would
+// otherwise wrap to 1 through static_cast<int>.
+TEST(CliArgs, BoundedFlagRejectsValuesOutsideItsRange) {
+  const char* good[] = {"pdtfe", "render", "--mc=4", "--adaptive=0"};
+  const CliArgs ok(4, const_cast<char**>(good));
+  EXPECT_EQ(bounded_flag(ok, "mc", 1L, 1L, INT_MAX), 4L);
+  EXPECT_EQ(bounded_flag(ok, "adaptive", 3L, 0L, INT_MAX), 0L);
+  EXPECT_EQ(bounded_flag(ok, "absent", 7L, 1L, INT_MAX), 7L);
+
+  for (const char* const bad : {"--mc=0", "--mc=-1", "--mc=4294967297"}) {
+    const char* argv[] = {"pdtfe", "render", bad};
+    try {
+      bounded_flag(CliArgs(3, const_cast<char**>(argv)), "mc", 1L, 1L,
+                   INT_MAX);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--mc"), std::string::npos)
+          << e.what();
     }
   }
 }
