@@ -7,7 +7,8 @@
 #      BENCH_kernel.json schema (including the coef_vs_aos crossing A/B
 #      and its >=1.3x floor), then the `perf` ctest label, which pins the
 #      machine-independent op counters (dtfe.delaunay.walk_steps,
-#      dtfe.kernel.tetra_crossings) of the smoke fixture against
+#      .cells_created, .conflict_cells, dtfe.kernel.tetra_crossings) of the
+#      smoke fixture against
 #      bench/perf_reference.json — a perf change that alters the WORK done
 #      must update the reference intentionally — and requires the fixture's
 #      grids at --threads 1 to equal the default-budget run bitwise;

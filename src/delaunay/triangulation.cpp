@@ -1,6 +1,7 @@
 #include "delaunay/triangulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -87,7 +88,7 @@ bool insphere_conflict_perturbed(const Vec3& p0, const Vec3& p1,
 }
 
 // Unordered pair of vertex ids as a hashable 64-bit key (ids fit in 32 bits
-// even with the -1 infinite sentinel, via a +2 bias).
+// even with the -1 infinite sentinel, via a +2 bias, so no key is 0).
 std::uint64_t edge_key(VertexId u, VertexId v) {
   const auto a = static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(u, v) + 2));
   const auto b = static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(u, v) + 2));
@@ -101,10 +102,11 @@ struct BoundaryFacet {
   int outside_slot;  // slot in `outside` that pointed at the dead cell
 };
 
-/// Open cavity edge awaiting its partner during retriangulation.
+/// Slot of the per-insert edge-pairing table: the first (cell, face) seen on
+/// a cavity edge, waiting for the second.
 struct CavityEdge {
-  std::uint64_t key;  // unordered vertex pair
-  CellId cell;
+  std::uint64_t key;  // unordered vertex pair; 0 marks an empty slot
+  CellId cell;        // kNoCell once the partner is wired (the key stays)
   std::int32_t slot;
 };
 
@@ -117,7 +119,7 @@ struct Triangulation::InsertState {
   std::vector<std::int8_t> mark;        // 0 unknown, 1 conflict, 2 boundary-safe
   std::vector<CellId> visited;          // every marked id, for cleanup
   std::vector<BoundaryFacet> boundary;  // cavity surface of the current insert
-  std::vector<CavityEdge> edges;        // open edges during retriangulation
+  std::vector<CavityEdge> edges;        // edge-pairing table, sized per insert
   std::array<std::size_t, 7> capacity{};  // at the previous growth() call
 
   /// Containers whose capacity changed since the previous call (a vector
@@ -194,7 +196,7 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
   st.conflict.reserve(64);
   st.visited.reserve(128);
   st.boundary.reserve(64);
-  st.edges.reserve(192);
+  st.edges.reserve(256);
 
   st.hint = init_first_cell(a, b, c, d);
   num_unique_ = 4;
@@ -416,7 +418,6 @@ void Triangulation::insert(VertexId vid, InsertState& st) {
   conflict.clear();
   visited.clear();
   st.boundary.clear();
-  edges.clear();
 
   // --- grow the conflict region by BFS from the located cell ---------------
   if (mark.size() < cells_.size() + 8) mark.resize(cells_.size() + 8, 0);
@@ -463,10 +464,15 @@ void Triangulation::insert(VertexId vid, InsertState& st) {
   // --- retriangulate the cavity --------------------------------------------
   for (const CellId cc : conflict) free_cell(cc);
 
-  // Create all cavity cells first, collecting the open apex-face edges; each
-  // cavity edge is shared by exactly two boundary facets, so sorting the list
-  // and pairing adjacent equal keys wires the same adjacency the per-insert
-  // hash map used to — without its node allocations.
+  // One new cell per boundary facet, in facet order. Each cavity edge is
+  // shared by exactly two new cells' apex faces: the first to reach it parks
+  // in an open-addressed table (multiplicative hash, linear probing, load
+  // <= 3/8), the second wires both. A matched slot keeps its key, so a third
+  // occurrence throws, and no edge may be left open.
+  edges.assign(std::bit_ceil(4 * st.boundary.size()), CavityEdge{});
+  const std::size_t mask = edges.size() - 1;
+  const int shift = std::countl_zero(mask);
+  std::size_t open = 0;
   CellId first_new = kNoCell;
   for (const BoundaryFacet& bf : st.boundary) {
     const CellId nc = new_cell();
@@ -481,26 +487,26 @@ void Triangulation::insert(VertexId vid, InsertState& st) {
     for (std::int32_t k = 0; k < 3; ++k) {
       const VertexId u = t.v[static_cast<std::size_t>((k + 1) % 3)];
       const VertexId w = t.v[static_cast<std::size_t>((k + 2) % 3)];
-      edges.push_back({edge_key(u, w), nc, k});
+      const std::uint64_t key = edge_key(u, w);
+      std::size_t h = (key * 0x9e3779b97f4a7c15ull) >> shift;
+      while (edges[h].key != 0 && edges[h].key != key) h = (h + 1) & mask;
+      CavityEdge& e = edges[h];
+      if (e.key == 0) {
+        e = {key, nc, k};
+        ++open;
+        continue;
+      }
+      DTFE_CHECK_MSG(e.cell != kNoCell, "cavity boundary was not watertight");
+      t.n[static_cast<std::size_t>(k)] = e.cell;
+      cells_[static_cast<std::size_t>(e.cell)].n[static_cast<std::size_t>(e.slot)] = nc;
+      e.cell = kNoCell;
+      --open;
     }
     for (int s = 0; s < 4; ++s)
       if (t.v[s] != kInfinite)
         incident_cell_[static_cast<std::size_t>(t.v[s])] = nc;
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const CavityEdge& x, const CavityEdge& y) {
-              if (x.key != y.key) return x.key < y.key;
-              if (x.cell != y.cell) return x.cell < y.cell;
-              return x.slot < y.slot;
-            });
-  DTFE_CHECK_MSG((edges.size() & 1) == 0, "cavity boundary was not watertight");
-  for (std::size_t e = 0; e < edges.size(); e += 2) {
-    const CavityEdge& x = edges[e];
-    const CavityEdge& y = edges[e + 1];
-    DTFE_CHECK_MSG(x.key == y.key, "cavity boundary was not watertight");
-    cells_[static_cast<std::size_t>(x.cell)].n[x.slot] = y.cell;
-    cells_[static_cast<std::size_t>(y.cell)].n[y.slot] = x.cell;
-  }
+  DTFE_CHECK_MSG(open == 0, "cavity boundary was not watertight");
 
   for (const CellId cid : visited) mark[static_cast<std::size_t>(cid)] = 0;
   st.hint = first_new;

@@ -117,6 +117,10 @@ TEST(Triangulation, GridPointsHighlyDegenerate) {
     vol += tetra_volume(p[0], p[1], p[2], p[3]);
   }
   EXPECT_NEAR(vol, 64.0, 1e-9);
+  // Exact cospherical ties make the largest, least regular cavities: pin the
+  // mesh so a change to the cavity wiring shows here first.
+  EXPECT_EQ(tri.num_cells(), 576u);
+  EXPECT_EQ(mesh_hash(tri), 0x7e2eedb99e010c17ull);
 }
 
 TEST(Triangulation, DuplicatePointsAreMapped) {
@@ -284,6 +288,30 @@ TEST(Triangulation, CosphericalShellPoints) {
   pts.push_back({0, 0, 0});
   Triangulation tri(pts);
   tri.validate(/*check_delaunay=*/true);
+  EXPECT_EQ(tri.num_cells(), 903u);
+  EXPECT_EQ(mesh_hash(tri), 0x4c27dde330da0377ull);
+}
+
+TEST(Triangulation, WholeMeshCavityIsWatertight) {
+  // ~1000 points on the unit sphere, then the centre, inserted last: the
+  // centre lies inside every finite cell's circumsphere, so its cavity is the
+  // whole finite mesh and its boundary the whole hull, far beyond the
+  // scratch buffers' initial reservations.
+  Rng rng(5);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 1000; ++i)
+    pts.push_back(Vec3{rng.normal(), rng.normal(), rng.normal()}.normalized());
+  pts.push_back({0, 0, 0});
+  Triangulation::Options opt;
+  opt.spatial_sort = false;
+  const Triangulation tri(pts, opt);
+  tri.validate(/*check_delaunay=*/true);
+  const auto centre = static_cast<VertexId>(pts.size() - 1);
+  const std::vector<CellId> finite = tri.finite_cells();
+  for (const CellId c : finite) ASSERT_GE(tri.index_of(c, centre), 0);
+  EXPECT_EQ(finite.size(), tri.infinite_cells().size());
+  EXPECT_EQ(tri.num_cells(), 3992u);
+  EXPECT_EQ(mesh_hash(tri), 0x11cb8f47072fe4a8ull);
 }
 
 TEST(Triangulation, ClusteredMeshIsPinned) {

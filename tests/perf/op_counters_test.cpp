@@ -3,13 +3,15 @@
 //   pdtfe generate --n 40000 --box 16 --seed 3
 //   pdtfe pipeline --ranks 2 --fields 6 --grid 24 --length 3
 // and the counters are machine-independent: a change here means the
-// triangulation walk or the marching kernel now does DIFFERENT work, which
+// triangulation walk, its cavity retriangulation or the marching kernel now
+// does DIFFERENT work, which
 // must be intentional (update the reference file in the same change). The
 // fixture then runs again at --threads 1: the thread budget only sizes the
 // kernel teams, so every grid must be bitwise equal to the default run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -88,8 +90,10 @@ TEST(OpCounters, SmokeFixtureMatchesPerfReference) {
   ASSERT_EQ(fields.size(), 6u);
   for (const auto& f : fields) EXPECT_TRUE(f.completed && !f.failed);
   for (const char* name :
-       {"dtfe.delaunay.walk_steps", "dtfe.kernel.tetra_crossings"})
-    EXPECT_EQ(got.counter(name), reference_counter(reference, name))
+       {"dtfe.delaunay.walk_steps", "dtfe.delaunay.cells_created",
+        "dtfe.delaunay.conflict_cells", "dtfe.kernel.tetra_crossings"})
+    EXPECT_EQ(std::llround(got.counter(name)),
+              std::llround(reference_counter(reference, name)))
         << name << ": the amount of work changed";
 
   ASSERT_EQ(fields1.size(), fields.size());
