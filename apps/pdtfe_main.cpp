@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -118,9 +119,19 @@ int cmd_generate(const CliArgs& args) {
   const std::string out = args.get("out", std::string{});
   DTFE_CHECK_MSG(!out.empty(), "--out is required");
   const std::string kind = args.get("kind", std::string{"halo"});
-  const auto n = static_cast<std::size_t>(args.get("n", 100000L));
+  std::size_t n = 0, blocks = 0;
+  try {
+    // The snapshot indexes particles with 32 bits; 1024^3 blocks keeps the
+    // block count (and its header) far from overflow.
+    n = static_cast<std::size_t>(
+        bounded_flag(args, "n", 100000L, 1L, UINT32_MAX));
+    blocks = static_cast<std::size_t>(
+        bounded_flag(args, "blocks", 4L, 1L, 1024L));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const double box = args.get("box", 64.0);
-  const auto blocks = static_cast<std::size_t>(args.get("blocks", 4L));
   const auto seed = static_cast<std::uint64_t>(args.get("seed", 1L));
 
   ParticleSet set;
@@ -543,9 +554,20 @@ int cmd_lensing(const CliArgs& args) {
 
 int cmd_spectrum(const CliArgs& args) {
   args.check_known({"in", "grid", "bins"});
+  std::size_t ng = 0, bins = 0;
+  try {
+    // A 1024^3 grid is 8 GB of doubles; 2^16 bins is far past the modes a
+    // grid that size resolves (0 picks grid / 2).
+    ng = static_cast<std::size_t>(bounded_flag(args, "grid", 64L, 1L, 1024L));
+    if ((ng & (ng - 1)) != 0)
+      throw Error("--grid must be a power of 2, got " + std::to_string(ng));
+    bins = static_cast<std::size_t>(
+        bounded_flag(args, "bins", 16L, 0L, 65536L));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const ParticleSet set = read_snapshot(args.get("in", std::string{}));
-  const auto ng = static_cast<std::size_t>(args.get("grid", 64L));
-  const auto bins = static_cast<std::size_t>(args.get("bins", 16L));
   const Grid3D g = assign_density_3d(set, ng, AssignmentScheme::kCic);
   const auto ps = measure_power_spectrum(g, set.box_length, bins);
   const double shot =

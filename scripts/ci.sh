@@ -14,8 +14,9 @@
 #      grids at --threads 1 to equal the default-budget run bitwise;
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
-#      and engine labels, plus the concurrent-triangulation and per-thread
-#      predicate-counter tests — against that build;
+#      and engine labels, plus the concurrent-triangulation, per-thread
+#      predicate-counter and shared-trace-recorder tests — against that
+#      build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      kernel fast-path, nbody (FOF cell-key packing), and engine suites
 #      against that build.
@@ -112,13 +113,14 @@ TSAN_OPTS="halt_on_error=1 second_deadlock_stack=1 history_size=7 suppressions=$
 TSAN_OPTIONS="$TSAN_OPTS" \
     ctest --test-dir build-thread --output-on-failure -L 'fault|durable|engine'
 
-echo "== tsan: concurrent triangulations + per-thread predicate counters"
+echo "== tsan: concurrent triangulations, predicate counters, shared trace"
 # Triangulation.ConcurrentBuildsMatchSerial builds one mesh on four threads
 # at once (a finished Triangulation holds no walk or scratch state, and the
 # predicate counters are thread_local); predicates_test checks that another
-# thread's calls never reach the caller's counters. Run as binaries, like
-# the UBSan loop below.
-for t in triangulation_test predicates_test; do
+# thread's calls never reach the caller's counters; obs_test has four rank
+# threads emitting spans and metrics into the shared recorder and registry.
+# Run as binaries, like the UBSan loop below.
+for t in triangulation_test predicates_test obs_test; do
   TSAN_OPTIONS="$TSAN_OPTS" "build-thread/tests/$t"
 done
 

@@ -18,7 +18,7 @@ class Grid2D {
  public:
   Grid2D() = default;
   Grid2D(std::size_t nx, std::size_t ny, double fill = 0.0)
-      : nx_(nx), ny_(ny), data_(nx * ny, fill) {}
+      : nx_(nx), ny_(ny), data_(checked_cells("Grid2D", nx, ny), fill) {}
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
@@ -60,7 +60,8 @@ class Grid3D {
  public:
   Grid3D() = default;
   Grid3D(std::size_t nx, std::size_t ny, std::size_t nz, double fill = 0.0)
-      : nx_(nx), ny_(ny), nz_(nz), data_(nx * ny * nz, fill) {}
+      : nx_(nx), ny_(ny), nz_(nz),
+        data_(checked_cells("Grid3D", nx, ny, nz), fill) {}
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }

@@ -1,15 +1,11 @@
 #include "dtfe/field_cube.h"
 
-#include "util/timer.h"
-
 namespace dtfe {
 
 FieldCube::FieldCube(std::vector<Vec3> particles, double particle_mass,
                      const TriangulationOptions& topt)
     : points_(std::move(particles)), particle_mass_(particle_mass) {
-  ThreadCpuTimer t;
   tri_ = std::make_unique<Triangulation>(points_, topt);
-  tri_seconds_ = t.seconds();
   density_ = std::make_unique<DensityField>(*tri_, particle_mass);
   hull_ = std::make_unique<HullProjection>(*tri_);
   geom_ = std::make_shared<const TetraGeomTable>(*tri_);

@@ -45,10 +45,6 @@ class FieldCube {
   std::span<const Vec3> points() const { return points_; }
   double particle_mass() const { return particle_mass_; }
 
-  /// Thread-CPU seconds spent in the Delaunay build alone (the pipeline
-  /// accounts triangulation and interpolation phases separately).
-  double triangulate_seconds() const { return tri_seconds_; }
-
   /// The crossing-test tables for this cube's triangulation, shared by
   /// every marching kernel rendering from it (the density path and each
   /// channel of a vector render).
@@ -64,7 +60,6 @@ class FieldCube {
   std::unique_ptr<Triangulation> tri_;
   std::unique_ptr<DensityField> density_;
   std::unique_ptr<HullProjection> hull_;
-  double tri_seconds_ = 0.0;
   std::shared_ptr<const TetraGeomTable> geom_;
   /// Behind a pointer so the cube stays movable (std::once_flag is not).
   struct LazyCoef {

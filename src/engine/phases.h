@@ -2,8 +2,9 @@
 //
 // Three subsystems must agree, by construction, on what a "phase" is called:
 //   * PhaseTimes accumulation + the "pipeline"-category trace spans emitted
-//     by the stages (tests/obs asserts their cpu_s args sum to
-//     PhaseTimes::total(), so the span names are part of the contract),
+//     by the stages, which are the phase timers themselves (tests/obs
+//     asserts their cpu_s args sum to PhaseTimes::total() and that they
+//     never overlap, so the span names are part of the contract),
 //   * the per-rank run-report rows written by the pdtfe CLI, and
 //   * the crash-diagnostics in-flight slots, whose phase labels must be
 //     string literals with static storage (the signal handler prints the
@@ -30,8 +31,8 @@ inline constexpr const char* kRecover = "pipeline.recover";
 // kCategory, because it is not a PhaseTimes phase.
 inline constexpr const char* kRequests = "pipeline.requests";
 
-// Per-item span names (re-emitted with the exact cpu_s accumulated into
-// PhaseTimes::triangulate / ::render).
+// Per-item span names: real spans around the cube build and the render, whose
+// cpu_s is exactly what accumulates into PhaseTimes::triangulate / ::render.
 inline constexpr const char* kItemTriangulate = "item.triangulate";
 inline constexpr const char* kItemRender = "item.render";
 

@@ -17,7 +17,6 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/retry.h"
-#include "util/timer.h"
 
 namespace dtfe {
 
@@ -100,15 +99,24 @@ FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
   // makes the triangulation input — and hence the rendered grid — bitwise
   // identical across all of them.
   std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
-  ThreadCpuTimer t;
   FieldGrid grid;
   AuditResult audit;
   engine::RenderRequest request;
   try {
+    // The two item spans are the item's phase timers: Triangulate is the
+    // whole cube build (mesh, densities, hull, geometry table), Render is
+    // the kernel (with the lazily built coefficient table) plus the audit.
+    // A phase that throws still charges its CPU to its own span.
+    obs::TraceSpan tri_span(engine::phases::kItemTriangulate,
+                            engine::phases::kCategory, &record.actual_tri);
+    tri_span.add_arg("n_particles", record.n_particles);
     TriangulationOptions topt;
     topt.deadline = deadline;
     const FieldCube cube(std::move(cube_particles), mass, topt);
-    record.actual_tri = cube.triangulate_seconds();
+    tri_span.close();
+    obs::TraceSpan render_span(engine::phases::kItemRender,
+                               engine::phases::kCategory,
+                               &record.actual_interp);
     request.spec =
         FieldSpec::centered(center, opt.field_length, opt.field_resolution);
     request.seed = item_seed(opt.seed, center);
@@ -121,9 +129,6 @@ FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
         engine::KernelRegistry::builtin().create(opt.kernel);
     engine::KernelStats stats;
     grid = kernel->render(cube, request, deadline, stats);
-    // Density/hull construction rides inside the cube build, so it lands in
-    // the interpolation share together with the render itself.
-    record.actual_interp = t.seconds() - record.actual_tri;
     record.kernel_failed_cells = static_cast<double>(stats.failed_cells);
     record.kernel_perturb_restarts =
         static_cast<double>(stats.perturb_restarts);
@@ -139,8 +144,7 @@ FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
     // Degenerate cube (e.g. all points coplanar), unknown kernel, or a
     // watchdog cancellation in the triangulation or the render: contained as
     // an empty field, as a production code must tolerate pathological
-    // requests. The whole elapsed CPU is attributed to actual_tri.
-    record.actual_tri = t.seconds();
+    // requests.
     record.failed = true;
     record.fail_reason = e.what();
     record.cancelled =
@@ -183,33 +187,6 @@ struct WorkAck {
 constexpr std::int32_t kAckOk = 1;      ///< package validated, items accepted
 constexpr std::int32_t kAckResend = 2;  ///< package missing/corrupt, send again
 constexpr std::int32_t kAckGiveUp = 3;  ///< retries exhausted, sender keeps it
-
-/// Accumulates the scope's thread-CPU seconds into a PhaseTimes field (via
-/// ScopedTimer) and emits a phases::kCategory trace span whose `cpu_s`
-/// argument is EXACTLY the accumulated value: tests/obs asserts that the
-/// per-rank sum of `cpu_s` over pipeline spans reproduces
-/// PhaseTimes::total(), so both must come from the same timer read.
-class PhaseScope {
- public:
-  PhaseScope(const char* name, double& accumulator)
-      : name_(name),
-        timer_(accumulator),
-        start_us_(obs::TraceRecorder::global().now_us()) {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-  ~PhaseScope() {
-    const double cpu = timer_.stop();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    if (rec.enabled())
-      rec.emit_complete(name_, phases::kCategory, start_us_,
-                        rec.now_us() - start_us_, {{"cpu_s", cpu}});
-  }
-
- private:
-  const char* name_;
-  ScopedTimer timer_;
-  double start_us_;
-};
 
 // Work package wire format, all doubles:
 //   header  [kPackMagic, seq, n_payload, checksum(payload)]
@@ -404,25 +381,6 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
     if (rec.replayed) obs::add(m.items_replayed);
     if (rec.cancelled) obs::add(m.cancelled);
   }
-  obs::TraceRecorder& tr = obs::TraceRecorder::global();
-  if (tr.enabled()) {
-    // Re-emit the item's externally measured CPU times as back-to-back
-    // spans ending now (the compute itself happened just above, or in
-    // ScheduleStage for the model's test item). cpu_s repeats the exact
-    // values accumulated into PhaseTimes.
-    const double now = tr.now_us();
-    const double tri_us = std::max(0.0, rec.actual_tri * 1e6);
-    const double render_us = std::max(0.0, rec.actual_interp * 1e6);
-    tr.emit_complete(phases::kItemTriangulate, phases::kCategory,
-                     now - render_us - tri_us, tri_us,
-                     {{"cpu_s", rec.actual_tri},
-                      {"n_particles", rec.n_particles},
-                      {"received", received ? 1.0 : 0.0}});
-    tr.emit_complete(phases::kItemRender, phases::kCategory, now - render_us,
-                     render_us,
-                     {{"cpu_s", rec.actual_interp},
-                      {"received", received ? 1.0 : 0.0}});
-  }
   res.items.push_back(rec);
   if (opt.keep_grids) res.grids.push_back(std::move(grid));
 }
@@ -464,7 +422,8 @@ void StageContext::execute_local(std::size_t idx_in_remaining) {
 void ExchangeStage::run(StageContext& ctx) const {
   const PipelineOptions& opt = ctx.opt;
   PipelineResult& res = ctx.res;
-  PhaseScope scope(phases::kPartition, res.phases.partition);
+  obs::TraceSpan scope(phases::kPartition, phases::kCategory,
+                       &res.phases.partition);
 
   // Input hardening: repair or reject bad positions before they can poison
   // the redistribution (an out-of-box particle has no owner rank; a NaN
@@ -584,7 +543,7 @@ void ScheduleStage::run(StageContext& ctx) const {
   PipelineResult& res = ctx.res;
   const Decomposition& decomp = *ctx.decomp;
   {
-    PhaseScope scope(phases::kModel, res.phases.model);
+    obs::TraceSpan scope(phases::kModel, phases::kCategory, &res.phases.model);
     // Spatial index over the local (owned + ghost) particles. Ghosts are
     // unwrapped, so the covering box starts at sub_lo − ghost_radius.
     const Vec3 idx_origin =
@@ -600,24 +559,31 @@ void ScheduleStage::run(StageContext& ctx) const {
     for (std::size_t i = 0; i < ctx.my_requests.size(); ++i)
       ctx.item_counts[i] = static_cast<double>(
           ctx.index->count_in_cube(ctx.my_requests[i], ctx.cube_side));
-
-    // Time one random local work item (it is then already computed).
-    std::vector<WorkSample> my_samples;
-    if (!ctx.my_requests.empty()) {
+    if (!ctx.my_requests.empty())
       ctx.test_item = static_cast<std::ptrdiff_t>(
           ctx.rng.uniform_index(ctx.my_requests.size()));
-      const auto ti = static_cast<std::size_t>(ctx.test_item);
-      std::vector<Vec3> cube = ctx.gather_local(ti);
-      // No deadline: the cost model this item seeds is not fitted yet.
-      const ScopedCrashItem in_flight(ctx.me, ctx.my_request_ids[ti],
-                                      phases::kInFlightModelSample);
-      ctx.test_grid =
-          compute_field_item(std::move(cube), ctx.particle_mass,
-                             ctx.my_requests[ti], opt, ctx.test_record);
-      ctx.test_record.request_index = ctx.my_request_ids[ti];
-      my_samples.push_back({ctx.item_counts[ti], ctx.test_record.actual_tri,
-                            ctx.test_record.actual_interp});
-    }
+  }
+
+  // Time one random local work item (it is then already computed). The
+  // model span is closed around it: the item's CPU lands in its own item
+  // spans, like every other item's.
+  std::vector<WorkSample> my_samples;
+  if (ctx.test_item >= 0) {
+    const auto ti = static_cast<std::size_t>(ctx.test_item);
+    std::vector<Vec3> cube = ctx.gather_local(ti);
+    // No deadline: the cost model this item seeds is not fitted yet.
+    const ScopedCrashItem in_flight(ctx.me, ctx.my_request_ids[ti],
+                                    phases::kInFlightModelSample);
+    ctx.test_grid =
+        compute_field_item(std::move(cube), ctx.particle_mass,
+                           ctx.my_requests[ti], opt, ctx.test_record);
+    ctx.test_record.request_index = ctx.my_request_ids[ti];
+    my_samples.push_back({ctx.item_counts[ti], ctx.test_record.actual_tri,
+                          ctx.test_record.actual_interp});
+  }
+
+  {
+    obs::TraceSpan scope(phases::kModel, phases::kCategory, &res.phases.model);
     res.model = fit_workload_model(ctx.comm, my_samples);
 
     // Predicted remaining local work (the test item is already done).
@@ -630,7 +596,8 @@ void ScheduleStage::run(StageContext& ctx) const {
     res.predicted_local_time = ctx.total_predicted;
   }
 
-  PhaseScope scope(phases::kWorkShare, res.phases.work_share);
+  obs::TraceSpan scope(phases::kWorkShare, phases::kCategory,
+                       &res.phases.work_share);
   for (std::size_t i = 0; i < ctx.my_requests.size(); ++i)
     if (static_cast<std::ptrdiff_t>(i) != ctx.test_item)
       ctx.remaining.push_back(i);
@@ -698,7 +665,8 @@ void ComputeStage::run(StageContext& ctx) const {
     std::vector<Vec3> centers;
     std::vector<std::vector<Vec3>> cubes;
     {
-      PhaseScope unpack_scope(phases::kUnpack, res.phases.work_share);
+      obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
+                                  &res.phases.work_share);
       unpack_items(p.buf, req_ids, centers, cubes);
     }
     for (std::size_t i = 0; i < centers.size(); ++i) {
@@ -766,7 +734,8 @@ void ComputeStage::run(StageContext& ctx) const {
         if (ctx.plan.item_assignment[j] == ctx.plan.gap_slot(k))
           ctx.execute_local(j);
 
-      PhaseScope pack_scope(phases::kPack, res.phases.work_share);
+      obs::TraceSpan pack_scope(phases::kPack, phases::kCategory,
+                                &res.phases.work_share);
       std::vector<std::ptrdiff_t> req_ids;
       std::vector<Vec3> centers;
       std::vector<std::vector<Vec3>> cubes;
@@ -808,7 +777,8 @@ void ComputeStage::run(StageContext& ctx) const {
         std::vector<Vec3> centers;
         std::vector<std::vector<Vec3>> cubes;
         {
-          PhaseScope unpack_scope(phases::kUnpack, res.phases.work_share);
+          obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
+                                      &res.phases.work_share);
           unpack_items(buf, req_ids, centers, cubes);
         }
         for (std::size_t i = 0; i < centers.size(); ++i) {
@@ -874,7 +844,8 @@ void RecoverStage::run(StageContext& ctx) const {
   const bool recover =
       comm.allreduce_max(comm.any_rank_failed() ? 1.0 : 0.0) > 0.0;
   if (!recover) return;
-  PhaseScope recover_scope(phases::kRecover, res.phases.recover);
+  obs::TraceSpan recover_scope(phases::kRecover, phases::kCategory,
+                               &res.phases.recover);
   std::vector<std::int64_t> done;
   done.reserve(res.items.size());
   for (const ItemRecord& it : res.items)
@@ -894,11 +865,16 @@ void RecoverStage::run(StageContext& ctx) const {
   // Deterministic round-robin over the survivors: every rank advances
   // the slot for every missing id, so the assignment is agreed without
   // another negotiation round.
+  std::vector<std::size_t> mine;
   std::size_t slot = 0;
   for (std::size_t gi = 0; gi < ctx.field_centers.size(); ++gi) {
     if (have[gi]) continue;
     const int who = live[slot++ % live.size()];
-    if (who != ctx.me) continue;
+    if (who == ctx.me) mine.push_back(gi);
+  }
+  // The recovered items run after the recover span, in their own item spans.
+  recover_scope.close();
+  for (const std::size_t gi : mine) {
     const Vec3 w = wrap_periodic(ctx.field_centers[gi], ctx.box);
     std::vector<Vec3> cube = ctx.fetch_cube(w, ctx.cube_side);
     const double n = static_cast<double>(cube.size());

@@ -8,7 +8,8 @@
 //                  Allgather → fit) and (3) the work-sharing schedule +
 //                  sender plan (spans: pipeline.model, pipeline.work_share)
 //   ComputeStage   (4) execution & communication: local items, acknowledged
-//                  work packages, retries, fallback
+//                  work packages, retries, fallback (spans: pipeline.pack,
+//                  pipeline.unpack; item.triangulate, item.render per item)
 //   RecoverStage   post-run recomputation of items lost with dead ranks
 //                  (span: pipeline.recover)
 //   ReduceStage    final agreement: surviving-rank bookkeeping + exit barrier
@@ -94,8 +95,8 @@ struct StageContext {
   // --- helpers shared by ComputeStage / RecoverStage -----------------------
   /// Per-item watchdog budget (see PipelineOptions::item_deadline_ms).
   Deadline make_deadline(double pred_seconds) const;
-  /// Commit one computed item: phase accounting, durability, metrics,
-  /// item trace spans, result bookkeeping.
+  /// Commit one computed item: phase accounting (adds the CPU its item
+  /// spans measured), durability, metrics, result bookkeeping.
   void record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
                    double pred_interp, bool received);
   /// The owned + ghost particles inside my_requests[i]'s cube.

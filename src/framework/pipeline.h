@@ -35,14 +35,16 @@ struct PipelineOptions {
   std::size_t field_resolution = 64;///< Ng
   /// Cube side = pad × l_F: the extra margin keeps hull artifacts out of the
   /// field; the ghost radius is pad × l_F / 2 accordingly.
-  double cube_pad = 1.25;
+  static constexpr double cube_pad = 1.25;
   bool load_balance = true;         ///< run phases 3–4 (off = paper's baseline)
   bool keep_grids = false;          ///< retain rendered grids in the result
   /// Fields with fewer particles than this in their cube produce a zero grid
   /// (a Delaunay needs ≥4 non-coplanar points; emptier cubes are noise).
-  std::size_t min_particles = 32;
-  std::size_t count_grid_cells = 48;///< particle-count index resolution
-  std::uint64_t seed = 99;
+  static constexpr std::size_t min_particles = 32;
+  /// Particle-count index resolution.
+  static constexpr std::size_t count_grid_cells = 48;
+  /// Run seed: the sampled model item and the per-item kernel seeds.
+  static constexpr std::uint64_t seed = 99;
   /// Which registered field kernel renders every item (engine/field_kernel.h:
   /// "march" — the paper's kernel and the bitwise-deterministic default —
   /// "walk", or "tess"; unknown names throw when the first item runs).
@@ -82,8 +84,8 @@ struct PipelineOptions {
   /// cancelled inside the triangulation/kernels and contained as
   /// failed-with-reason zero grids.
   double item_deadline_ms = -1.0;
-  double watchdog_slack = 16.0;
-  double min_item_deadline_ms = 2000.0;
+  static constexpr double watchdog_slack = 16.0;
+  static constexpr double min_item_deadline_ms = 2000.0;
   /// Runtime conservation audits over every committed item (dtfe/audit.h).
   AuditOptions audit;
   /// Escalate any audit violation to a thrown Error (aborting the run)
@@ -98,14 +100,17 @@ struct PipelineOptions {
 };
 
 /// Per-rank busy seconds for each phase (thread CPU time: blocking receives
-/// do not accumulate).
+/// do not accumulate). Each field sums the cpu_s of its "pipeline" spans,
+/// which never overlap, so each CPU second lands in at most one field; an
+/// item's CPU lands only in triangulate and render, whichever stage ran it.
 struct PhaseTimes {
   double partition = 0.0;
-  double model = 0.0;
-  double triangulate = 0.0;
-  double render = 0.0;
+  double model = 0.0;       ///< count index, item counts and the cost fit
+  double triangulate = 0.0; ///< cube builds: mesh, densities, hull, geometry
+  double render = 0.0;      ///< kernel renders (coefficient table, ensemble
+                            ///< cubes) and audits
   double work_share = 0.0;  ///< packing/unpacking/sending work packages
-  double recover = 0.0;     ///< recomputing items lost to dead ranks
+  double recover = 0.0;     ///< agreeing which lost items each rank redoes
   double total() const {
     return partition + model + triangulate + render + work_share + recover;
   }

@@ -17,7 +17,9 @@ constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // v4: that switch is gone again (the marching kernel has one route).
 // v5: PipelineOptions lost the item look-ahead window (one item path).
 // v6: PipelineOptions lost the fault-tolerance switch (always acknowledged).
-constexpr std::uint32_t kVersion = 6;
+// v7: PipelineOptions lost cube_pad, min_particles, count_grid_cells, seed,
+//     watchdog_slack and min_item_deadline_ms (now compile-time constants).
+constexpr std::uint32_t kVersion = 7;
 
 class ByteWriter {
  public:
@@ -111,12 +113,8 @@ class ByteReader {
 void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.field_length);
   w.pod(static_cast<std::uint64_t>(o.field_resolution));
-  w.pod(o.cube_pad);
   w.pod(static_cast<std::uint8_t>(o.load_balance));
   w.pod(static_cast<std::uint8_t>(o.keep_grids));
-  w.pod(static_cast<std::uint64_t>(o.min_particles));
-  w.pod(static_cast<std::uint64_t>(o.count_grid_cells));
-  w.pod(o.seed);
   w.str(o.kernel);
   w.pod(o.max_retries);
   w.pod(o.comm_timeout_ms);
@@ -124,8 +122,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.str(o.checkpoint_dir);
   w.pod(static_cast<std::uint8_t>(o.resume));
   w.pod(o.item_deadline_ms);
-  w.pod(o.watchdog_slack);
-  w.pod(o.min_item_deadline_ms);
   w.pod(o.audit);  // trivially copyable
   w.pod(static_cast<std::uint8_t>(o.audit_fatal));
   w.pod(o.threads);
@@ -137,12 +133,8 @@ PipelineOptions read_options(ByteReader& r) {
   PipelineOptions o;
   o.field_length = r.pod<double>();
   o.field_resolution = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  o.cube_pad = r.pod<double>();
   o.load_balance = r.pod<std::uint8_t>() != 0;
   o.keep_grids = r.pod<std::uint8_t>() != 0;
-  o.min_particles = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  o.count_grid_cells = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  o.seed = r.pod<std::uint64_t>();
   o.kernel = r.str();
   o.max_retries = r.pod<int>();
   o.comm_timeout_ms = r.pod<int>();
@@ -150,8 +142,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.checkpoint_dir = r.str();
   o.resume = r.pod<std::uint8_t>() != 0;
   o.item_deadline_ms = r.pod<double>();
-  o.watchdog_slack = r.pod<double>();
-  o.min_item_deadline_ms = r.pod<double>();
   o.audit = r.pod<AuditOptions>();
   o.audit_fatal = r.pod<std::uint8_t>() != 0;
   o.threads = r.pod<int>();

@@ -31,7 +31,8 @@ T get(std::ifstream& in) {
 void write_snapshot(const std::string& path, const ParticleSet& set,
                     std::size_t blocks_per_dim) {
   DTFE_CHECK(blocks_per_dim >= 1);
-  const std::size_t nb = blocks_per_dim * blocks_per_dim * blocks_per_dim;
+  const std::size_t nb = checked_cells("snapshot block grid", blocks_per_dim,
+                                      blocks_per_dim, blocks_per_dim);
   const double sub = set.box_length / static_cast<double>(blocks_per_dim);
 
   // Bucket particles by sub-volume (the "writing rank" layout).

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <set>
+
+#include "util/timer.h"
 
 namespace dtfe::obs {
 
@@ -25,13 +26,6 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 void append_json_string(std::string& out, const std::string& s) {
@@ -91,14 +85,6 @@ void TraceRecorder::emit_complete(
   ev.args = std::move(args);
   std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(std::move(ev));
-}
-
-void TraceRecorder::emit_duration_ending_now(
-    std::string name, std::string cat, double dur_seconds,
-    std::vector<std::pair<std::string, double>> args) {
-  const double dur_us = std::max(0.0, dur_seconds * 1e6);
-  emit_complete(std::move(name), std::move(cat), now_us() - dur_us, dur_us,
-                std::move(args));
 }
 
 void TraceRecorder::emit_instant(
@@ -205,14 +191,20 @@ bool TraceRecorder::write_json(const std::string& path) const {
 }
 
 TraceSpan::TraceSpan(std::string name, std::string cat,
-                     TraceRecorder* recorder) {
+                     TraceRecorder* recorder)
+    : TraceSpan(std::move(name), std::move(cat), nullptr, recorder) {}
+
+TraceSpan::TraceSpan(std::string name, std::string cat, double* cpu_total,
+                     TraceRecorder* recorder)
+    : cpu_total_(cpu_total) {
   TraceRecorder* rec = recorder ? recorder : &TraceRecorder::global();
-  if (!rec->enabled()) return;  // inert span
-  recorder_ = rec;
-  name_ = std::move(name);
-  cat_ = std::move(cat);
-  start_us_ = rec->now_us();
-  cpu_start_ = thread_cpu_seconds();
+  if (rec->enabled()) {
+    recorder_ = rec;
+    name_ = std::move(name);
+    cat_ = std::move(cat);
+    start_us_ = rec->now_us();
+  }
+  if (recorder_ || cpu_total_) cpu_start_ = ThreadCpuTimer::now();
 }
 
 void TraceSpan::add_arg(std::string key, double value) {
@@ -220,8 +212,12 @@ void TraceSpan::add_arg(std::string key, double value) {
 }
 
 void TraceSpan::close() {
+  if (!recorder_ && !cpu_total_) return;
+  const double cpu = ThreadCpuTimer::now() - cpu_start_;
+  if (cpu_total_) *cpu_total_ += cpu;
+  cpu_total_ = nullptr;
   if (!recorder_) return;
-  args_.emplace_back("cpu_s", thread_cpu_seconds() - cpu_start_);
+  args_.emplace_back("cpu_s", cpu);
   recorder_->emit_complete(std::move(name_), std::move(cat_), start_us_,
                            recorder_->now_us() - start_us_, std::move(args_));
   recorder_ = nullptr;

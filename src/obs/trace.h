@@ -51,18 +51,10 @@ class TraceRecorder {
   /// Microseconds since the recorder's epoch (monotonic).
   double now_us() const;
 
-  /// Append a complete event with explicit timing (used by TraceSpan and by
-  /// call sites that re-emit an externally measured duration).
+  /// Append a complete event with explicit timing (used by TraceSpan).
   void emit_complete(std::string name, std::string cat, double ts_us,
                      double dur_us,
                      std::vector<std::pair<std::string, double>> args = {});
-
-  /// Complete event ending now and lasting `dur_seconds` (timestamps are
-  /// synthesized backward from now; used to attach externally measured
-  /// durations, e.g. per-item triangulation CPU time).
-  void emit_duration_ending_now(
-      std::string name, std::string cat, double dur_seconds,
-      std::vector<std::pair<std::string, double>> args = {});
 
   /// Instant event at now.
   void emit_instant(std::string name, std::string cat,
@@ -88,10 +80,17 @@ class TraceRecorder {
 /// (emitted as args["cpu_s"]) between construction and destruction, then
 /// appends a complete event. A span constructed while the recorder is
 /// disabled stays inert even if recording is enabled before it closes.
+///
+/// A span given a CPU accumulator is also a phase timer: it reads the
+/// thread-CPU clock even with tracing off, and on close adds into
+/// `*cpu_total` exactly the value it emits as cpu_s, so per-phase totals
+/// and the trace agree by construction.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string name, std::string cat = "dtfe",
                      TraceRecorder* recorder = nullptr);
+  TraceSpan(std::string name, std::string cat, double* cpu_total,
+            TraceRecorder* recorder = nullptr);
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan();
@@ -103,7 +102,8 @@ class TraceSpan {
   void close();
 
  private:
-  TraceRecorder* recorder_ = nullptr;  ///< null when inert
+  TraceRecorder* recorder_ = nullptr;  ///< null when not emitting
+  double* cpu_total_ = nullptr;        ///< null when not accumulating
   std::string name_, cat_;
   double start_us_ = 0.0;
   double cpu_start_ = 0.0;

@@ -5,6 +5,7 @@
 // used inside hot kernels.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,16 @@ namespace detail {
   throw Error(os.str());
 }
 }  // namespace detail
+
+/// a·b·c cells; throws Error naming `what` if the product overflows
+/// std::size_t (it would wrap to a small, then overrun, allocation).
+inline std::size_t checked_cells(const char* what, std::size_t a,
+                                 std::size_t b, std::size_t c = 1) {
+  std::size_t ab = 0, abc = 0;
+  if (__builtin_mul_overflow(a, b, &ab) || __builtin_mul_overflow(ab, c, &abc))
+    throw Error(std::string(what) + ": cell count overflows std::size_t");
+  return abc;
+}
 
 }  // namespace dtfe
 

@@ -26,12 +26,6 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// RAII accumulator over ThreadCpuTimer: adds the scope's thread-CPU
-/// seconds into a caller-owned total at destruction (or at an explicit
-/// stop(), which also returns the elapsed amount). Replaces the manual
-/// reset()/seconds() pairs around the pipeline's phases.
-class ScopedTimer;
-
 /// Per-thread CPU-time stopwatch (seconds). Unaffected by other threads
 /// sharing the core, which makes it the right metric for simulated ranks.
 class ThreadCpuTimer {
@@ -49,28 +43,6 @@ class ThreadCpuTimer {
 
  private:
   double start_;
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& accumulator) : acc_(&accumulator) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { stop(); }
-
-  /// Accumulate now instead of at scope exit (idempotent). Returns the
-  /// elapsed thread-CPU seconds that were added (0.0 if already stopped).
-  double stop() {
-    if (!acc_) return 0.0;
-    const double elapsed = timer_.seconds();
-    *acc_ += elapsed;
-    acc_ = nullptr;
-    return elapsed;
-  }
-
- private:
-  double* acc_;
-  ThreadCpuTimer timer_;
 };
 
 }  // namespace dtfe

@@ -210,6 +210,21 @@ TEST(GridAssign, CicSplitsAcrossCells) {
   EXPECT_EQ(ngp.at(0, 0, 0), 0.0);
 }
 
+// A cell count that overflows std::size_t throws instead of wrapping to a
+// small allocation that is then indexed out of bounds.
+TEST(GridOverflow, OverflowingCellCountsThrow) {
+  EXPECT_EQ(checked_cells("test", 3, 4, 5), 60u);
+  EXPECT_THROW(checked_cells("test", SIZE_MAX, 2), Error);
+  const std::size_t k22 = std::size_t{1} << 22;  // (2^22)^3 wraps to 0
+  const std::size_t k33 = std::size_t{1} << 33;  // (2^33)^2 wraps to 0
+  EXPECT_THROW(Grid3D(k22, k22, k22), Error);
+  EXPECT_THROW(Grid2D(k33, k33), Error);
+  // Thrown before the file is opened or any block bucket is allocated.
+  EXPECT_THROW(write_snapshot(::testing::TempDir() + "overflow_snap.bin",
+                              generate_uniform(10, 1.0, 1), k22),
+               Error);
+}
+
 // ---------------- power spectra -----------------------------------------------
 
 TEST(FieldStatistics, WhiteNoiseIsFlatShotNoise) {

@@ -4,6 +4,7 @@
 // invariant that a pipeline run's emitted phase spans sum to PhaseTimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "simmpi/comm.h"
+#include "simmpi/fault.h"
 
 namespace dtfe {
 namespace {
@@ -194,6 +196,36 @@ TEST(Trace, DisabledSpanStaysInertAndCloseIsIdempotent) {
   EXPECT_EQ(rec.size(), 1u);
 }
 
+// A span given a CPU accumulator times even with tracing off, and adds
+// exactly the cpu_s it emits, once.
+TEST(Trace, CpuAccumulatorAddsTheEmittedCpuOnceEvenWhenDisabled) {
+  const auto burn = [] {
+    volatile double x = 0.0;
+    for (int i = 0; i < 200000; ++i) x = x + 1.0;
+  };
+  obs::TraceRecorder rec;
+  double off_total = 0.0;
+  {
+    obs::TraceSpan span("off", "test", &off_total, &rec);
+    burn();
+  }
+  EXPECT_GT(off_total, 0.0);
+  EXPECT_EQ(rec.size(), 0u);
+
+  rec.set_enabled(true);
+  double on_total = 0.0;
+  obs::TraceSpan span("on", "test", &on_total, &rec);
+  burn();
+  span.close();
+  span.close();
+  const auto evs = rec.events();
+  ASSERT_EQ(evs.size(), 1u);
+  ASSERT_EQ(evs[0].args.size(), 1u);
+  EXPECT_EQ(evs[0].args[0].first, "cpu_s");
+  EXPECT_EQ(evs[0].args[0].second, on_total);
+  EXPECT_GT(on_total, 0.0);
+}
+
 TEST(Trace, NestedSpansAreProperlyNestedAndJsonIsValid) {
   obs::TraceRecorder rec;
   rec.set_enabled(true);
@@ -258,9 +290,9 @@ TEST(Report, JsonAndCsvSerializeRanksMetricsAndSummary) {
 
 // End-to-end invariant: for every rank, the cpu_s arguments of the
 // "pipeline"-category spans emitted during a run sum to PhaseTimes::total().
-// PhaseScope reads one timer and both accumulates into PhaseTimes and emits
-// the identical double; item spans re-emit actual_tri/actual_interp
-// verbatim. Only summation order differs, so the tolerance is tiny.
+// Each phase and item span reads the clock once and both emits that value as
+// cpu_s and adds it into its PhaseTimes field (items via actual_tri /
+// actual_interp). Only summation order differs, so the tolerance is tiny.
 TEST(PipelineObs, PhaseSpansSumToPhaseTimes) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
@@ -318,6 +350,85 @@ TEST(PipelineObs, PhaseSpansSumToPhaseTimes) {
   expect_valid_json(json);
   rec.clear();
   reg.reset();
+}
+
+// Runs the pipeline on four rank threads with tracing on and checks, per
+// rank thread on real timestamps: the "pipeline"-category spans (phase spans
+// and item spans) are pairwise disjoint, every Delaunay build lies inside an
+// item.triangulate span and every march inside an item.render span.
+// Returns how many items the survivors recovered.
+std::size_t expect_phase_spans_nest(const simmpi::FaultPlan* plan) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.set_enabled(true);
+  const auto set = generate_uniform(4000, 20.0, 29);
+  std::vector<Vec3> centers(set.positions.begin(), set.positions.begin() + 12);
+  PipelineOptions opt;
+  opt.field_length = 4.0;
+  opt.field_resolution = 24;
+  simmpi::RunOptions run_opts;
+  run_opts.fault_plan = plan;
+  std::mutex mtx;
+  std::size_t recovered = 0;
+  simmpi::run(4, run_opts, [&](simmpi::Comm& c) {
+    const PipelineResult res = run_pipeline(c, set, centers, opt);
+    std::lock_guard<std::mutex> lock(mtx);
+    recovered += res.items_recovered;
+  });
+  rec.set_enabled(false);
+  const std::vector<obs::TraceEvent> events = rec.events();
+  rec.clear();
+
+  using Lane = std::pair<int, int>;  // (rank, thread)
+  std::map<Lane, std::vector<const obs::TraceEvent*>> phase_spans;
+  for (const obs::TraceEvent& e : events)
+    if (e.phase == 'X' && e.cat == "pipeline")
+      phase_spans[{e.pid, e.tid}].push_back(&e);
+  EXPECT_FALSE(phase_spans.empty());
+  constexpr double kSlackUs = 1e-3;  // 1 ns of floating-point rounding
+  for (auto& [lane, spans] : phase_spans) {
+    std::sort(spans.begin(), spans.end(),
+              [](const auto* a, const auto* b) { return a->ts_us < b->ts_us; });
+    for (std::size_t i = 1; i < spans.size(); ++i)
+      EXPECT_LE(spans[i - 1]->ts_us + spans[i - 1]->dur_us,
+                spans[i]->ts_us + kSlackUs)
+          << spans[i - 1]->name << " overlaps " << spans[i]->name
+          << " on rank " << lane.first;
+  }
+
+  const auto inside_one = [&](const obs::TraceEvent& child,
+                              const char* parent) {
+    for (const obs::TraceEvent* p : phase_spans[{child.pid, child.tid}])
+      if (p->name == parent && p->ts_us <= child.ts_us + kSlackUs &&
+          child.ts_us + child.dur_us <= p->ts_us + p->dur_us + kSlackUs)
+        return true;
+    return false;
+  };
+  std::size_t builds = 0, marches = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "delaunay.triangulate") {
+      ++builds;
+      EXPECT_TRUE(inside_one(e, "item.triangulate"))
+          << "Delaunay build outside every item.triangulate on rank " << e.pid;
+    } else if (e.name == "kernel.march_render") {
+      ++marches;
+      EXPECT_TRUE(inside_one(e, "item.render"))
+          << "march outside every item.render on rank " << e.pid;
+    }
+  }
+  EXPECT_GT(builds, 0u);
+  EXPECT_GT(marches, 0u);
+  return recovered;
+}
+
+TEST(PipelineObs, PhaseSpansAreDisjointAndContainTheirChildren) {
+  EXPECT_EQ(expect_phase_spans_nest(nullptr), 0u);
+  // Rank 1 finishes its items and dies at its first barrier, the one that
+  // opens RecoverStage (1 << 24 is simmpi's internal barrier tag), so the
+  // survivors recompute its items.
+  const simmpi::FaultPlan plan = simmpi::FaultPlan::parse(
+      "kill:rank=1,tag=" + std::to_string(1 << 24) + ",at=1");
+  EXPECT_GT(expect_phase_spans_nest(&plan), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "framework/result_codec.h"
@@ -468,6 +470,31 @@ TEST_F(TransportParity, DelayedPackage) {
 
 TEST_F(TransportParity, BitFlippedPackage) {
   expect_parity("flip:src=0,dst=2,nth=1,tag=200");
+}
+
+// Out-of-range integer flags exit 2 naming the flag, before the snapshot is
+// read or written (the paths below do not exist), instead of wrapping
+// through the size_t cast into an abort or an out-of-bounds write.
+TEST(CliFlags, OutOfRangeIntegerFlagsExitTwo) {
+  const std::string spectrum =
+      std::string(PDTFE_BINARY) + " spectrum --in /nonexistent/snap.bin";
+  const std::string generate =
+      std::string(PDTFE_BINARY) + " generate --out /nonexistent/snap.bin";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {spectrum + " --grid -3", "--grid"},
+      {spectrum + " --grid 4194304", "--grid"},
+      {spectrum + " --grid 48", "--grid"},  // not a power of two
+      {spectrum + " --bins -1", "--bins"},
+      {generate + " --blocks 4194304", "--blocks"},
+      {generate + " --n -1", "--n"},
+  };
+  for (const auto& [cmd, flag] : cases) {
+    int rc = 0;
+    const std::string out = run_capture(cmd, rc);
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd << "\n" << out;
+    EXPECT_NE(out.find(flag), std::string::npos) << cmd << "\n" << out;
+  }
 }
 
 #endif  // PDTFE_BINARY
