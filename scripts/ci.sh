@@ -19,7 +19,10 @@
 #      build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      kernel fast-path, nbody (FOF cell-key packing), and engine suites
-#      against that build.
+#      against that build;
+#   5. build the kernel suites under AddressSanitizer (DTFE_SANITIZE=address)
+#      and run them: the tiled render loops write ragged edge tiles through
+#      Grid2D::at.
 #
 # usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
 set -euo pipefail
@@ -88,7 +91,7 @@ PY
 fi
 
 if [ "$SKIP_TSAN" -eq 1 ]; then
-  echo "== sanitizers (tsan + ubsan): skipped (--skip-tsan)"
+  echo "== sanitizers (tsan + ubsan + asan): skipped (--skip-tsan)"
   exit 0
 fi
 
@@ -144,5 +147,20 @@ for t in fastpath_test ray_tetra_test kernels_test predicates_test \
   "build-ubsan/tests/$t"
 done
 ctest --test-dir build-ubsan --output-on-failure -L engine
+
+echo "== asan: configure + build (build-asan/, DTFE_SANITIZE=address)"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DDTFE_SANITIZE=address >/dev/null
+cmake --build build-asan -j"$JOBS" \
+      --target kernels_test fastpath_test vector_field_test
+
+echo "== asan: kernel suites"
+# The march, walk and tess renders visit pixels in 8x8 tiles that are ragged
+# at the grid edges (kernels_test renders 1-, 7-, 9- and 37-pixel grids);
+# fastpath_test and vector_field_test drive the per-cell tables, which are
+# built in parallel. Any out-of-bounds access aborts the binary.
+for t in kernels_test fastpath_test vector_field_test; do
+  "build-asan/tests/$t"
+done
 
 echo "== ci: all green"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dtfe/parallel_rows.h"
 #include "geometry/tetra_math.h"
 #include "util/error.h"
 
@@ -96,12 +97,16 @@ void DensityField::build(std::span<const double> masses) {
 }
 
 void DensityField::build_gradients() {
-  gradient_.assign(tri_->cell_storage_size(), Vec3{});
+  const std::size_t n = tri_->cell_storage_size();
+  gradient_.assign(n, Vec3{});
   // Per-cell constant gradients: solve the 3×3 system
   //   [x1−x0; x2−x0; x3−x0] · ∇ρ = [ρ1−ρ0; ρ2−ρ0; ρ3−ρ0]
-  for (std::size_t i = 0; i < tri_->cell_storage_size(); ++i) {
+  // Each cell writes only its own gradient. (The per-vertex volume scatter
+  // in build_volumes_and_hull stays serial: its sums depend on the order
+  // cells are visited.)
+  parallel_rows(n, [&](std::size_t i) {
     const auto c = static_cast<CellId>(i);
-    if (!tri_->cell_alive(c) || tri_->is_infinite(c)) continue;
+    if (!tri_->cell_alive(c) || tri_->is_infinite(c)) return;
     const auto& t = tri_->cell(c);
     const auto p = tri_->cell_points(c);
     const Vec3 e1 = p[1] - p[0], e2 = p[2] - p[0], e3 = p[3] - p[0];
@@ -112,12 +117,12 @@ void DensityField::build_gradients() {
     const double d3 = density_[static_cast<std::size_t>(t.v[3])] -
                       density_[static_cast<std::size_t>(t.v[0])];
     const double det = e1.dot(e2.cross(e3));
-    if (det == 0.0) continue;  // cannot happen for valid finite cells
+    if (det == 0.0) return;  // cannot happen for valid finite cells
     // Cramer via the reciprocal basis: ∇ρ = (d1·(e2×e3) + d2·(e3×e1)
     //                                        + d3·(e1×e2)) / det.
     gradient_[i] =
         (e2.cross(e3) * d1 + e3.cross(e1) * d2 + e1.cross(e2) * d3) / det;
-  }
+  });
 }
 
 }  // namespace dtfe

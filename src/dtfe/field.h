@@ -1,6 +1,7 @@
 // Field containers and field-request descriptions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -188,6 +189,36 @@ struct FieldSpec {
     return {origin.x + (static_cast<double>(ix) + 0.5) * h,
             origin.y + (static_cast<double>(iy) + 0.5) * h};
   }
+};
+
+/// The order in which the render loops visit an nx×ny grid: square tiles of
+/// kSide×kSide pixels in row-major tile order, ragged at the right and top
+/// edges, each visited row by row. A tile is one unit of dynamic scheduling.
+/// Neighbouring lines of sight cross mostly the same tetrahedra, so a tile's
+/// rays reuse table rows a whole image row would already have evicted from
+/// L2 (DESIGN.md §11). Visiting order never enters a pixel's value.
+class PixelTiles {
+ public:
+  /// 8, not 16: a 32² catalog grid still makes 16 tiles for a rank team.
+  static constexpr std::size_t kSide = 8;
+
+  PixelTiles(std::size_t nx, std::size_t ny)
+      : nx_(nx), ny_(ny), tiles_x_((nx + kSide - 1) / kSide) {}
+
+  std::size_t count() const { return tiles_x_ * ((ny_ + kSide - 1) / kSide); }
+
+  /// Call f(ix, iy) for every pixel of tile t, row by row.
+  template <class F>
+  void for_each_pixel(std::size_t t, F&& f) const {
+    const std::size_t x0 = (t % tiles_x_) * kSide, y0 = (t / tiles_x_) * kSide;
+    const std::size_t x1 = std::min(x0 + kSide, nx_);
+    const std::size_t y1 = std::min(y0 + kSide, ny_);
+    for (std::size_t iy = y0; iy < y1; ++iy)
+      for (std::size_t ix = x0; ix < x1; ++ix) f(ix, iy);
+  }
+
+ private:
+  std::size_t nx_, ny_, tiles_x_;
 };
 
 }  // namespace dtfe

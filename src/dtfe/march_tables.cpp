@@ -1,6 +1,7 @@
 #include "dtfe/march_tables.h"
 
 #include "dtfe/density.h"
+#include "dtfe/parallel_rows.h"
 
 namespace dtfe {
 
@@ -9,9 +10,9 @@ TetraGeomTable::TetraGeomTable(const Triangulation& tri) {
   coef_.assign(n, VerticalTetraCoef{});
   next_.assign(n * 4, Triangulation::kNoCell);
   mirror_.assign(n * 4, -1);
-  for (std::size_t i = 0; i < n; ++i) {
+  parallel_rows(n, [&](std::size_t i) {
     const auto c = static_cast<CellId>(i);
-    if (!tri.cell_alive(c) || tri.is_infinite(c)) continue;
+    if (!tri.cell_alive(c) || tri.is_infinite(c)) return;
     coef_[i] = make_vertical_coef(tri.cell_points(c));
     const auto& cell = tri.cell(c);
     for (int f = 0; f < 4; ++f) {
@@ -21,16 +22,16 @@ TetraGeomTable::TetraGeomTable(const Triangulation& tri) {
       mirror_[i * 4 + static_cast<std::size_t>(f)] =
           static_cast<std::int8_t>(tri.mirror_index(c, f));
     }
-  }
+  });
 }
 
 FieldCoefTable::FieldCoefTable(const DensityField& field) {
   const Triangulation& tri = field.triangulation();
   const std::size_t n = tri.cell_storage_size();
   coef_.assign(n, Coef{});
-  for (std::size_t i = 0; i < n; ++i) {
+  parallel_rows(n, [&](std::size_t i) {
     const auto c = static_cast<CellId>(i);
-    if (!tri.cell_alive(c) || tri.is_infinite(c)) continue;
+    if (!tri.cell_alive(c) || tri.is_infinite(c)) return;
     const auto& t = tri.cell(c);
     const Vec3& x0 = tri.point(t.v[0]);
     const Vec3& g = field.cell_gradient(c);
@@ -40,7 +41,7 @@ FieldCoefTable::FieldCoefTable(const DensityField& field) {
     k.gx = g.x;
     k.gy = g.y;
     k.gz = g.z;
-  }
+  });
 }
 
 }  // namespace dtfe

@@ -338,6 +338,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
       accum->tetra_crossed += r.steps;
       accum->perturb_restarts += static_cast<std::uint64_t>(r.restarts);
       accum->failed_cells += r.failed ? 1 : 0;
+      accum->empty_cells += r.empty ? 1 : 0;
     }
     lo = std::min(lo, r.sigma);
     hi = std::max(hi, r.sigma);
@@ -389,28 +390,28 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   local.perturb_epsilon = opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0);
   const MarchingKernel worker(*this, local);
 
+  const PixelTiles tiles(nx, ny);
 #pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_mass)
   {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ThreadCpuTimer timer;
+    std::uint64_t pixels_done = 0;
 
-#pragma omp for schedule(dynamic, 8)
-    for (std::ptrdiff_t idx = 0; idx < static_cast<std::ptrdiff_t>(nx * ny);
-         ++idx) {
-      // Cooperative watchdog: poll the soft deadline every few rays; once
-      // it fires, skip the rest of the grid and report the cancellation
-      // after the parallel region (throwing out of an omp loop is UB).
+    auto render_pixel = [&](std::size_t ix, std::size_t iy) {
+      // Cooperative watchdog: each thread polls the soft deadline on its
+      // first pixel and every 16th after; once it fires, skip the rest of
+      // the grid and report the cancellation after the parallel region
+      // (throwing out of an omp loop is UB).
       if (opt_.deadline &&
           (cancelled.load(std::memory_order_relaxed) ||
-           ((idx & 15) == 0 && opt_.deadline->expired()))) {
+           ((pixels_done++ & 15) == 0 && opt_.deadline->expired()))) {
         cancelled.store(true, std::memory_order_relaxed);
-        continue;
+        return;
       }
-      const auto ix = static_cast<std::size_t>(idx) % nx;
-      const auto iy = static_cast<std::size_t>(idx) / nx;
-      // Per-ray RNG: a pure function of (stream seed, cell index) so the
-      // rendered grid does not depend on the OpenMP schedule.
-      std::uint64_t rng = ray_seed(opt_.seed, static_cast<std::uint64_t>(idx));
+      // Per-ray RNG: a pure function of (stream seed, row-major pixel
+      // index), so the grid depends on neither the tile order nor the
+      // OpenMP schedule.
+      std::uint64_t rng = ray_seed(opt_.seed, iy * nx + ix);
       if (opt_.adaptive_max_depth > 0) {
         // Dynamic grid spacing: quadtree-refine cells whose corner lines
         // disagree.
@@ -422,8 +423,9 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
         tot_steps += cell_stats.tetra_crossed;
         tot_restarts += cell_stats.perturb_restarts;
         tot_failed += cell_stats.failed_cells;
+        tot_empty += cell_stats.empty_cells;
         tot_mass += cell_stats.ray_mass;
-        continue;
+        return;
       }
       double sigma = 0.0;
       const double rot_x = rand_unit(rng);
@@ -457,7 +459,12 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
       }
       grid.at(ix, iy) = sigma / opt_.monte_carlo_samples;
       tot_mass += sigma / opt_.monte_carlo_samples;
-    }
+    };
+
+#pragma omp for schedule(dynamic, 1)
+    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
+         ++t)
+      tiles.for_each_pixel(static_cast<std::size_t>(t), render_pixel);
     stats.thread_seconds[tid] = timer.seconds();
   }
 

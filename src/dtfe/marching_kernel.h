@@ -62,10 +62,13 @@ struct MarchingOptions {
   /// methods "locate and interpolate exactly the same number of grid cells";
   /// the marching kernel amortizes location over whole tetra intervals.
   int z_samples = 0;
-  /// Stream seed. Per-ray RNG states are derived from (seed, ray index) by
-  /// splitmix, so a render is bitwise deterministic regardless of OpenMP
-  /// scheduling; the pipeline folds the work item's identity into this seed
-  /// so resumed runs replay identical perturbation sequences.
+  /// Stream seed. Each pixel's RNG state is derived by splitmix from (seed,
+  /// the pixel's row-major index iy·nx + ix), never from the thread or the
+  /// tile order that reaches it. A pixel's value is then a pure function of
+  /// its own rays, written once, so a render is bitwise deterministic
+  /// regardless of OpenMP scheduling and team size. The pipeline folds the
+  /// work item's identity into this seed so resumed runs replay identical
+  /// perturbation sequences.
   std::uint64_t seed = 12345;
   /// Cooperative cancellation (borrowed; may be null = never cancel).
   /// render() throws dtfe::Error once the deadline expires.
@@ -103,7 +106,12 @@ class MarchingKernel {
                  std::shared_ptr<const TetraGeomTable> geom = nullptr);
 
   /// Render the surface density field (paper Fig. 3 over all grid cells,
-  /// OpenMP-parallel). Returns an Ng×Ng grid of Σ̂ values.
+  /// OpenMP-parallel). Returns an Ng×Ng grid of Σ̂ values. Pixels are
+  /// visited in PixelTiles order (8×8 tiles, one tile per dynamic-schedule
+  /// unit), so neighbouring rays share cached table rows; the grid is the
+  /// same for any order (see MarchingOptions::seed). Throws dtfe::Error
+  /// naming the deadline if opt.deadline expires; each thread polls it on
+  /// its first pixel and every 16th after.
   Grid2D render(const FieldSpec& spec) const;
 
   /// Integrate the DTFE interpolant along the single vertical line through

@@ -134,7 +134,6 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
                  "tess kernel needs finite z bounds for its 3D grid");
   if (adj_.empty())
     const_cast<TessKernel*>(this)->build_adjacency();
-  const Triangulation& tri = density_->triangulation();
   const std::size_t nx = spec.nx(), ny = spec.ny();
   const std::size_t nz = opt_.z_resolution ? opt_.z_resolution : nx;
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
@@ -145,6 +144,7 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
       static_cast<std::size_t>(omp_get_max_threads()), 0.0);
   std::uint64_t located = 0;
   std::atomic<bool> cancelled{false};
+  const PixelTiles tiles(nx, ny);
 
 #pragma omp parallel reduction(+ : located)
   {
@@ -153,18 +153,16 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
     std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x9e3779b97f4a7c15ull;
     SearchScratch scratch;
 
-#pragma omp for schedule(dynamic, 8)
-    for (std::ptrdiff_t idx = 0;
-         idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx) {
+    std::uint64_t pixels_done = 0;
+
+    auto render_column = [&](std::size_t ix, std::size_t iy) {
       // Cooperative watchdog (see marching_kernel.cpp for the pattern).
       if (opt_.deadline &&
           (cancelled.load(std::memory_order_relaxed) ||
-           ((idx & 15) == 0 && opt_.deadline->expired()))) {
+           ((pixels_done++ & 15) == 0 && opt_.deadline->expired()))) {
         cancelled.store(true, std::memory_order_relaxed);
-        continue;
+        return;
       }
-      const auto ix = static_cast<std::size_t>(idx) % nx;
-      const auto iy = static_cast<std::size_t>(idx) / nx;
       const Vec2 xi = spec.cell_center(ix, iy);
       double sigma = 0.0;
       VertexId site = Triangulation::kInfinite;
@@ -182,7 +180,13 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
         sigma += site_density_[static_cast<std::size_t>(site)] * dz;
       }
       grid.at(ix, iy) = sigma;
-    }
+    };
+
+    // The march's tile order, so the Fig. 6 comparison is like for like.
+#pragma omp for schedule(dynamic, 1)
+    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
+         ++t)
+      tiles.for_each_pixel(static_cast<std::size_t>(t), render_column);
     stats.thread_seconds[tid] = timer.seconds();
   }
 

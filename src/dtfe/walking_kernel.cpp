@@ -102,11 +102,12 @@ Grid2D WalkingKernel::render(const FieldSpec& spec) const {
         render_column(static_cast<std::size_t>(idx) % nx,
                       static_cast<std::size_t>(idx) / nx);
     } else {
-#pragma omp for schedule(dynamic, 8)
-      for (std::ptrdiff_t idx = 0;
-           idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx)
-        render_column(static_cast<std::size_t>(idx) % nx,
-                      static_cast<std::size_t>(idx) / nx);
+      // The march's tile order, so the Fig. 6 comparison is like for like.
+      const PixelTiles tiles(nx, ny);
+#pragma omp for schedule(dynamic, 1)
+      for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
+           ++t)
+        tiles.for_each_pixel(static_cast<std::size_t>(t), render_column);
     }
     stats.thread_seconds[tid] = timer.seconds();
   }

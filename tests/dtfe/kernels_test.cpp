@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "delaunay/hull_projection.h"
@@ -9,6 +13,7 @@
 #include "dtfe/tess_kernel.h"
 #include "dtfe/walking_kernel.h"
 #include "geometry/tetra_math.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace dtfe {
@@ -272,6 +277,137 @@ TEST(MarchingKernel, StatsPopulated) {
   EXPECT_EQ(st.cells_rendered, 256u);
   EXPECT_GT(st.tetra_crossed, 256u);
   EXPECT_FALSE(st.thread_seconds.empty());
+}
+
+TEST(PixelTiles, VisitEveryPixelOnceInTileOrder) {
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {7, 9}, {9, 7}, {16, 8}, {37, 37}};
+  for (const auto& [nx, ny] : sizes) {
+    const PixelTiles tiles(nx, ny);
+    std::vector<int> visits(nx * ny, 0);
+    for (std::size_t t = 0; t < tiles.count(); ++t) {
+      std::size_t first_x = nx, first_y = ny;
+      tiles.for_each_pixel(t, [&](std::size_t ix, std::size_t iy) {
+        ASSERT_LT(ix, nx);
+        ASSERT_LT(iy, ny);
+        if (first_x == nx) first_x = ix, first_y = iy;
+        // Every pixel of a tile lies in the same kSide×kSide block.
+        EXPECT_EQ(ix / PixelTiles::kSide, first_x / PixelTiles::kSide);
+        EXPECT_EQ(iy / PixelTiles::kSide, first_y / PixelTiles::kSide);
+        ++visits[iy * nx + ix];
+      });
+      EXPECT_LT(first_x, nx) << "empty tile " << t;
+    }
+    for (std::size_t i = 0; i < visits.size(); ++i)
+      EXPECT_EQ(visits[i], 1) << nx << "x" << ny << " pixel " << i;
+  }
+}
+
+// Position-weighted grid sum: a value rendered into the wrong pixel moves it.
+double weighted_checksum(const Grid2D& g) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < g.size(); ++i)
+    s += g.flat(i) * static_cast<double>(i + 1);
+  return s;
+}
+
+// A grid over the unit cube's footprint that reaches past the hull
+// silhouette on every side, so edge pixels also march empty rays.
+FieldSpec unit_cube_spec(std::size_t resolution) {
+  FieldSpec spec;
+  spec.origin = {-0.05, -0.05};
+  spec.length = 1.1;
+  spec.resolution = resolution;
+  spec.zmin = 0.0;
+  spec.zmax = 1.0;
+  return spec;
+}
+
+TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
+  // Grids of 1, 7, 9 and 37 pixels make ragged edge tiles; Monte Carlo > 1
+  // draws from the per-pixel RNG, so a pixel bound to the wrong ray seed
+  // changes the checksum. The pins were recorded from the row-by-row loop
+  // that preceded the tiled one.
+  Fixture fx(400, 21);
+  MarchingOptions mc, adaptive, zs;
+  mc.monte_carlo_samples = 4;
+  adaptive.adaptive_max_depth = 2;
+  zs.z_samples = 16;
+  const MarchingOptions modes[] = {MarchingOptions{}, mc, adaptive, zs};
+  const std::size_t sizes[] = {1, 7, 9, 37};
+  const double pinned[4][4] = {
+      {0x1.e3d4c28e61a0ap+8, 0x1.aa47fb1d7725ep+18, 0x1.f29ef7de133a2p+19,
+       0x1.21c2df81ef276p+28},
+      {0x1.8d9b405f449ep+8, 0x1.6fe437711037dp+18, 0x1.03dd922ece8f8p+20,
+       0x1.214f09547298bp+28},
+      {0x1.7433a8065e65fp+8, 0x1.7eeacf4673198p+18, 0x1.0615e6eca72dp+20,
+       0x1.20c0782a179c9p+28},
+      {0x1.ea01eb69afb6cp+8, 0x1.ae97dd5c3e2c9p+18, 0x1.fadb41fe001d7p+19,
+       0x1.255416c4b00abp+28},
+  };
+  const int saved = omp_get_max_threads();
+  for (std::size_t m = 0; m < 4; ++m) {
+    const MarchingKernel kernel(fx.rho, fx.hull, modes[m]);
+    for (std::size_t g = 0; g < 4; ++g) {
+      const FieldSpec spec = unit_cube_spec(sizes[g]);
+      omp_set_num_threads(1);
+      const Grid2D one = kernel.render(spec);
+      omp_set_num_threads(4);
+      const Grid2D four = kernel.render(spec);
+      ASSERT_EQ(one.size(), four.size());
+      for (std::size_t i = 0; i < one.size(); ++i)
+        ASSERT_EQ(one.flat(i), four.flat(i))
+            << "mode " << m << " grid " << sizes[g] << " pixel " << i;
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%a", weighted_checksum(one));
+      EXPECT_EQ(weighted_checksum(one), pinned[m][g])
+          << "mode " << m << " grid " << sizes[g] << " checksum " << buf;
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(MarchingKernel, ExpiredDeadlineCancelsTheRender) {
+  Fixture fx(200, 25);
+  const FieldSpec spec = unit_cube_spec(37);
+  const Deadline expired = Deadline::after_ms(0);
+  const Deadline unarmed;
+  MarchingOptions cancel_opt, plain_opt;
+  cancel_opt.deadline = &expired;
+  plain_opt.deadline = &unarmed;
+  const MarchingKernel cancelling(fx.rho, fx.hull, cancel_opt);
+  const MarchingKernel plain(fx.rho, fx.hull, plain_opt);
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    try {
+      (void)cancelling.render(spec);
+      ADD_FAILURE() << "expired deadline did not cancel (" << threads
+                    << " threads)";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW((void)plain.render(spec)) << threads << " threads";
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(MarchingKernel, AdaptiveRenderCountsEmptyRays) {
+  // The grid reaches past the hull silhouette, so some refined rays leave
+  // it; the adaptive path must count them like the plain path does.
+  Fixture fx(200, 23);
+  MarchingOptions opt;
+  opt.adaptive_max_depth = 2;
+  const MarchingKernel kernel(fx.rho, fx.hull, opt);
+  FieldSpec spec;
+  spec.origin = {-0.5, -0.5};
+  spec.length = 2.0;
+  spec.resolution = 16;
+  (void)kernel.render(spec);
+  const MarchingStats& st = kernel.stats();
+  EXPECT_GT(st.empty_cells, 0u);
+  EXPECT_LT(st.empty_cells, st.rays_marched);
 }
 
 }  // namespace
