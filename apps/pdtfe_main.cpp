@@ -39,7 +39,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -115,7 +117,6 @@ int usage() {
 }
 
 int cmd_generate(const CliArgs& args) {
-  args.check_known({"out", "kind", "n", "box", "blocks", "seed"});
   const std::string out = args.get("out", std::string{});
   DTFE_CHECK_MSG(!out.empty(), "--out is required");
   const std::string kind = args.get("kind", std::string{"halo"});
@@ -161,7 +162,6 @@ int cmd_generate(const CliArgs& args) {
 }
 
 int cmd_info(const CliArgs& args) {
-  args.check_known({"in"});
   const auto header = read_snapshot_header(args.get("in", std::string{}));
   std::printf("particles: %llu\nbox:       %.3f\nmass:      %.3g\nblocks:    %zu\n",
               static_cast<unsigned long long>(header.n_particles),
@@ -184,9 +184,6 @@ std::string channel_out_path(const std::string& out,
 }
 
 int cmd_render(const CliArgs& args) {
-  args.check_known(
-      {"in", "out", "grid", "method", "mc", "adaptive", "field",
-       "smooth-ensemble", "metrics-out", "trace-out"});
   ObsSession obs_session(args);
   // Every flag is validated before the snapshot is read or triangulated.
   CommonFieldFlags common;
@@ -274,15 +271,6 @@ int cmd_render(const CliArgs& args) {
 }
 
 int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
-  args.check_known({"in", "ranks", "fields", "length", "grid", "kernel",
-                    "field", "smooth-ensemble", "balance", "metrics-out",
-                    "trace-out", "report",
-                    "fault-plan", "max-retries", "comm-timeout-ms",
-                    "bad-particles", "checkpoint-dir", "resume",
-                    "item-deadline-ms", "audit", "audit-fatal", "threads",
-                    "transport", "heartbeat-interval-ms",
-                    "heartbeat-miss-limit", "worker-binary", "worker-rank",
-                    "socket-path", "worker-metrics"});
   // Worker re-entry (engine/multiproc.h): a launcher spawned this process
   // as one rank of a socket-transport run. Everything beyond the bootstrap
   // flags arrives over the wire, so dispatch before any CLI-driven setup.
@@ -513,7 +501,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
 }
 
 int cmd_lensing(const CliArgs& args) {
-  args.check_known({"in", "out-prefix", "grid", "length", "sigma-crit-frac"});
   const CommonFieldFlags common = parse_common_field_flags(args, 256L, 8.0);
   const std::size_t ng = common.grid;
   const double length = common.length;
@@ -553,7 +540,6 @@ int cmd_lensing(const CliArgs& args) {
 }
 
 int cmd_spectrum(const CliArgs& args) {
-  args.check_known({"in", "grid", "bins"});
   std::size_t ng = 0, bins = 0;
   try {
     // A 1024^3 grid is 8 GB of doubles; 2^16 bins is far past the modes a
@@ -580,22 +566,58 @@ int cmd_spectrum(const CliArgs& args) {
   return 0;
 }
 
+const std::vector<std::string> kPipelineFlags = {
+    "in", "ranks", "fields", "length", "grid", "kernel", "field",
+    "smooth-ensemble", "balance", "metrics-out", "trace-out", "report",
+    "fault-plan", "max-retries", "comm-timeout-ms", "bad-particles",
+    "checkpoint-dir", "resume", "item-deadline-ms", "audit", "audit-fatal",
+    "threads", "transport", "heartbeat-interval-ms", "heartbeat-miss-limit",
+    "worker-binary", "worker-rank", "socket-path", "worker-metrics"};
+
+struct Command {
+  const char* name;
+  std::vector<std::string> flags;  ///< every flag the command accepts
+  int (*run)(const CliArgs&);
+};
+
+const Command kCommands[] = {
+    {"generate", {"out", "kind", "n", "box", "blocks", "seed"}, cmd_generate},
+    {"info", {"in"}, cmd_info},
+    {"render",
+     {"in", "out", "grid", "method", "mc", "adaptive", "field",
+      "smooth-ensemble", "metrics-out", "trace-out"},
+     cmd_render},
+    {"pipeline", kPipelineFlags,
+     [](const CliArgs& a) { return cmd_pipeline(a); }},
+    {"launch", kPipelineFlags,
+     [](const CliArgs& a) {
+       return cmd_pipeline(a, /*default_transport_socket=*/true);
+     }},
+    {"lensing", {"in", "out-prefix", "grid", "length", "sigma-crit-frac"},
+     cmd_lensing},
+    {"spectrum", {"in", "grid", "bins"}, cmd_spectrum},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const std::string name = argv[1];
+  const auto cmd = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                [&](const Command& c) { return name == c.name; });
+  if (cmd == std::end(kCommands)) return usage();
+  // A malformed command line (bare token, flag without a value, unknown
+  // flag) is a usage error: exit 2 before the command touches any input.
+  std::optional<dtfe::CliArgs> args;
   try {
-    const dtfe::CliArgs args(argc, argv);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "info") return cmd_info(args);
-    if (cmd == "render") return cmd_render(args);
-    if (cmd == "pipeline") return cmd_pipeline(args);
-    if (cmd == "launch")
-      return cmd_pipeline(args, /*default_transport_socket=*/true);
-    if (cmd == "lensing") return cmd_lensing(args);
-    if (cmd == "spectrum") return cmd_spectrum(args);
+    args.emplace(argc, argv);
+    args->check_known(cmd->flags);
+  } catch (const dtfe::Error& e) {
+    std::fprintf(stderr, "pdtfe: %s\n", e.what());
     return usage();
+  }
+  try {
+    return cmd->run(*args);
   } catch (const dtfe::Error& e) {
     std::fprintf(stderr, "pdtfe: %s\n", e.what());
     return 1;

@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
       TessOptions topt;
       topt.z_resolution = ng;  // cubic 3D cells over the whole z column
       const TessKernel tess(rho, topt);
-      const double tess_setup = t.seconds();  // Voronoi volume construction
+      // Voronoi volumes plus the hill climb's vertex adjacency.
+      const double tess_setup = t.seconds();
       t.reset();
       (void)tess.render(sub);
       const double dense_time = t.seconds();

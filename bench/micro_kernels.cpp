@@ -43,14 +43,13 @@ FieldSpec bench_spec(std::size_t ng) {
 }
 
 // The two halves of a march render, timed apart: the per-triangulation
-// tables (built once per cube in the pipeline) and the rays over them.
+// geometry table (built once per cube in the pipeline; the interpolant rows
+// come with the DensityField) and the rays over them.
 void BM_MarchTables(benchmark::State& state) {
   const auto& recon = shared_recon();
   for (auto _ : state) {
     const TetraGeomTable geom(recon.triangulation());
-    const FieldCoefTable field(recon.density());
     benchmark::DoNotOptimize(geom.size());
-    benchmark::DoNotOptimize(field.gz(0));
   }
   state.SetItemsProcessed(
       state.iterations() *

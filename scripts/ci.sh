@@ -152,14 +152,15 @@ echo "== asan: configure + build (build-asan/, DTFE_SANITIZE=address)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDTFE_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" \
-      --target kernels_test fastpath_test vector_field_test
+      --target kernels_test fastpath_test vector_field_test density_test
 
 echo "== asan: kernel suites"
 # The march, walk and tess renders visit pixels in 8x8 tiles that are ragged
 # at the grid edges (kernels_test renders 1-, 7-, 9- and 37-pixel grids);
-# fastpath_test and vector_field_test drive the per-cell tables, which are
-# built in parallel. Any out-of-bounds access aborts the binary.
-for t in kernels_test fastpath_test vector_field_test; do
+# fastpath_test, vector_field_test and density_test drive the per-cell
+# tables and interpolant rows, which are built in parallel. Any
+# out-of-bounds access aborts the binary.
+for t in kernels_test fastpath_test vector_field_test density_test; do
   "build-asan/tests/$t"
 done
 

@@ -34,7 +34,7 @@ DensityField DensityField::with_vertex_values(const Triangulation& tri,
   for (std::size_t v = 0; v < values.size(); ++v)
     f.density_[v] = values[static_cast<std::size_t>(
         tri.duplicate_of(static_cast<VertexId>(v)))];
-  f.build_gradients();
+  f.build_rows();
   return f;
 }
 
@@ -93,35 +93,34 @@ void DensityField::build(std::span<const double> masses) {
     density_[v] = density_[static_cast<std::size_t>(rep)];
   }
 
-  build_gradients();
+  build_rows();
 }
 
-void DensityField::build_gradients() {
+void DensityField::build_rows() {
   const std::size_t n = tri_->cell_storage_size();
-  gradient_.assign(n, Vec3{});
+  rows_.assign(n, CellInterpolant{});
   // Per-cell constant gradients: solve the 3×3 system
   //   [x1−x0; x2−x0; x3−x0] · ∇ρ = [ρ1−ρ0; ρ2−ρ0; ρ3−ρ0]
-  // Each cell writes only its own gradient. (The per-vertex volume scatter
-  // in build_volumes_and_hull stays serial: its sums depend on the order
-  // cells are visited.)
+  // then rebase the offset to the origin. Each cell writes only its own row.
+  // (The per-vertex volume scatter in build_volumes_and_hull stays serial:
+  // its sums depend on the order cells are visited.)
   parallel_rows(n, [&](std::size_t i) {
     const auto c = static_cast<CellId>(i);
     if (!tri_->cell_alive(c) || tri_->is_infinite(c)) return;
     const auto& t = tri_->cell(c);
     const auto p = tri_->cell_points(c);
+    const double rho0 = density_[static_cast<std::size_t>(t.v[0])];
     const Vec3 e1 = p[1] - p[0], e2 = p[2] - p[0], e3 = p[3] - p[0];
-    const double d1 = density_[static_cast<std::size_t>(t.v[1])] -
-                      density_[static_cast<std::size_t>(t.v[0])];
-    const double d2 = density_[static_cast<std::size_t>(t.v[2])] -
-                      density_[static_cast<std::size_t>(t.v[0])];
-    const double d3 = density_[static_cast<std::size_t>(t.v[3])] -
-                      density_[static_cast<std::size_t>(t.v[0])];
+    const double d1 = density_[static_cast<std::size_t>(t.v[1])] - rho0;
+    const double d2 = density_[static_cast<std::size_t>(t.v[2])] - rho0;
+    const double d3 = density_[static_cast<std::size_t>(t.v[3])] - rho0;
     const double det = e1.dot(e2.cross(e3));
     if (det == 0.0) return;  // cannot happen for valid finite cells
     // Cramer via the reciprocal basis: ∇ρ = (d1·(e2×e3) + d2·(e3×e1)
     //                                        + d3·(e1×e2)) / det.
-    gradient_[i] =
+    const Vec3 g =
         (e2.cross(e3) * d1 + e3.cross(e1) * d2 + e1.cross(e2) * d3) / det;
+    rows_[i] = {((rho0 - g.x * p[0].x) - g.y * p[0].y) - g.z * p[0].z, g};
   });
 }
 

@@ -6,7 +6,9 @@
 // where the sum runs over the tetrahedra incident to x_i, and (d+1)=4 is the
 // 3D normalization that makes the piecewise-linear interpolant conserve the
 // total mass. Within each tetrahedron the interpolant is linear with the
-// constant gradient obtained from the four vertex densities (Eq. 1).
+// constant gradient obtained from the four vertex densities (Eq. 1);
+// DensityField stores it once per cell, as the row {d0, ∇ρ} that every
+// reader (point queries, the marching kernel, the audits) evaluates.
 #pragma once
 
 #include <span>
@@ -16,6 +18,14 @@
 #include "geometry/vec3.h"
 
 namespace dtfe {
+
+/// The DTFE interpolant of one cell rebased to absolute coordinates:
+/// value(x, y, z) = ((d0 + g.x·x) + g.y·y) + g.z·z, with g the cell's
+/// constant gradient (Eq. 1's ∇̂f|Del). Dead and infinite cells hold zeros.
+struct CellInterpolant {
+  double d0 = 0.0;
+  Vec3 g;
+};
 
 class DensityField {
  public:
@@ -55,16 +65,21 @@ class DensityField {
   /// Constant density gradient within finite cell c (Eq. 1's ∇̂f|Del).
   /// Indexed by CellId; infinite cells hold zeros.
   const Vec3& cell_gradient(CellId c) const {
-    return gradient_[static_cast<std::size_t>(c)];
+    return rows_[static_cast<std::size_t>(c)].g;
   }
 
-  /// Linear interpolant evaluated at p, which must lie in finite cell c.
+  /// Linear interpolant evaluated at p, which must lie in finite cell c, in
+  /// the (p − x0) form: the reference the audits and ablation oracles use.
   double interpolate_in_cell(CellId c, const Vec3& p) const {
     const auto& t = tri_->cell(c);
     const Vec3& x0 = tri_->point(t.v[0]);
     return density_[static_cast<std::size_t>(t.v[0])] +
-           gradient_[static_cast<std::size_t>(c)].dot(p - x0);
+           rows_[static_cast<std::size_t>(c)].g.dot(p - x0);
   }
+
+  /// Every cell's interpolant row, indexed by raw cell id over
+  /// cell_storage_size() (the marching kernel's coefficient table).
+  std::span<const CellInterpolant> cell_rows() const { return rows_; }
 
   /// Total mass represented by interior (non-hull) vertices — used by the
   /// mass-conservation tests.
@@ -80,14 +95,14 @@ class DensityField {
   explicit DensityField(const Triangulation& tri) : tri_(&tri) {}
   void build(std::span<const double> masses);
   void build_volumes_and_hull();
-  void build_gradients();
+  void build_rows();
 
   const Triangulation* tri_;
   std::vector<double> density_;   // per vertex
   std::vector<double> mass_;      // per vertex (folded)
   std::vector<double> volume_;    // per vertex
   std::vector<char> on_hull_;     // per vertex
-  std::vector<Vec3> gradient_;    // per cell id (dense over storage)
+  std::vector<CellInterpolant> rows_;  // per cell id (dense over storage)
   double interior_mass_ = 0.0;
 };
 

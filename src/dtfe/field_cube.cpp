@@ -11,11 +11,4 @@ FieldCube::FieldCube(std::vector<Vec3> particles, double particle_mass,
   geom_ = std::make_shared<const TetraGeomTable>(*tri_);
 }
 
-std::shared_ptr<const FieldCoefTable> FieldCube::coef_table() const {
-  std::call_once(coef_->once, [this] {
-    coef_->table = std::make_shared<const FieldCoefTable>(*density_);
-  });
-  return coef_->table;
-}
-
 }  // namespace dtfe

@@ -1,17 +1,16 @@
 // The triangulated particle cube: the one owner of a volume's DTFE
 // artefacts.
 //
-// Every field over one particle volume is rendered from the same five
-// pieces: the Delaunay mesh, its DTFE densities, the lower-hull locator
-// (paper §IV-A-2), and the marching kernel's two coefficient tables
-// (dtfe/march_tables.h). FieldCube builds each of them at most once; the
-// kernels, the audit, core::Reconstructor and the engine's FieldKernel
-// registry borrow them instead of rebuilding.
+// Every field over one particle volume is rendered from the same four
+// pieces: the Delaunay mesh, its DTFE densities with their per-cell
+// interpolant rows, the lower-hull locator (paper §IV-A-2), and the marching
+// kernel's geometry table (dtfe/march_tables.h). FieldCube builds each of
+// them exactly once; the kernels, the audit, core::Reconstructor and the
+// engine's FieldKernel registry borrow them instead of rebuilding.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -23,11 +22,9 @@
 namespace dtfe {
 
 /// One Delaunay mesh plus its DTFE densities, hull silhouette and march
-/// tables, built once per work item and shared by whichever kernel (or
-/// audit) needs them. Logically immutable, so concurrent renders may share
-/// one cube: the density coefficient table is built by the first
-/// coef_table() call (thread-safe), so walk, tess and vector renders, which
-/// never read it, never pay for it. Construction throws dtfe::Error for
+/// geometry table, built once per work item and shared by whichever kernel
+/// (or audit) needs them. Immutable after construction, so concurrent
+/// renders may share one cube. Construction throws dtfe::Error for
 /// degenerate inputs, exactly like the pieces it bundles.
 class FieldCube {
  public:
@@ -49,10 +46,6 @@ class FieldCube {
   /// every marching kernel rendering from it (the density path and each
   /// channel of a vector render).
   std::shared_ptr<const TetraGeomTable> geom_table() const { return geom_; }
-  /// The coefficient table of density(), shared by every density march
-  /// over this cube (renders, line integrals, audit spot checks). Built on
-  /// the first call; concurrent first calls build it once.
-  std::shared_ptr<const FieldCoefTable> coef_table() const;
 
  private:
   std::vector<Vec3> points_;
@@ -61,12 +54,6 @@ class FieldCube {
   std::unique_ptr<DensityField> density_;
   std::unique_ptr<HullProjection> hull_;
   std::shared_ptr<const TetraGeomTable> geom_;
-  /// Behind a pointer so the cube stays movable (std::once_flag is not).
-  struct LazyCoef {
-    std::once_flag once;
-    std::shared_ptr<const FieldCoefTable> table;
-  };
-  std::unique_ptr<LazyCoef> coef_ = std::make_unique<LazyCoef>();
 };
 
 }  // namespace dtfe

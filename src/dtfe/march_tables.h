@@ -3,8 +3,8 @@
 //
 // The per-call AoS march gathers four Vec3 per step (cell_points), rebuilds
 // six edge vectors, and chases mirror_index through the neighbor's cell
-// record — per ray, per channel, per crossing. These tables hoist all of it
-// into two contiguous per-cell-id arrays built once per triangulation:
+// record — per ray, per channel, per crossing. The march instead reads two
+// contiguous per-cell-id arrays, each with one owner:
 //
 //   * TetraGeomTable — the coefficient form of the six vertical edge
 //     products (geometry/tetra_coef.h), the four vertex heights, and the
@@ -13,11 +13,11 @@
 //     kernels over one triangulation share the single instance its
 //     FieldCube builds — the density march and the unit-path and
 //     per-channel kernels of a vector render.
-//   * FieldCoefTable — the per-cell interpolant rebased to absolute
-//     coordinates: value(x,y,z) = ((d0 + gx·x) + gy·y) + gz·z. One per
-//     DensityField (4 doubles/cell); FieldCube builds the one for its
-//     density on first use and shares it with every density march over the
-//     cube.
+//   * FieldCoefTable — a view of a DensityField's interpolant rows
+//     (DensityField::cell_rows(), 4 doubles/cell), which the field builds
+//     with its gradients: value(x,y,z) = ((d0 + gx·x) + gy·y) + gz·z. It
+//     copies nothing, so every march over a field, density or vector
+//     channel, reads the field's own rows.
 //
 // Tables are indexed by raw cell id over cell_storage_size(); dead and
 // infinite slots hold zeros and are never dereferenced by a march (the walk
@@ -25,15 +25,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "delaunay/triangulation.h"
+#include "dtfe/density.h"
 #include "geometry/tetra_coef.h"
 
 namespace dtfe {
-
-class DensityField;
 
 /// Geometry-only march tables: crossing-test coefficients plus resolved walk
 /// topology, one entry per raw cell id. Immutable after construction, safe
@@ -65,29 +64,28 @@ class TetraGeomTable {
 
 /// Per-cell linear interpolant rebased to absolute coordinates:
 /// value = ((d0 + gx·x) + gy·y) + gz·z — the midpoint-integral evaluation
-/// without the per-call v[0]/gradient gather of interpolate_in_cell.
+/// without the per-call v[0]/gradient gather of interpolate_in_cell. A view
+/// of the field's rows: the field must outlive it.
 /// NOTE: rounds differently from interpolate_in_cell's (p − x0) form; the
 /// table form is the production fast path, the AoS form stays the oracle.
 class FieldCoefTable {
  public:
-  explicit FieldCoefTable(const DensityField& field);
+  explicit FieldCoefTable(const DensityField& field)
+      : rows_(field.cell_rows()) {}
 
   double value(CellId c, double x, double y, double z) const {
-    const Coef& k = coef_[static_cast<std::size_t>(c)];
-    return ((k.d0 + k.gx * x) + k.gy * y) + k.gz * z;
+    const CellInterpolant& k = rows_[static_cast<std::size_t>(c)];
+    return ((k.d0 + k.g.x * x) + k.g.y * y) + k.g.z * z;
   }
   /// Interpolant restricted to the column through (x, y): base + gz·z.
   double column_base(CellId c, double x, double y) const {
-    const Coef& k = coef_[static_cast<std::size_t>(c)];
-    return (k.d0 + k.gx * x) + k.gy * y;
+    const CellInterpolant& k = rows_[static_cast<std::size_t>(c)];
+    return (k.d0 + k.g.x * x) + k.g.y * y;
   }
-  double gz(CellId c) const { return coef_[static_cast<std::size_t>(c)].gz; }
+  double gz(CellId c) const { return rows_[static_cast<std::size_t>(c)].g.z; }
 
  private:
-  struct Coef {
-    double d0 = 0.0, gx = 0.0, gy = 0.0, gz = 0.0;
-  };
-  std::vector<Coef> coef_;
+  std::span<const CellInterpolant> rows_;
 };
 
 }  // namespace dtfe

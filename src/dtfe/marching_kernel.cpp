@@ -71,32 +71,17 @@ const MarchingOptions& checked(const MarchingOptions& opt) {
 }  // namespace
 
 MarchingKernel::MarchingKernel(const FieldCube& cube, MarchingOptions opt)
-    : density_(&cube.density()), hull_(&cube.hull()), opt_(checked(opt)) {
-  if (uses_tables()) {
-    geom_ = cube.geom_table();
-    field_ = cube.coef_table();
-  }
-}
+    : MarchingKernel(cube.density(), cube.hull(), opt, cube.geom_table()) {}
 
 MarchingKernel::MarchingKernel(const DensityField& density,
                                const HullProjection& hull, MarchingOptions opt,
                                std::shared_ptr<const TetraGeomTable> geom)
-    : density_(&density), hull_(&hull), opt_(checked(opt)) {
-  if (uses_tables()) {
+    : density_(&density), hull_(&hull), opt_(checked(opt)), field_(density) {
+  if (uses_tables())
     geom_ = geom != nullptr ? std::move(geom)
                             : std::make_shared<const TetraGeomTable>(
                                   density.triangulation());
-    field_ = std::make_shared<const FieldCoefTable>(density);
-  }
 }
-
-MarchingKernel::MarchingKernel(const MarchingKernel& base,
-                               const MarchingOptions& opt)
-    : density_(base.density_),
-      hull_(base.hull_),
-      opt_(opt),
-      geom_(base.geom_),
-      field_(base.field_) {}
 
 void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
                                   double zmin, double zmax, double dz,
@@ -107,13 +92,13 @@ void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
   const int nz = opt_.z_samples;
   if (nz <= 0) {
     // Exact per-tetra integral at the interval midpoint (Eq. 12).
-    sigma += field_->value(c, xi.x, xi.y, 0.5 * (a + b)) * (b - a);
+    sigma += field_.value(c, xi.x, xi.y, 0.5 * (a + b)) * (b - a);
     return;
   }
   // Fixed z-planes within [a, b): the interpolant restricted to the column
   // is base + g_z·z, one multiply-add per sample.
-  const double base = field_->column_base(c, xi.x, xi.y);
-  const double gz = field_->gz(c);
+  const double base = field_.column_base(c, xi.x, xi.y);
+  const double gz = field_.gz(c);
   auto k = static_cast<std::ptrdiff_t>(std::ceil((a - zmin) / dz - 0.5));
   if (k < 0) k = 0;
   for (; k < nz; ++k) {
@@ -253,16 +238,9 @@ MarchingKernel::Attempt MarchingKernel::march_once_slow(const Vec2& xi,
 }
 
 MarchingKernel::LineResult MarchingKernel::march_line(
-    Vec2 xi, double zmin, double zmax, std::uint64_t& rng) const {
+    Vec2 xi, double zmin, double zmax, double eps, std::uint64_t& rng) const {
   const Triangulation& tri = density_->triangulation();
   const bool fast = geom_ != nullptr;
-
-  // The perturbation scale is relative to the silhouette extent when no grid
-  // context is available; render() passes grid-cell-relative epsilons by
-  // pre-scaling opt_.perturb_epsilon.
-  const double eps =
-      opt_.perturb_epsilon *
-      std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
 
   LineResult out;
   for (int attempt = 0;; ++attempt) {
@@ -314,8 +292,9 @@ MarchingKernel::LineResult MarchingKernel::march_line(
 }
 
 double MarchingKernel::refine_cell(const Vec2& center, double size,
-                                   double zmin, double zmax, int depth,
-                                   double weight, std::uint64_t& rng,
+                                   double zmin, double zmax, double eps,
+                                   int depth, double weight,
+                                   std::uint64_t& rng,
                                    MarchingStats* accum) const {
   // Sample the four quadrant centers; if they agree (relative spread below
   // tolerance) or the depth budget is spent, their mean is the cell value;
@@ -328,7 +307,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
   double vals[4];
   double lo = 1e300, hi = -1e300, mean = 0.0;
   for (int i = 0; i < 4; ++i) {
-    const LineResult r = march_line(sub[i], zmin, zmax, rng);
+    const LineResult r = march_line(sub[i], zmin, zmax, eps, rng);
     vals[i] = r.sigma;
     if (obs::metrics_enabled())
       obs::observe(march_metrics().crossings_per_ray,
@@ -354,15 +333,18 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
   }
   double refined = 0.0;
   for (int i = 0; i < 4; ++i)
-    refined += 0.25 * refine_cell(sub[i], size * 0.5, zmin, zmax, depth + 1,
-                                  0.25 * weight, rng, accum);
+    refined += 0.25 * refine_cell(sub[i], size * 0.5, zmin, zmax, eps,
+                                  depth + 1, 0.25 * weight, rng, accum);
   return refined;
 }
 
 double MarchingKernel::integrate_line(const Vec2& xi, double zmin,
                                       double zmax) const {
+  // No grid context: ε is relative to the silhouette extent.
+  const double extent =
+      std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
   std::uint64_t rng = ray_seed(opt_.seed, 0);
-  return march_line(xi, zmin, zmax, rng).sigma;
+  return march_line(xi, zmin, zmax, opt_.perturb_epsilon * extent, rng).sigma;
 }
 
 Grid2D MarchingKernel::render(const FieldSpec& spec) const {
@@ -381,14 +363,13 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   double tot_mass = 0.0;
   std::atomic<bool> cancelled{false};
 
-  // ε is specified relative to the grid cell; march_line rescales by the
-  // silhouette extent, so compose the two factors here. The worker clone
-  // shares this kernel's coefficient tables — only its ε differs.
-  MarchingOptions local = opt_;
+  // ε is specified relative to the grid cell. The product stays
+  // (ε·(h/extent))·extent, not ε·h: the two round differently, and the
+  // pinned maps include perturbed rays.
   const double extent =
       std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
-  local.perturb_epsilon = opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0);
-  const MarchingKernel worker(*this, local);
+  const double eps =
+      (opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0)) * extent;
 
   const PixelTiles tiles(nx, ny);
 #pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_mass)
@@ -416,9 +397,9 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
         // Dynamic grid spacing: quadtree-refine cells whose corner lines
         // disagree.
         MarchingStats cell_stats;
-        grid.at(ix, iy) = worker.refine_cell(spec.cell_center(ix, iy), h,
-                                             spec.zmin, spec.zmax, 0, 1.0,
-                                             rng, &cell_stats);
+        grid.at(ix, iy) = refine_cell(spec.cell_center(ix, iy), h, spec.zmin,
+                                      spec.zmax, eps, 0, 1.0, rng,
+                                      &cell_stats);
         tot_rays += cell_stats.rays_marched;
         tot_steps += cell_stats.tetra_crossed;
         tot_restarts += cell_stats.perturb_restarts;
@@ -446,7 +427,7 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
           xi.x += (jx - 0.5) * h;
           xi.y += (jy - 0.5) * h;
         }
-        const LineResult r = worker.march_line(xi, spec.zmin, spec.zmax, rng);
+        const LineResult r = march_line(xi, spec.zmin, spec.zmax, eps, rng);
         if (obs::metrics_enabled())
           obs::observe(march_metrics().crossings_per_ray,
                        static_cast<double>(r.steps));

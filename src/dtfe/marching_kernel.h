@@ -9,10 +9,10 @@
 // mathematically optimal ones.
 //
 // The vertical hot path marches one line per pixel sample on precomputed
-// SoA coefficient tables (dtfe/march_tables.h, DESIGN.md §11), built once
-// per cube by dtfe::FieldCube and borrowed by every kernel over it. The direct AoS classifiers
-// remain behind use_general_plucker/use_moller_trumbore as the
-// audit/ablation oracle.
+// SoA coefficient tables (dtfe/march_tables.h, DESIGN.md §11): the cube's
+// geometry table and the field's own interpolant rows, borrowed by every
+// kernel over them. The direct AoS classifiers remain behind
+// use_general_plucker/use_moller_trumbore as the audit/ablation oracle.
 //
 // Degeneracies (ℓ hits a vertex/edge or is coplanar with a face) are handled
 // by the paper's Perturb routine: nudge ℓ by ε toward a random vertex of the
@@ -92,13 +92,13 @@ struct MarchingStats {
 
 class MarchingKernel {
  public:
-  /// The cube's density march: borrows the cube's density, hull and both
-  /// tables and builds nothing (the cube builds its coefficient table on the
-  /// first such kernel). The cube must outlive the kernel.
+  /// The cube's density march: borrows the cube's density (with its
+  /// interpolant rows), hull and geometry table and builds nothing. The cube
+  /// must outlive the kernel.
   explicit MarchingKernel(const FieldCube& cube, MarchingOptions opt = {});
 
   /// A march over any per-vertex field on a triangulation (vector channels,
-  /// tests). Builds the field's FieldCoefTable, and the TetraGeomTable too
+  /// tests). Reads the field's interpolant rows; builds the TetraGeomTable
   /// unless `geom` shares one (FieldCube::geom_table()). Both referenced
   /// objects must outlive the kernel.
   MarchingKernel(const DensityField& density, const HullProjection& hull,
@@ -139,17 +139,15 @@ class MarchingKernel {
     bool empty = false;
   };
 
-  /// Rescaled-ε worker sharing the parent's tables (render() internal).
-  MarchingKernel(const MarchingKernel& base, const MarchingOptions& opt);
-
   /// The vertical fast path marches on the tables; the Möller /
   /// general-Plücker ablation oracles march the AoS geometry and need none.
   bool uses_tables() const {
     return !opt_.use_moller_trumbore && !opt_.use_general_plucker;
   }
 
-  /// March ξ, perturbing and retrying on degenerate hits (paper Fig. 2).
-  LineResult march_line(Vec2 xi, double zmin, double zmax,
+  /// March ξ, perturbing and retrying on degenerate hits (paper Fig. 2);
+  /// each perturbation moves ξ by at most `eps`.
+  LineResult march_line(Vec2 xi, double zmin, double zmax, double eps,
                         std::uint64_t& rng) const;
   Attempt march_once_fast(const Vec2& xi, double zmin, double zmax) const;
   Attempt march_once_slow(const Vec2& xi, double zmin, double zmax) const;
@@ -161,14 +159,14 @@ class MarchingKernel {
   /// node's share of the top-level 2D cell (1.0 at the root), used to
   /// accumulate MarchingStats::ray_mass from terminal samples only.
   double refine_cell(const Vec2& center, double size, double zmin, double zmax,
-                     int depth, double weight, std::uint64_t& rng,
+                     double eps, int depth, double weight, std::uint64_t& rng,
                      MarchingStats* accum) const;
 
   const DensityField* density_;
   const HullProjection* hull_;
   MarchingOptions opt_;
   std::shared_ptr<const TetraGeomTable> geom_;
-  std::shared_ptr<const FieldCoefTable> field_;
+  FieldCoefTable field_;
   mutable MarchingStats stats_;
 };
 

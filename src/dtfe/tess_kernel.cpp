@@ -16,8 +16,8 @@ TessKernel::TessKernel(const DensityField& density, TessOptions opt)
     : density_(&density), opt_(opt) {
   const Triangulation& tri = density.triangulation();
   const std::size_t nv = tri.num_vertices();
-  site_density_.assign(nv, 0.0);
 
+  site_density_.assign(nv, 0.0);
   double total_mass = 0.0;
   for (std::size_t v = 0; v < nv; ++v)
     total_mass += density.vertex_mass(static_cast<VertexId>(v));
@@ -27,23 +27,20 @@ TessKernel::TessKernel(const DensityField& density, TessOptions opt)
     // as-is.
     for (std::size_t v = 0; v < nv; ++v)
       site_density_[v] = density.vertex_density(static_cast<VertexId>(v));
-    return;
+  } else {
+    const std::vector<double> vor = voronoi_volumes(tri);
+    for (std::size_t v = 0; v < nv; ++v) {
+      const auto rep = static_cast<std::size_t>(
+          tri.duplicate_of(static_cast<VertexId>(v)));
+      const double volume = vor[rep];
+      const double m = density.vertex_mass(static_cast<VertexId>(rep));
+      site_density_[v] =
+          (std::isfinite(volume) && volume > 0.0) ? m / volume : 0.0;
+    }
   }
 
-  const std::vector<double> vor = voronoi_volumes(tri);
-  for (std::size_t v = 0; v < nv; ++v) {
-    const auto rep = static_cast<std::size_t>(
-        tri.duplicate_of(static_cast<VertexId>(v)));
-    const double volume = vor[rep];
-    const double m = density.vertex_mass(static_cast<VertexId>(rep));
-    site_density_[v] =
-        (std::isfinite(volume) && volume > 0.0) ? m / volume : 0.0;
-  }
-}
-
-void TessKernel::build_adjacency() {
-  const Triangulation& tri = density_->triangulation();
-  const std::size_t nv = tri.num_vertices();
+  // The hill climb's CSR adjacency, one vertex_neighbors list per
+  // representative vertex (built after the Voronoi volumes are freed).
   std::vector<std::vector<VertexId>> lists(nv);
   std::vector<VertexId> nbrs;
   std::vector<CellId> cells;
@@ -63,7 +60,6 @@ void TessKernel::build_adjacency() {
 }
 
 VertexId TessKernel::nearest_site_from(const Vec3& q, VertexId seed) const {
-  if (adj_.empty()) const_cast<TessKernel*>(this)->build_adjacency();
   const Triangulation& tri = density_->triangulation();
   VertexId best = tri.duplicate_of(seed);
   double best_d2 = (tri.point(best) - q).norm2();
@@ -86,8 +82,7 @@ VertexId TessKernel::nearest_site_from(const Vec3& q, VertexId seed) const {
 }
 
 VertexId TessKernel::nearest_site(const Vec3& q, CellId location_hint,
-                                  std::uint64_t& rng,
-                                  SearchScratch& scratch) const {
+                                  std::uint64_t& rng) const {
   const Triangulation& tri = density_->triangulation();
   const auto loc = tri.locate_from(q, location_hint, rng);
   if (loc.status == Triangulation::LocateStatus::kOnVertex) return loc.vertex;
@@ -106,34 +101,12 @@ VertexId TessKernel::nearest_site(const Vec3& q, CellId location_hint,
     }
   }
   DTFE_DCHECK(best != Triangulation::kInfinite);
-
-  // Greedy descent over the Delaunay neighbor graph: from any vertex, some
-  // neighbor is strictly closer to q unless the vertex is q's nearest site.
-  auto& nbrs = scratch.neighbors;
-  bool improved = true;
-  std::uint64_t steps = 0;
-  while (improved) {
-    improved = false;
-    tri.vertex_neighbors(best, nbrs, scratch.cells);
-    for (const VertexId u : nbrs) {
-      const double d2 = (tri.point(u) - q).norm2();
-      if (d2 < best_d2) {
-        best = u;
-        best_d2 = d2;
-        improved = true;
-      }
-    }
-    ++steps;
-  }
-  stats_.hillclimb_steps += steps;  // benign race under OpenMP; stats only
-  return best;
+  return nearest_site_from(q, best);
 }
 
 Grid2D TessKernel::render(const FieldSpec& spec) const {
   DTFE_CHECK_MSG(std::isfinite(spec.zmin) && std::isfinite(spec.zmax),
                  "tess kernel needs finite z bounds for its 3D grid");
-  if (adj_.empty())
-    const_cast<TessKernel*>(this)->build_adjacency();
   const std::size_t nx = spec.nx(), ny = spec.ny();
   const std::size_t nz = opt_.z_resolution ? opt_.z_resolution : nx;
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
@@ -151,7 +124,6 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ThreadCpuTimer timer;
     std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x9e3779b97f4a7c15ull;
-    SearchScratch scratch;
 
     std::uint64_t pixels_done = 0;
 
@@ -173,7 +145,7 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
         // start the climb from the previous nearest site — the DENSE stage's
         // per-point cost is then a handful of distance comparisons.
         site = site == Triangulation::kInfinite
-                   ? nearest_site(q, Triangulation::kNoCell, rng, scratch)
+                   ? nearest_site(q, Triangulation::kNoCell, rng)
                    : nearest_site_from(q, site);
         ++located;
         // Zero-order: the density of the Voronoi cell containing q.

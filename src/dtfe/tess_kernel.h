@@ -36,7 +36,6 @@ struct TessOptions {
 
 struct TessStats {
   std::uint64_t points_located = 0;
-  std::uint64_t hillclimb_steps = 0;
   std::vector<double> thread_seconds;
 };
 
@@ -48,22 +47,10 @@ class TessKernel {
   /// DENSE stage of the TESS estimator.
   Grid2D render(const FieldSpec& spec) const;
 
-  /// Scratch buffers for nearest_site (one per thread; avoids per-query
-  /// allocations in the render loop).
-  struct SearchScratch {
-    std::vector<VertexId> neighbors;
-    std::vector<CellId> cells;
-  };
-
-  /// Exact nearest input site to q via Delaunay hill climbing, starting from
-  /// the vertices of the cell that contains q.
+  /// Exact nearest input site to q: locate q, then hill-climb
+  /// (nearest_site_from) from the closest finite vertex of its cell.
   VertexId nearest_site(const Vec3& q, CellId location_hint,
-                        std::uint64_t& rng, SearchScratch& scratch) const;
-  VertexId nearest_site(const Vec3& q, CellId location_hint,
-                        std::uint64_t& rng) const {
-    SearchScratch scratch;
-    return nearest_site(q, location_hint, rng, scratch);
-  }
+                        std::uint64_t& rng) const;
 
   const TessStats& stats() const { return stats_; }
 
@@ -73,18 +60,18 @@ class TessKernel {
     return site_density_[static_cast<std::size_t>(v)];
   }
 
-  /// Hill climb to the nearest site starting from a known-good seed site
-  /// (typically the previous z-sample's answer): the hot path of render().
+  /// Greedy descent over the Delaunay neighbor graph from `seed` (typically
+  /// the previous z-sample's answer: the hot path of render()). From any
+  /// vertex some neighbor is strictly closer to q unless the vertex is q's
+  /// nearest site.
   VertexId nearest_site_from(const Vec3& q, VertexId seed) const;
 
  private:
-  void build_adjacency();
-
   const DensityField* density_;
   TessOptions opt_;
   std::vector<double> site_density_;
-  // CSR vertex adjacency (representative vertices only), built once so the
-  // per-sample hill climb does no graph traversal setup.
+  // CSR vertex adjacency (representative vertices only), built by the
+  // constructor so the per-sample hill climb does no graph traversal setup.
   std::vector<std::uint32_t> adj_start_;
   std::vector<VertexId> adj_;
   mutable TessStats stats_;

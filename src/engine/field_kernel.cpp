@@ -205,9 +205,9 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
 
   // Vector channels: march ∫f dz and ∫dz with the same kernel options and
   // take the per-cell ratio — the volume-weighted line-of-sight mean. Each
-  // channel is its own field, so each kernel builds its coefficient table
-  // but shares the cube's geometry table. ray_mass stays NaN (there is no
-  // mass identity for these channels).
+  // channel is its own field with its own interpolant rows; every kernel
+  // shares the cube's geometry table. ray_mass stays NaN (there is no mass
+  // identity for these channels).
   const std::shared_ptr<const TetraGeomTable> geom = cube.geom_table();
   const Triangulation& tri = cube.triangulation();
   const auto channels = channel_vertex_values(cube, request);

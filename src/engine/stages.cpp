@@ -104,8 +104,8 @@ FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
   engine::RenderRequest request;
   try {
     // The two item spans are the item's phase timers: Triangulate is the
-    // whole cube build (mesh, densities, hull, geometry table), Render is
-    // the kernel (with the lazily built coefficient table) plus the audit.
+    // whole cube build (mesh, densities with their interpolant rows, hull,
+    // geometry table), Render is the kernel plus the audit.
     // A phase that throws still charges its CPU to its own span.
     obs::TraceSpan tri_span(engine::phases::kItemTriangulate,
                             engine::phases::kCategory, &record.actual_tri);

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the pdtfe tool and examples.
 //
 // Supports `--key value` and `--key=value` pairs after a positional
-// subcommand; typed accessors with defaults; unknown-flag detection.
+// subcommand; typed accessors with defaults; unknown-flag detection. Every
+// malformed argument throws a dtfe::Error whose message names it, so a
+// driver can print it next to its usage line.
 #pragma once
 
 #include <cerrno>
@@ -21,13 +23,14 @@ class CliArgs {
   CliArgs(int argc, char** argv, int first = 2) {
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
-      DTFE_CHECK_MSG(arg.rfind("--", 0) == 0, "expected --flag, got " << arg);
+      if (arg.rfind("--", 0) != 0)
+        throw Error("expected --flag, got '" + arg + "'");
       arg = arg.substr(2);
       const auto eq = arg.find('=');
       if (eq != std::string::npos) {
         values_[arg.substr(0, eq)] = arg.substr(eq + 1);
       } else {
-        DTFE_CHECK_MSG(i + 1 < argc, "missing value for --" << arg);
+        if (i + 1 >= argc) throw Error("missing value for --" + arg);
         values_[arg] = argv[++i];
       }
     }
@@ -58,7 +61,7 @@ class CliArgs {
       bool ok = false;
       for (const auto& name : known)
         if (k == name) ok = true;
-      DTFE_CHECK_MSG(ok, "unknown flag --" << k);
+      if (!ok) throw Error("unknown flag --" + k);
     }
   }
 

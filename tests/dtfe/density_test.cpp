@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
+#include "dtfe/march_tables.h"
 #include "geometry/tetra_math.h"
 #include "util/rng.h"
 
@@ -115,6 +117,42 @@ TEST(DensityField, GradientReproducesLinearField) {
     for (int i = 0; i < 4; ++i) q += p[static_cast<std::size_t>(i)] * (w[i] / ws);
     EXPECT_NEAR(f.interpolate_in_cell(c, q), c0 + g.dot(q), 1e-8);
   }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The marching kernel's FieldCoefTable reads the field's own interpolant
+// rows: for every cell it evaluates exactly the row the field built, and the
+// row's offset is ((ρ0 − gx·x0) − gy·y0) − gz·z0 bit for bit.
+TEST(DensityField, CoefTableReadsTheFieldRows) {
+  const auto pts = random_points(400, 21);
+  Triangulation tri(pts);
+  const DensityField rho(tri, 1.0);
+  const FieldCoefTable table(rho);
+  const auto rows = rho.cell_rows();
+  ASSERT_EQ(rows.size(), tri.cell_storage_size());
+  Rng rng(5);
+  std::size_t finite = 0;
+  for (const CellId c : tri.finite_cells()) {
+    ++finite;
+    const CellInterpolant& r = rows[static_cast<std::size_t>(c)];
+    const Vec3& g = rho.cell_gradient(c);
+    EXPECT_EQ(&g, &r.g);
+    const VertexId v0 = tri.cell(c).v[0];
+    const Vec3& x0 = tri.point(v0);
+    EXPECT_TRUE(same_bits(
+        r.d0, ((rho.vertex_density(v0) - g.x * x0.x) - g.y * x0.y) - g.z * x0.z));
+    const double x = rng.uniform(), y = rng.uniform(), z = rng.uniform();
+    EXPECT_TRUE(same_bits(table.value(c, x, y, z),
+                          ((r.d0 + g.x * x) + g.y * y) + g.z * z));
+    EXPECT_TRUE(same_bits(table.column_base(c, x, y), (r.d0 + g.x * x) + g.y * y));
+    EXPECT_TRUE(same_bits(table.gz(c), g.z));
+    // Same linear function as the (p − x0) oracle form, up to rounding.
+    const Vec3 q = x0 + Vec3{1e-3, 2e-3, -1e-3};
+    EXPECT_NEAR(table.value(c, q.x, q.y, q.z), rho.interpolate_in_cell(c, q),
+                1e-9 * (1.0 + std::abs(rho.interpolate_in_cell(c, q))));
+  }
+  EXPECT_GT(finite, 1000u);
 }
 
 TEST(DensityField, DensityPositive) {

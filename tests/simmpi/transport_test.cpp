@@ -487,6 +487,11 @@ TEST(CliFlags, OutOfRangeIntegerFlagsExitTwo) {
       {spectrum + " --bins -1", "--bins"},
       {generate + " --blocks 4194304", "--blocks"},
       {generate + " --n -1", "--n"},
+      // Malformed command lines are usage errors too, named plainly.
+      {std::string(PDTFE_BINARY) + " render --in s.bin --grid", "--grid"},
+      {std::string(PDTFE_BINARY) + " generate --help", "--help"},
+      {std::string(PDTFE_BINARY) + " render in s.bin", "'in'"},
+      {spectrum + " --bogus 1", "--bogus"},
   };
   for (const auto& [cmd, flag] : cases) {
     int rc = 0;
@@ -494,6 +499,7 @@ TEST(CliFlags, OutOfRangeIntegerFlagsExitTwo) {
     ASSERT_TRUE(WIFEXITED(rc)) << cmd << "\n" << out;
     EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd << "\n" << out;
     EXPECT_NE(out.find(flag), std::string::npos) << cmd << "\n" << out;
+    EXPECT_EQ(out.find("check failed"), std::string::npos) << cmd << "\n" << out;
   }
 }
 
