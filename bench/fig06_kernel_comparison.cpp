@@ -5,10 +5,9 @@
 // much better thread balance for the marching kernel.
 //
 // Scaled reproduction: a Zel'dovich box (the Gadget-demo stand-in), one
-// grid, both kernels under 8 OpenMP threads (oversubscribed here; per-thread
+// grid, both kernels on 8-thread teams (oversubscribed here; per-thread
 // CPU time is the balance metric).
-#include <omp.h>
-
+#include "dtfe/parallel.h"
 #include "fig_common.h"
 #include "util/timer.h"
 
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
   const std::size_t n_keep =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8192;
   const std::size_t ng = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 256;
-  omp_set_num_threads(8);
+  set_team_size(8);
 
   // The Gadget demo snapshot is a strongly evolved (clustered) z=0 box;
   // the halo-model generator reproduces that clustering, which is what

@@ -8,8 +8,12 @@
 #     framework/ or simmpi/ includes (engine/engine.h re-exports what a
 #     subcommand legitimately needs).
 #
-# Greps #include lines only, so the rules stay cheap and editor-friendly.
-# Run from anywhere; exits non-zero listing every violating include.
+#   * OpenMP has one owner: no `#include <omp.h>`, `#pragma omp` or
+#     `omp_*(` call in src/, apps/ or bench/ outside src/dtfe/parallel.h,
+#     so replacing the threading mechanism means replacing that header.
+#
+# Greps source lines only, so the rules stay cheap and editor-friendly.
+# Run from anywhere; exits non-zero listing every violating line.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,6 +36,16 @@ check src/dtfe  'framework|engine|simmpi' \
       'src/dtfe/ must not include framework/, engine/, or simmpi/'
 check apps      'framework|simmpi' \
       'apps/ must go through engine/ (no direct framework/ or simmpi/ includes)'
+
+omp_hits="$(grep -rnE \
+  '#[[:space:]]*include[[:space:]]*<omp\.h>|#[[:space:]]*pragma[[:space:]]+omp|\bomp_[a-z_]+[[:space:]]*\(' \
+  src apps bench --include='*.h' --include='*.cpp' |
+  grep -v '^src/dtfe/parallel\.h:' || true)"
+if [ -n "$omp_hits" ]; then
+  echo "layering violation: OpenMP is used only through src/dtfe/parallel.h" >&2
+  echo "$omp_hits" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check_layering: FAILED" >&2

@@ -15,8 +15,9 @@
 namespace dtfe {
 
 /// Renders fields from one FieldCube, which it owns and which builds every
-/// artefact once. Build once, render any number of fields; all render calls
-/// are OpenMP-parallel and thread-safe with respect to each other.
+/// artefact once. Build once, render any number of fields; each render runs
+/// on the calling thread's kernel team (dtfe/parallel.h), and render calls
+/// are thread-safe with respect to each other.
 class Reconstructor {
  public:
   /// Equal-mass particles. Throws dtfe::Error for degenerate inputs

@@ -1,6 +1,6 @@
 #include "dtfe/march_tables.h"
 
-#include "dtfe/parallel_rows.h"
+#include "dtfe/parallel.h"
 
 namespace dtfe {
 

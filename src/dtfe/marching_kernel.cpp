@@ -1,18 +1,14 @@
 #include "dtfe/marching_kernel.h"
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "dtfe/field_cube.h"
+#include "dtfe/parallel.h"
 #include "geometry/ray_tetra.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/rng.h"
-#include "util/timer.h"
 
 namespace dtfe {
 
@@ -54,14 +50,6 @@ double radical_inverse(std::uint32_t i, std::uint32_t base) {
     i /= base;
   }
   return r;
-}
-/// Per-ray RNG state: splitmix of (stream seed, ray index). Independent of
-/// which thread draws the ray, so renders are bitwise reproducible under any
-/// OpenMP schedule — the property checkpoint resume relies on.
-std::uint64_t ray_seed(std::uint64_t seed, std::uint64_t ray_index) {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (ray_index + 1));
-  const std::uint64_t v = detail::splitmix64(state);
-  return v ? v : 0x9e3779b97f4a7c15ull;
 }
 const MarchingOptions& checked(const MarchingOptions& opt) {
   DTFE_CHECK(opt.monte_carlo_samples >= 1);
@@ -291,11 +279,32 @@ MarchingKernel::LineResult MarchingKernel::march_line(
   }
 }
 
+void MarchingKernel::RayTally::count(const LineResult& r) {
+  if (obs::metrics_enabled())
+    obs::observe(march_metrics().crossings_per_ray,
+                 static_cast<double>(r.steps));
+  rays += 1;
+  crossings += r.steps;
+  restarts += static_cast<std::uint64_t>(r.restarts);
+  failed += r.failed ? 1 : 0;
+  empty += r.empty ? 1 : 0;
+}
+
+MarchingKernel::RayTally& MarchingKernel::RayTally::operator+=(
+    const RayTally& o) {
+  rays += o.rays;
+  crossings += o.crossings;
+  restarts += o.restarts;
+  failed += o.failed;
+  empty += o.empty;
+  mass += o.mass;
+  return *this;
+}
+
 double MarchingKernel::refine_cell(const Vec2& center, double size,
                                    double zmin, double zmax, double eps,
                                    int depth, double weight,
-                                   std::uint64_t& rng,
-                                   MarchingStats* accum) const {
+                                   std::uint64_t& rng, RayTally& tally) const {
   // Sample the four quadrant centers; if they agree (relative spread below
   // tolerance) or the depth budget is spent, their mean is the cell value;
   // otherwise refine each quadrant.
@@ -309,16 +318,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
   for (int i = 0; i < 4; ++i) {
     const LineResult r = march_line(sub[i], zmin, zmax, eps, rng);
     vals[i] = r.sigma;
-    if (obs::metrics_enabled())
-      obs::observe(march_metrics().crossings_per_ray,
-                   static_cast<double>(r.steps));
-    if (accum) {
-      accum->rays_marched += 1;
-      accum->tetra_crossed += r.steps;
-      accum->perturb_restarts += static_cast<std::uint64_t>(r.restarts);
-      accum->failed_cells += r.failed ? 1 : 0;
-      accum->empty_cells += r.empty ? 1 : 0;
-    }
+    tally.count(r);
     lo = std::min(lo, r.sigma);
     hi = std::max(hi, r.sigma);
     mean += 0.25 * r.sigma;
@@ -327,14 +327,13 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
       hi - lo <= opt_.adaptive_tolerance * (std::abs(mean) + 1e-300)) {
     // Terminal node: these four samples are what actually enters the grid,
     // so only they contribute to the ray_mass audit accumulator.
-    if (accum)
-      for (int i = 0; i < 4; ++i) accum->ray_mass += 0.25 * weight * vals[i];
+    for (int i = 0; i < 4; ++i) tally.mass += 0.25 * weight * vals[i];
     return mean;
   }
   double refined = 0.0;
   for (int i = 0; i < 4; ++i)
     refined += 0.25 * refine_cell(sub[i], size * 0.5, zmin, zmax, eps,
-                                  depth + 1, 0.25 * weight, rng, accum);
+                                  depth + 1, 0.25 * weight, rng, tally);
   return refined;
 }
 
@@ -343,7 +342,7 @@ double MarchingKernel::integrate_line(const Vec2& xi, double zmin,
   // No grid context: ε is relative to the silhouette extent.
   const double extent =
       std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
-  std::uint64_t rng = ray_seed(opt_.seed, 0);
+  std::uint64_t rng = pixel_seed(opt_.seed, 0);
   return march_line(xi, zmin, zmax, opt_.perturb_epsilon * extent, rng).sigma;
 }
 
@@ -355,14 +354,6 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   obs::TraceSpan span("kernel.march_render", "kernel");
   span.add_arg("cells", static_cast<double>(nx * ny));
 
-  MarchingStats stats;
-  stats.thread_seconds.assign(
-      static_cast<std::size_t>(omp_get_max_threads()), 0.0);
-  std::uint64_t tot_rays = 0, tot_steps = 0, tot_restarts = 0, tot_failed = 0,
-                tot_empty = 0;
-  double tot_mass = 0.0;
-  std::atomic<bool> cancelled{false};
-
   // ε is specified relative to the grid cell. The product stays
   // (ε·(h/extent))·extent, not ε·h: the two round differently, and the
   // pinned maps include perturbed rays.
@@ -371,106 +362,59 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   const double eps =
       (opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0)) * extent;
 
-  const PixelTiles tiles(nx, ny);
-#pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_mass)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    ThreadCpuTimer timer;
-    std::uint64_t pixels_done = 0;
-
-    auto render_pixel = [&](std::size_t ix, std::size_t iy) {
-      // Cooperative watchdog: each thread polls the soft deadline on its
-      // first pixel and every 16th after; once it fires, skip the rest of
-      // the grid and report the cancellation after the parallel region
-      // (throwing out of an omp loop is UB).
-      if (opt_.deadline &&
-          (cancelled.load(std::memory_order_relaxed) ||
-           ((pixels_done++ & 15) == 0 && opt_.deadline->expired()))) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
+  auto pixel = [&](std::size_t ix, std::size_t iy, RayTally& tally) {
+    std::uint64_t rng = pixel_seed(opt_.seed, iy * nx + ix);
+    if (opt_.adaptive_max_depth > 0) {
+      // Dynamic grid spacing: quadtree-refine cells whose corner lines
+      // disagree.
+      grid.at(ix, iy) = refine_cell(spec.cell_center(ix, iy), h, spec.zmin,
+                                    spec.zmax, eps, 0, 1.0, rng, tally);
+      return;
+    }
+    double sigma = 0.0;
+    const double rot_x = rand_unit(rng);
+    const double rot_y = rand_unit(rng);
+    for (int smp = 0; smp < opt_.monte_carlo_samples; ++smp) {
+      // ξ for Monte Carlo sample `smp`: low-discrepancy jitter (Halton
+      // (2,3) under a per-cell Cranley–Patterson rotation). Unbiased like
+      // plain uniform jitter, but stratified — on halo-clustered inputs
+      // (where a cell's column integral varies by orders of magnitude) the
+      // mass-recovery error of 8 samples/cell drops severalfold versus
+      // independent draws.
+      Vec2 xi = spec.cell_center(ix, iy);
+      if (opt_.monte_carlo_samples > 1) {
+        double jx = radical_inverse(static_cast<std::uint32_t>(smp), 2) + rot_x;
+        double jy = radical_inverse(static_cast<std::uint32_t>(smp), 3) + rot_y;
+        jx -= std::floor(jx);
+        jy -= std::floor(jy);
+        xi.x += (jx - 0.5) * h;
+        xi.y += (jy - 0.5) * h;
       }
-      // Per-ray RNG: a pure function of (stream seed, row-major pixel
-      // index), so the grid depends on neither the tile order nor the
-      // OpenMP schedule.
-      std::uint64_t rng = ray_seed(opt_.seed, iy * nx + ix);
-      if (opt_.adaptive_max_depth > 0) {
-        // Dynamic grid spacing: quadtree-refine cells whose corner lines
-        // disagree.
-        MarchingStats cell_stats;
-        grid.at(ix, iy) = refine_cell(spec.cell_center(ix, iy), h, spec.zmin,
-                                      spec.zmax, eps, 0, 1.0, rng,
-                                      &cell_stats);
-        tot_rays += cell_stats.rays_marched;
-        tot_steps += cell_stats.tetra_crossed;
-        tot_restarts += cell_stats.perturb_restarts;
-        tot_failed += cell_stats.failed_cells;
-        tot_empty += cell_stats.empty_cells;
-        tot_mass += cell_stats.ray_mass;
-        return;
-      }
-      double sigma = 0.0;
-      const double rot_x = rand_unit(rng);
-      const double rot_y = rand_unit(rng);
-      for (int smp = 0; smp < opt_.monte_carlo_samples; ++smp) {
-        // ξ for Monte Carlo sample `smp`: low-discrepancy jitter (Halton
-        // (2,3) under a per-cell Cranley–Patterson rotation). Unbiased like
-        // plain uniform jitter, but stratified — on halo-clustered inputs
-        // (where a cell's column integral varies by orders of magnitude) the
-        // mass-recovery error of 8 samples/cell drops severalfold versus
-        // independent draws.
-        Vec2 xi = spec.cell_center(ix, iy);
-        if (opt_.monte_carlo_samples > 1) {
-          double jx = radical_inverse(static_cast<std::uint32_t>(smp), 2) + rot_x;
-          double jy = radical_inverse(static_cast<std::uint32_t>(smp), 3) + rot_y;
-          jx -= std::floor(jx);
-          jy -= std::floor(jy);
-          xi.x += (jx - 0.5) * h;
-          xi.y += (jy - 0.5) * h;
-        }
-        const LineResult r = march_line(xi, spec.zmin, spec.zmax, eps, rng);
-        if (obs::metrics_enabled())
-          obs::observe(march_metrics().crossings_per_ray,
-                       static_cast<double>(r.steps));
-        sigma += r.sigma;
-        tot_rays += 1;
-        tot_steps += r.steps;
-        tot_restarts += static_cast<std::uint64_t>(r.restarts);
-        tot_failed += r.failed ? 1 : 0;
-        tot_empty += r.empty ? 1 : 0;
-      }
-      grid.at(ix, iy) = sigma / opt_.monte_carlo_samples;
-      tot_mass += sigma / opt_.monte_carlo_samples;
-    };
+      const LineResult r = march_line(xi, spec.zmin, spec.zmax, eps, rng);
+      tally.count(r);
+      sigma += r.sigma;
+    }
+    grid.at(ix, iy) = sigma / opt_.monte_carlo_samples;
+    tally.mass += sigma / opt_.monte_carlo_samples;
+  };
+  const auto run = render_tiles<RayTally>(nx, ny, opt_.deadline, pixel);
 
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
-         ++t)
-      tiles.for_each_pixel(static_cast<std::size_t>(t), render_pixel);
-    stats.thread_seconds[tid] = timer.seconds();
-  }
-
-  stats.cells_rendered = nx * ny;
-  stats.rays_marched = tot_rays;
-  stats.tetra_crossed = tot_steps;
-  stats.perturb_restarts = tot_restarts;
-  stats.failed_cells = tot_failed;
-  stats.empty_cells = tot_empty;
-  stats.ray_mass = tot_mass;
-  stats_ = stats;
-
-  if (cancelled.load(std::memory_order_relaxed))
+  const RayTally& t = run.tally;
+  stats_ = MarchingStats{nx * ny,  t.rays,  t.crossings, t.restarts,
+                         t.failed, t.empty, t.mass,      run.thread_seconds};
+  if (run.cancelled)
     throw Error("marching render cancelled: item deadline exceeded");
 
   if (obs::metrics_enabled()) {
     const MarchMetrics& m = march_metrics();
-    obs::add(m.rays, static_cast<double>(tot_rays));
-    obs::add(m.crossings, static_cast<double>(tot_steps));
-    obs::add(m.restarts, static_cast<double>(tot_restarts));
-    obs::add(m.failed, static_cast<double>(tot_failed));
-    obs::add(m.empty, static_cast<double>(tot_empty));
+    obs::add(m.rays, static_cast<double>(t.rays));
+    obs::add(m.crossings, static_cast<double>(t.crossings));
+    obs::add(m.restarts, static_cast<double>(t.restarts));
+    obs::add(m.failed, static_cast<double>(t.failed));
+    obs::add(m.empty, static_cast<double>(t.empty));
   }
-  span.add_arg("rays", static_cast<double>(tot_rays));
-  span.add_arg("tetra_crossings", static_cast<double>(tot_steps));
+  span.add_arg("rays", static_cast<double>(t.rays));
+  span.add_arg("tetra_crossings", static_cast<double>(t.crossings));
   return grid;
 }
 

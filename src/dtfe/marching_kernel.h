@@ -62,11 +62,11 @@ struct MarchingOptions {
   /// methods "locate and interpolate exactly the same number of grid cells";
   /// the marching kernel amortizes location over whole tetra intervals.
   int z_samples = 0;
-  /// Stream seed. Each pixel's RNG state is derived by splitmix from (seed,
-  /// the pixel's row-major index iy·nx + ix), never from the thread or the
-  /// tile order that reaches it. A pixel's value is then a pure function of
-  /// its own rays, written once, so a render is bitwise deterministic
-  /// regardless of OpenMP scheduling and team size. The pipeline folds the
+  /// Stream seed. Each pixel's RNG state is pixel_seed(seed, iy·nx + ix)
+  /// (dtfe/parallel.h), never derived from the thread or the tile order that
+  /// reaches it. A pixel's value is then a pure function of its own rays,
+  /// written once, so a render is bitwise deterministic regardless of the
+  /// schedule and team size. The pipeline folds the
   /// work item's identity into this seed so resumed runs replay identical
   /// perturbation sequences.
   std::uint64_t seed = 12345;
@@ -87,7 +87,7 @@ struct MarchingStats {
   /// of the rendered grid's values; the audit layer compares the two to
   /// catch grid-assembly corruption (see dtfe/audit.h).
   double ray_mass = 0.0;
-  std::vector<double> thread_seconds;    ///< per-OpenMP-thread busy time
+  std::vector<double> thread_seconds;    ///< CPU seconds per team thread
 };
 
 class MarchingKernel {
@@ -106,12 +106,11 @@ class MarchingKernel {
                  std::shared_ptr<const TetraGeomTable> geom = nullptr);
 
   /// Render the surface density field (paper Fig. 3 over all grid cells,
-  /// OpenMP-parallel). Returns an Ng×Ng grid of Σ̂ values. Pixels are
-  /// visited in PixelTiles order (8×8 tiles, one tile per dynamic-schedule
-  /// unit), so neighbouring rays share cached table rows; the grid is the
-  /// same for any order (see MarchingOptions::seed). Throws dtfe::Error
-  /// naming the deadline if opt.deadline expires; each thread polls it on
-  /// its first pixel and every 16th after.
+  /// one render_tiles call on the calling thread's team). Returns an Ng×Ng
+  /// grid of Σ̂ values. Pixels are visited in PixelTiles order, so
+  /// neighbouring rays share cached table rows; the grid is the same for
+  /// any order (see MarchingOptions::seed). Throws dtfe::Error naming the
+  /// deadline if opt.deadline expires.
   Grid2D render(const FieldSpec& spec) const;
 
   /// Integrate the DTFE interpolant along the single vertical line through
@@ -138,6 +137,15 @@ class MarchingKernel {
     bool failed = false;
     bool empty = false;
   };
+  /// One thread's ray counts over a render (render_tiles sums them).
+  struct RayTally {
+    std::uint64_t rays = 0, crossings = 0, restarts = 0, failed = 0,
+                  empty = 0;
+    double mass = 0.0;  ///< terminal rays' share of the grid (ray_mass)
+    /// Count one marched ray and observe its crossings histogram.
+    void count(const LineResult& r);
+    RayTally& operator+=(const RayTally& o);
+  };
 
   /// The vertical fast path marches on the tables; the Möller /
   /// general-Plücker ablation oracles march the AoS geometry and need none.
@@ -160,7 +168,7 @@ class MarchingKernel {
   /// accumulate MarchingStats::ray_mass from terminal samples only.
   double refine_cell(const Vec2& center, double size, double zmin, double zmax,
                      double eps, int depth, double weight, std::uint64_t& rng,
-                     MarchingStats* accum) const;
+                     RayTally& tally) const;
 
   const DensityField* density_;
   const HullProjection* hull_;

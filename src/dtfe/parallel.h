@@ -1,0 +1,156 @@
+// The kernels' one threading mechanism. Every OpenMP team, schedule and ICV
+// in src/ comes from this header: the per-cell row builds, the tiled render
+// loop, the per-pixel RNG seed and the rank threads' team size.
+#pragma once
+
+#include <omp.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "dtfe/field.h"
+#include "util/cancel.h"
+#include "util/rng.h"
+#include "util/timer.h"
+
+#if defined(__SANITIZE_THREAD__)
+extern "C" void __tsan_acquire(void* addr);
+extern "C" void __tsan_release(void* addr);
+#endif
+
+namespace dtfe {
+
+namespace detail {
+// libgomp is not built with ThreadSanitizer, so TSan cannot see the fork,
+// barriers and join that order a team's accesses. These declare such an
+// edge, one OpenMP already guarantees, on a per-call token; they compile to
+// nothing outside TSan builds.
+#if defined(__SANITIZE_THREAD__)
+inline void tsan_release(void* token) { __tsan_release(token); }
+inline void tsan_acquire(void* token) { __tsan_acquire(token); }
+#else
+inline void tsan_release(void*) {}
+inline void tsan_acquire(void*) {}
+#endif
+}  // namespace detail
+
+/// Call row(i) for every i in [0, n) on the calling thread's OpenMP team,
+/// schedule(static). row(i) must write only row i's own storage, so the
+/// result is the same for any team size.
+///
+/// Without the TSan edges every later access to a row another team thread
+/// wrote is reported (and muted by scripts/tsan.supp) as a race, tens of
+/// thousands per render, which makes the TSan suites crawl. They declare
+/// only the fork and the two barriers that already exist (plus one more
+/// barrier, in TSan builds only); other builds compile the plain loop.
+template <class F>
+void parallel_rows(std::size_t n, F&& row) {
+  char sync = 0;
+  detail::tsan_release(&sync);
+#pragma omp parallel
+  {
+    detail::tsan_acquire(&sync);
+#pragma omp for schedule(static)
+    for (std::size_t i = 0; i < n; ++i) row(i);
+#if defined(__SANITIZE_THREAD__)
+    __tsan_release(&sync);
+#pragma omp barrier
+    __tsan_acquire(&sync);
+#endif
+  }
+}
+
+/// A pixel's RNG state: splitmix of (stream seed, row-major pixel index).
+/// Independent of which thread renders the pixel and in what order, so a
+/// render is bitwise reproducible under any schedule and team size, the
+/// property checkpoint resume relies on. Never 0 (xorshift's fixed point).
+inline std::uint64_t pixel_seed(std::uint64_t seed, std::uint64_t index) {
+  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
+  const std::uint64_t v = detail::splitmix64(state);
+  return v ? v : 0x9e3779b97f4a7c15ull;
+}
+
+/// The calling thread's team size when nothing set it (the OpenMP default).
+inline int default_team_size() { return omp_get_max_threads(); }
+
+/// Cap the calling thread's kernel teams at n threads and forbid nested
+/// teams. Both are per-thread settings, so each rank thread sets its own.
+inline void set_team_size(int n) {
+  omp_set_num_threads(n);
+  omp_set_max_active_levels(1);
+}
+
+template <class Tally>
+struct TileRun {
+  Tally tally{};  ///< every thread's Tally, summed in thread order
+  std::vector<double> thread_seconds;  ///< CPU seconds per team thread
+  bool cancelled = false;  ///< the deadline fired; some pixels were skipped
+};
+
+/// Call pixel(ix, iy, tally) once per pixel of an nx × ny grid on the
+/// calling thread's team, in PixelTiles order: one 8×8 tile per
+/// schedule(dynamic, 1) unit, or with `static_bands` one contiguous band of
+/// tiles per thread, schedule(static). Each thread adds into its own Tally
+/// (which needs `+=`). A pixel writes only its own output and seeds any RNG
+/// from pixel_seed, so the grid does not depend on the schedule.
+///
+/// Each thread polls `deadline` (may be null) on its first pixel and every
+/// 16th after; once it fires, all skip their remaining pixels and the run
+/// comes back `cancelled` for the caller to throw (an exception must not
+/// leave the region). The declared TSan fork and join order what pixels
+/// read and write before whatever the caller does next, freeing the cube
+/// included; the suppressions miss such a report when TSan cannot restore
+/// the worker's stack.
+template <class Tally, class Pixel>
+TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
+                            const Deadline* deadline, Pixel&& pixel,
+                            bool static_bands = false) {
+  const auto team = static_cast<std::size_t>(omp_get_max_threads());
+  std::vector<Tally> tallies(team);
+  TileRun<Tally> run;
+  run.thread_seconds.assign(team, 0.0);
+  std::atomic<bool> cancelled{false};
+  const PixelTiles tiles(nx, ny);
+  const auto n_tiles = static_cast<std::ptrdiff_t>(tiles.count());
+
+  char sync = 0;
+  detail::tsan_release(&sync);
+#pragma omp parallel
+  {
+    detail::tsan_acquire(&sync);
+    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+    ThreadCpuTimer timer;
+    Tally tally{};  // on this thread's stack: no false sharing
+    std::uint64_t pixels_done = 0;
+    auto visit = [&](std::size_t ix, std::size_t iy) {
+      if (deadline &&
+          (cancelled.load(std::memory_order_relaxed) ||
+           ((pixels_done++ & 15) == 0 && deadline->expired()))) {
+        cancelled.store(true, std::memory_order_relaxed);
+        return;
+      }
+      pixel(ix, iy, tally);
+    };
+    if (static_bands) {
+#pragma omp for schedule(static)
+      for (std::ptrdiff_t t = 0; t < n_tiles; ++t)
+        tiles.for_each_pixel(static_cast<std::size_t>(t), visit);
+    } else {
+#pragma omp for schedule(dynamic, 1)
+      for (std::ptrdiff_t t = 0; t < n_tiles; ++t)
+        tiles.for_each_pixel(static_cast<std::size_t>(t), visit);
+    }
+    tallies[tid] = tally;
+    run.thread_seconds[tid] = timer.seconds();
+    detail::tsan_release(&sync);
+  }
+  detail::tsan_acquire(&sync);
+
+  for (const Tally& t : tallies) run.tally += t;
+  run.cancelled = cancelled.load(std::memory_order_relaxed);
+  return run;
+}
+
+}  // namespace dtfe

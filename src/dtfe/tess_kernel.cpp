@@ -2,13 +2,10 @@
 
 #include "delaunay/voronoi.h"
 
-#include <omp.h>
-
-#include <atomic>
 #include <cmath>
 
+#include "dtfe/parallel.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace dtfe {
 
@@ -112,60 +109,32 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
 
   Grid2D grid(nx, ny);
-  TessStats stats;
-  stats.thread_seconds.assign(
-      static_cast<std::size_t>(omp_get_max_threads()), 0.0);
-  std::uint64_t located = 0;
-  std::atomic<bool> cancelled{false};
-  const PixelTiles tiles(nx, ny);
+  // The march's tile order, so the Fig. 6 comparison is like for like.
+  auto column = [&](std::size_t ix, std::size_t iy, std::uint64_t& located) {
+    const Vec2 xi = spec.cell_center(ix, iy);
+    std::uint64_t rng = pixel_seed(opt_.seed, iy * nx + ix);
+    double sigma = 0.0;
+    VertexId site = Triangulation::kInfinite;
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      const Vec3 q{xi.x, xi.y,
+                   spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
+      // First sample: full search (locate + climb). Later samples warm-start
+      // the climb from the previous nearest site — the DENSE stage's
+      // per-point cost is then a handful of distance comparisons.
+      site = site == Triangulation::kInfinite
+                 ? nearest_site(q, Triangulation::kNoCell, rng)
+                 : nearest_site_from(q, site);
+      ++located;
+      // Zero-order: the density of the Voronoi cell containing q.
+      sigma += site_density_[static_cast<std::size_t>(site)] * dz;
+    }
+    grid.at(ix, iy) = sigma;
+  };
+  // The march's tile order, so the Fig. 6 comparison is like for like.
+  const auto run = render_tiles<std::uint64_t>(nx, ny, opt_.deadline, column);
 
-#pragma omp parallel reduction(+ : located)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    ThreadCpuTimer timer;
-    std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x9e3779b97f4a7c15ull;
-
-    std::uint64_t pixels_done = 0;
-
-    auto render_column = [&](std::size_t ix, std::size_t iy) {
-      // Cooperative watchdog (see marching_kernel.cpp for the pattern).
-      if (opt_.deadline &&
-          (cancelled.load(std::memory_order_relaxed) ||
-           ((pixels_done++ & 15) == 0 && opt_.deadline->expired()))) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const Vec2 xi = spec.cell_center(ix, iy);
-      double sigma = 0.0;
-      VertexId site = Triangulation::kInfinite;
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        const Vec3 q{xi.x, xi.y,
-                     spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
-        // First sample: full search (locate + climb). Later samples warm-
-        // start the climb from the previous nearest site — the DENSE stage's
-        // per-point cost is then a handful of distance comparisons.
-        site = site == Triangulation::kInfinite
-                   ? nearest_site(q, Triangulation::kNoCell, rng)
-                   : nearest_site_from(q, site);
-        ++located;
-        // Zero-order: the density of the Voronoi cell containing q.
-        sigma += site_density_[static_cast<std::size_t>(site)] * dz;
-      }
-      grid.at(ix, iy) = sigma;
-    };
-
-    // The march's tile order, so the Fig. 6 comparison is like for like.
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
-         ++t)
-      tiles.for_each_pixel(static_cast<std::size_t>(t), render_column);
-    stats.thread_seconds[tid] = timer.seconds();
-  }
-
-  stats.points_located = located;
-  stats_.thread_seconds = stats.thread_seconds;
-  stats_.points_located = located;
-  if (cancelled.load(std::memory_order_relaxed))
+  stats_ = TessStats{run.tally, run.thread_seconds};
+  if (run.cancelled)
     throw Error("tess render cancelled: item deadline exceeded");
   return grid;
 }

@@ -1,13 +1,11 @@
 #include "dtfe/walking_kernel.h"
 
-#include <omp.h>
-
 #include <cmath>
 
+#include "dtfe/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace dtfe {
 
@@ -31,6 +29,14 @@ std::uint64_t next_rand(std::uint64_t& s) {
 double rand_unit(std::uint64_t& s) {
   return static_cast<double>(next_rand(s) >> 11) * 0x1.0p-53;
 }
+struct WalkTally {
+  std::uint64_t located = 0, outside = 0;
+  WalkTally& operator+=(const WalkTally& o) {
+    located += o.located;
+    outside += o.outside;
+    return *this;
+  }
+};
 }  // namespace
 
 WalkingKernel::WalkingKernel(const DensityField& density, WalkingOptions opt)
@@ -51,77 +57,51 @@ Grid2D WalkingKernel::render(const FieldSpec& spec) const {
   span.add_arg("cells", static_cast<double>(nx * ny));
 
   Grid2D grid(nx, ny);
-  WalkingStats stats;
-  stats.thread_seconds.assign(
-      static_cast<std::size_t>(omp_get_max_threads()), 0.0);
-  std::uint64_t located = 0, outside = 0;
-
-#pragma omp parallel reduction(+ : located, outside)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    ThreadCpuTimer timer;
-    std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x2545f4914f6cdd1dull;
-
-    auto render_column = [&](std::size_t ix, std::size_t iy) {
-      const Vec2 xi = spec.cell_center(ix, iy);
-      // Walk up the z-column locating each 3D representative point with the
-      // previous cell as the hint — the incremental scheme the paper
-      // describes for grid rendering.
-      CellId hint = Triangulation::kNoCell;
-      double sigma = 0.0;
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        double rho_cell = 0.0;
-        for (int s = 0; s < opt_.monte_carlo_samples; ++s) {
-          Vec3 q{xi.x, xi.y,
-                 spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
-          if (opt_.monte_carlo_samples > 1) {
-            q.x += (rand_unit(rng) - 0.5) * h;
-            q.y += (rand_unit(rng) - 0.5) * h;
-            q.z += (rand_unit(rng) - 0.5) * dz;
-          }
-          const auto loc = tri.locate_from(q, hint, rng);
-          hint = loc.cell;
-          ++located;
-          if (loc.status == Triangulation::LocateStatus::kOutsideHull) {
-            ++outside;
-            continue;
-          }
-          rho_cell += density_->interpolate_in_cell(loc.cell, q);
+  auto column = [&](std::size_t ix, std::size_t iy, WalkTally& tally) {
+    const Vec2 xi = spec.cell_center(ix, iy);
+    std::uint64_t rng = pixel_seed(opt_.seed, iy * nx + ix);
+    // Walk up the z-column locating each 3D representative point with the
+    // previous cell as the hint — the incremental scheme the paper
+    // describes for grid rendering.
+    CellId hint = Triangulation::kNoCell;
+    double sigma = 0.0;
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      double rho_cell = 0.0;
+      for (int s = 0; s < opt_.monte_carlo_samples; ++s) {
+        Vec3 q{xi.x, xi.y, spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
+        if (opt_.monte_carlo_samples > 1) {
+          q.x += (rand_unit(rng) - 0.5) * h;
+          q.y += (rand_unit(rng) - 0.5) * h;
+          q.z += (rand_unit(rng) - 0.5) * dz;
         }
-        sigma += rho_cell / opt_.monte_carlo_samples * dz;
+        const auto loc = tri.locate_from(q, hint, rng);
+        hint = loc.cell;
+        ++tally.located;
+        if (loc.status == Triangulation::LocateStatus::kOutsideHull) {
+          ++tally.outside;
+          continue;
+        }
+        rho_cell += density_->interpolate_in_cell(loc.cell, q);
       }
-      grid.at(ix, iy) = sigma;
-    };
-
-    if (opt_.static_decomposition) {
-      // Contiguous per-thread sub-volumes, DTFE-public style: thread t owns
-      // an equal share of the columns regardless of how clustered they are.
-#pragma omp for schedule(static)
-      for (std::ptrdiff_t idx = 0;
-           idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx)
-        render_column(static_cast<std::size_t>(idx) % nx,
-                      static_cast<std::size_t>(idx) / nx);
-    } else {
-      // The march's tile order, so the Fig. 6 comparison is like for like.
-      const PixelTiles tiles(nx, ny);
-#pragma omp for schedule(dynamic, 1)
-      for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tiles.count());
-           ++t)
-        tiles.for_each_pixel(static_cast<std::size_t>(t), render_column);
+      sigma += rho_cell / opt_.monte_carlo_samples * dz;
     }
-    stats.thread_seconds[tid] = timer.seconds();
-  }
+    grid.at(ix, iy) = sigma;
+  };
+  // static_decomposition: contiguous per-thread sub-volumes, DTFE-public
+  // style, however clustered they are. Otherwise the march's schedule, so
+  // the Fig. 6 comparison is like for like. Both give the same grid.
+  const auto run = render_tiles<WalkTally>(nx, ny, nullptr, column,
+                                           opt_.static_decomposition);
 
-  stats.points_located = located;
-  stats.points_outside = outside;
-  stats_ = stats;
+  const WalkTally& t = run.tally;
+  stats_ = WalkingStats{t.located, t.outside, run.thread_seconds};
 
   if (obs::metrics_enabled()) {
     const WalkMetrics& m = walk_metrics();
-    obs::add(m.located, static_cast<double>(located));
-    obs::add(m.outside, static_cast<double>(outside));
+    obs::add(m.located, static_cast<double>(t.located));
+    obs::add(m.outside, static_cast<double>(t.outside));
   }
-  span.add_arg("points_located", static_cast<double>(located));
+  span.add_arg("points_located", static_cast<double>(t.located));
   return grid;
 }
 
@@ -134,26 +114,20 @@ Grid3D WalkingKernel::render_3d(const FieldSpec& spec) const {
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
 
   Grid3D grid(nx, ny, nz);
-#pragma omp parallel
-  {
-    std::uint64_t rng = (opt_.seed | 1) * 0x9e3779b97f4a7c15ull;
-#pragma omp for schedule(dynamic, 4)
-    for (std::ptrdiff_t idx = 0;
-         idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx) {
-      const auto ix = static_cast<std::size_t>(idx) % nx;
-      const auto iy = static_cast<std::size_t>(idx) / nx;
-      const Vec2 xi = spec.cell_center(ix, iy);
-      CellId hint = Triangulation::kNoCell;
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        const Vec3 q{xi.x, xi.y,
-                     spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
-        const auto loc = tri.locate_from(q, hint, rng);
-        hint = loc.cell;
-        if (loc.status != Triangulation::LocateStatus::kOutsideHull)
-          grid.at(ix, iy, iz) = density_->interpolate_in_cell(loc.cell, q);
-      }
+  auto column = [&](std::size_t ix, std::size_t iy, int& /*no tally*/) {
+    const Vec2 xi = spec.cell_center(ix, iy);
+    std::uint64_t rng = pixel_seed(opt_.seed, iy * nx + ix);
+    CellId hint = Triangulation::kNoCell;
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      const Vec3 q{xi.x, xi.y,
+                   spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
+      const auto loc = tri.locate_from(q, hint, rng);
+      hint = loc.cell;
+      if (loc.status != Triangulation::LocateStatus::kOutsideHull)
+        grid.at(ix, iy, iz) = density_->interpolate_in_cell(loc.cell, q);
     }
-  }
+  };
+  render_tiles<int>(nx, ny, nullptr, column);
   return grid;
 }
 

@@ -1,7 +1,5 @@
 #include "engine/stages.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -10,6 +8,7 @@
 #include <span>
 #include <string>
 
+#include "dtfe/parallel.h"
 #include "engine/field_kernel.h"
 #include "engine/phases.h"
 #include "framework/crash.h"
@@ -198,13 +197,8 @@ constexpr double kPackMagic = 7119720.0;
 /// FNV-1a over the payload bytes, folded to 32 bits so the value is exactly
 /// representable as a double and the package stays a plain double buffer.
 double payload_checksum(std::span<const double> payload) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(payload.data());
-  const std::size_t n = payload.size() * sizeof(double);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h =
+      fnv1a64(payload.data(), payload.size() * sizeof(double));
   return static_cast<double>(static_cast<std::uint32_t>(h ^ (h >> 32)));
 }
 
@@ -300,12 +294,11 @@ const char* in_flight_label(ItemPath path) {
 }  // namespace
 
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process) {
-  const int total = opt.threads > 0 ? opt.threads : omp_get_max_threads();
+  const int total = opt.threads > 0 ? opt.threads : default_team_size();
   const int team = std::max(1, total / std::max(1, ranks_in_process));
-  // Per-thread ICVs: each SimMpi rank thread caps its own kernel team, so the
-  // P rank teams together stay within --threads.
-  omp_set_num_threads(team);
-  omp_set_max_active_levels(1);
+  // Each SimMpi rank thread caps its own kernel teams, so the P rank teams
+  // together stay within --threads.
+  set_team_size(team);
   return team;
 }
 
@@ -328,7 +321,7 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
   obs::add(pipeline_metrics().runs);
-  // Cap this rank thread's OpenMP team so P rank teams never oversubscribe
+  // Cap this rank thread's kernel team so P rank teams never oversubscribe
   // (DESIGN.md §8).
   configure_rank_threading(opt, P);
 }

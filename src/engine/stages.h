@@ -137,9 +137,9 @@ PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube);
 
-/// Cap the calling rank thread's OpenMP team at max(1, threads / ranks) (the
-/// OpenMP default when opt.threads is 0) and disable nested teams. Returns
-/// the team size.
+/// Cap the calling rank thread's kernel team at max(1, threads / ranks)
+/// (default_team_size() when opt.threads is 0) and disable nested teams,
+/// through dtfe/parallel.h. Returns the team size.
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process);
 
 }  // namespace dtfe::engine

@@ -13,6 +13,16 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x44544645534e4150ull;  // "DTFESNAP"
 
+/// A missing, unreadable or malformed file is bad input, not a broken
+/// invariant: throw a plain Error carrying only the message.
+template <typename... Parts>
+void require(bool ok, const Parts&... parts) {
+  if (ok) return;
+  std::ostringstream os;
+  (os << ... << parts);
+  throw Error(os.str());
+}
+
 template <typename T>
 void put(std::ofstream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -22,7 +32,7 @@ template <typename T>
 T get(std::ifstream& in) {
   T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof v);
-  DTFE_CHECK_MSG(in.good(), "unexpected end of snapshot file");
+  require(in.good(), "unexpected end of snapshot file");
   return v;
 }
 
@@ -49,7 +59,7 @@ void write_snapshot(const std::string& path, const ParticleSet& set,
         static_cast<std::uint32_t>(i));
 
   std::ofstream out(path, std::ios::binary);
-  DTFE_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
+  require(out.good(), "cannot open ", path, " for writing");
   put(out, kMagic);
   put(out, set.box_length);
   put(out, set.particle_mass);
@@ -72,7 +82,7 @@ void write_snapshot(const std::string& path, const ParticleSet& set,
   }
   for (std::size_t b = 0; b < nb; ++b)
     for (const std::uint32_t i : buckets[b]) put(out, set.positions[i]);
-  DTFE_CHECK_MSG(out.good(), "short write to " << path);
+  require(out.good(), "short write to ", path);
 }
 
 namespace {
@@ -91,37 +101,33 @@ bool finite3(const Vec3& p) {
 
 SnapshotHeader read_snapshot_header(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  DTFE_CHECK_MSG(in.good(), "cannot open " << path);
+  require(in.good(), "cannot open ", path);
   in.seekg(0, std::ios::end);
   const std::streamoff file_bytes = in.tellg();
   in.seekg(0, std::ios::beg);
-  DTFE_CHECK_MSG(get<std::uint64_t>(in) == kMagic,
-                 path << " is not a DTFE snapshot (bad magic)");
+  require(get<std::uint64_t>(in) == kMagic, path,
+          " is not a DTFE snapshot (bad magic)");
   SnapshotHeader h;
   h.box_length = get<double>(in);
   h.particle_mass = get<double>(in);
   h.n_particles = get<std::uint64_t>(in);
   const auto nb = get<std::uint64_t>(in);
-  DTFE_CHECK_MSG(std::isfinite(h.box_length) && h.box_length > 0.0,
-                 path << ": header box length " << h.box_length
-                      << " is not usable");
-  DTFE_CHECK_MSG(std::isfinite(h.particle_mass) && h.particle_mass >= 0.0,
-                 path << ": header particle mass " << h.particle_mass
-                      << " is not usable");
+  require(std::isfinite(h.box_length) && h.box_length > 0.0, path,
+          ": header box length ", h.box_length, " is not usable");
+  require(std::isfinite(h.particle_mass) && h.particle_mass >= 0.0, path,
+          ": header particle mass ", h.particle_mass, " is not usable");
   // Implausible table sizes catch corrupt headers before resize() tries to
   // allocate by them.
-  DTFE_CHECK_MSG(nb >= 1 && nb <= (1u << 24),
-                 path << ": header block count " << nb << " is implausible");
-  DTFE_CHECK_MSG(h.n_particles <= (1ull << 40),
-                 path << ": header particle count " << h.n_particles
-                      << " is implausible");
+  require(nb >= 1 && nb <= (1u << 24), path, ": header block count ", nb,
+          " is implausible");
+  require(h.n_particles <= (1ull << 40), path, ": header particle count ",
+          h.n_particles, " is implausible");
   const std::streamoff expected =
       header_byte_size(static_cast<std::size_t>(nb)) +
       static_cast<std::streamoff>(h.n_particles * sizeof(Vec3));
-  DTFE_CHECK_MSG(file_bytes >= expected,
-                 path << " is truncated: " << file_bytes << " bytes on disk, "
-                      << expected << " required for "
-                      << h.n_particles << " particles in " << nb << " blocks");
+  require(file_bytes >= expected, path, " is truncated: ", file_bytes,
+          " bytes on disk, ", expected, " required for ", h.n_particles,
+          " particles in ", nb, " blocks");
   h.blocks.resize(nb);
   std::uint64_t running = 0;
   for (std::size_t i = 0; i < h.blocks.size(); ++i) {
@@ -130,23 +136,20 @@ SnapshotHeader read_snapshot_header(const std::string& path) {
     b.count = get<std::uint64_t>(in);
     b.sub_lo = get<Vec3>(in);
     b.sub_hi = get<Vec3>(in);
-    DTFE_CHECK_MSG(b.offset_particles == running,
-                   path << ": block " << i << " offset "
-                        << b.offset_particles << " breaks the contiguous "
-                        << "layout (expected " << running << ")");
-    DTFE_CHECK_MSG(b.count <= h.n_particles - running,
-                   path << ": block " << i << " count " << b.count
-                        << " overruns the " << h.n_particles
-                        << " particles in the file");
-    DTFE_CHECK_MSG(finite3(b.sub_lo) && finite3(b.sub_hi) &&
-                       b.sub_lo.x <= b.sub_hi.x && b.sub_lo.y <= b.sub_hi.y &&
-                       b.sub_lo.z <= b.sub_hi.z,
-                   path << ": block " << i << " has a malformed sub-volume");
+    require(b.offset_particles == running, path, ": block ", i, " offset ",
+            b.offset_particles, " breaks the contiguous layout (expected ",
+            running, ")");
+    require(b.count <= h.n_particles - running, path, ": block ", i,
+            " count ", b.count, " overruns the ", h.n_particles,
+            " particles in the file");
+    require(finite3(b.sub_lo) && finite3(b.sub_hi) &&
+                b.sub_lo.x <= b.sub_hi.x && b.sub_lo.y <= b.sub_hi.y &&
+                b.sub_lo.z <= b.sub_hi.z,
+            path, ": block ", i, " has a malformed sub-volume");
     running += b.count;
   }
-  DTFE_CHECK_MSG(running == h.n_particles,
-                 path << ": block counts sum to " << running << " but header "
-                      << "promises " << h.n_particles << " particles");
+  require(running == h.n_particles, path, ": block counts sum to ", running,
+          " but header promises ", h.n_particles, " particles");
   return h;
 }
 
@@ -159,7 +162,7 @@ std::vector<Vec3> read_snapshot_block(const std::string& path,
                                 << path);
   const SnapshotBlock& b = header.blocks[block_index];
   std::ifstream in(path, std::ios::binary);
-  DTFE_CHECK_MSG(in.good(), "cannot open " << path);
+  require(in.good(), "cannot open ", path);
   in.seekg(0, std::ios::end);
   const std::streamoff file_bytes = in.tellg();
   const std::streamoff begin =
@@ -167,17 +170,15 @@ std::vector<Vec3> read_snapshot_block(const std::string& path,
       static_cast<std::streamoff>(b.offset_particles * sizeof(Vec3));
   const std::streamoff need =
       begin + static_cast<std::streamoff>(b.count * sizeof(Vec3));
-  DTFE_CHECK_MSG(file_bytes >= need,
-                 path << " is truncated reading block " << block_index << ": "
-                      << file_bytes << " bytes on disk, " << need
-                      << " required for the block's " << b.count
-                      << " particles");
+  require(file_bytes >= need, path, " is truncated reading block ",
+          block_index, ": ", file_bytes, " bytes on disk, ", need,
+          " required for the block's ", b.count, " particles");
   in.seekg(begin);
   std::vector<Vec3> out(b.count);
   in.read(reinterpret_cast<char*>(out.data()),
           static_cast<std::streamsize>(b.count * sizeof(Vec3)));
-  DTFE_CHECK_MSG(in.good(), "unexpected end of snapshot file " << path
-                                << " in block " << block_index);
+  require(in.good(), "unexpected end of snapshot file ", path, " in block ",
+          block_index);
   return out;
 }
 

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <cmath>
 #include <cstdio>
@@ -10,6 +9,7 @@
 #include "delaunay/hull_projection.h"
 #include "dtfe/density.h"
 #include "dtfe/marching_kernel.h"
+#include "dtfe/parallel.h"
 #include "dtfe/tess_kernel.h"
 #include "dtfe/walking_kernel.h"
 #include "geometry/tetra_math.h"
@@ -345,14 +345,14 @@ TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
       {0x1.ea01eb69afb6cp+8, 0x1.ae97dd5c3e2c9p+18, 0x1.fadb41fe001d7p+19,
        0x1.255416c4b00abp+28},
   };
-  const int saved = omp_get_max_threads();
+  const int saved = default_team_size();
   for (std::size_t m = 0; m < 4; ++m) {
     const MarchingKernel kernel(fx.rho, fx.hull, modes[m]);
     for (std::size_t g = 0; g < 4; ++g) {
       const FieldSpec spec = unit_cube_spec(sizes[g]);
-      omp_set_num_threads(1);
+      set_team_size(1);
       const Grid2D one = kernel.render(spec);
-      omp_set_num_threads(4);
+      set_team_size(4);
       const Grid2D four = kernel.render(spec);
       ASSERT_EQ(one.size(), four.size());
       for (std::size_t i = 0; i < one.size(); ++i)
@@ -364,33 +364,100 @@ TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
           << "mode " << m << " grid " << sizes[g] << " checksum " << buf;
     }
   }
-  omp_set_num_threads(saved);
+  set_team_size(saved);
 }
 
 TEST(MarchingKernel, ExpiredDeadlineCancelsTheRender) {
+  // The march and the tess kernel both poll their deadline in render_tiles.
   Fixture fx(200, 25);
   const FieldSpec spec = unit_cube_spec(37);
   const Deadline expired = Deadline::after_ms(0);
   const Deadline unarmed;
-  MarchingOptions cancel_opt, plain_opt;
-  cancel_opt.deadline = &expired;
-  plain_opt.deadline = &unarmed;
-  const MarchingKernel cancelling(fx.rho, fx.hull, cancel_opt);
-  const MarchingKernel plain(fx.rho, fx.hull, plain_opt);
-  const int saved = omp_get_max_threads();
-  for (const int threads : {1, 4}) {
-    omp_set_num_threads(threads);
+  MarchingOptions cancel_march, plain_march;
+  cancel_march.deadline = &expired;
+  plain_march.deadline = &unarmed;
+  TessOptions cancel_tess, plain_tess;
+  cancel_tess.deadline = &expired;
+  plain_tess.deadline = &unarmed;
+  auto expect_cancelled = [&](const auto& kernel, const char* name,
+                              int threads) {
     try {
-      (void)cancelling.render(spec);
-      ADD_FAILURE() << "expired deadline did not cancel (" << threads
-                    << " threads)";
+      (void)kernel.render(spec);
+      ADD_FAILURE() << name << ": expired deadline did not cancel ("
+                    << threads << " threads)";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos)
-          << e.what();
+          << name << ": " << e.what();
     }
+  };
+  const MarchingKernel cancelling(fx.rho, fx.hull, cancel_march);
+  const MarchingKernel plain(fx.rho, fx.hull, plain_march);
+  const TessKernel cancelling_tess(fx.rho, cancel_tess);
+  const TessKernel plain_tess_kernel(fx.rho, plain_tess);
+  const int saved = default_team_size();
+  for (const int threads : {1, 4}) {
+    set_team_size(threads);
+    expect_cancelled(cancelling, "march", threads);
+    expect_cancelled(cancelling_tess, "tess", threads);
     EXPECT_NO_THROW((void)plain.render(spec)) << threads << " threads";
+    EXPECT_NO_THROW((void)plain_tess_kernel.render(spec))
+        << threads << " threads";
   }
-  omp_set_num_threads(saved);
+  set_team_size(saved);
+}
+
+void expect_bitwise_equal(const Grid2D& a, const Grid2D& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a.flat(i), b.flat(i)) << what << " pixel " << i;
+}
+
+TEST(WalkingKernel, WalkAndTessRendersDoNotDependOnTheSchedule) {
+  // Every column seeds its RNG from pixel_seed, so walk renders (Monte Carlo
+  // or not, static bands or dynamic tiles) and tess renders give the same
+  // bits on 1 and 4 threads over ragged 1/7/9/37-pixel grids. Walk at MC 1
+  // and tess are pinned to checksums recorded from the per-thread-seeded
+  // loops that preceded render_tiles; walk at MC > 1 varied from run to run
+  // there, so it has no older pin.
+  Fixture fx(400, 21);
+  const std::size_t sizes[] = {1, 7, 9, 37};
+  const double walk_pins[4] = {0x1.8d3868825ade1p+8, 0x1.b5df44c34b048p+18,
+                               0x1.03813b7daad2dp+20, 0x1.228c2e53e4113p+28};
+  const double tess_pins[4] = {0x1.441bb7af8a2aep+8, 0x1.02076f8b0bdb8p+18,
+                               0x1.6ff8a92a944c7p+19, 0x1.90efcf372bd6ep+27};
+  const TessKernel tess(fx.rho);
+  const int saved = default_team_size();
+  for (std::size_t g = 0; g < 4; ++g) {
+    const FieldSpec spec = unit_cube_spec(sizes[g]);
+    const std::string grid = "grid " + std::to_string(sizes[g]);
+    for (const int mc : {1, 4}) {
+      std::vector<Grid2D> renders;
+      for (const bool bands : {false, true}) {
+        WalkingOptions opt;
+        opt.monte_carlo_samples = mc;
+        opt.static_decomposition = bands;
+        const WalkingKernel walk(fx.rho, opt);
+        for (const int threads : {1, 4}) {
+          set_team_size(threads);
+          renders.push_back(walk.render(spec));
+        }
+      }
+      const std::string what = "walk mc " + std::to_string(mc) + " " + grid;
+      for (std::size_t k = 1; k < renders.size(); ++k)
+        expect_bitwise_equal(renders[0], renders[k],
+                             what + " render " + std::to_string(k));
+      if (mc == 1) {
+        EXPECT_EQ(weighted_checksum(renders[0]), walk_pins[g]) << what;
+      }
+    }
+    set_team_size(1);
+    const Grid2D one = tess.render(spec);
+    set_team_size(4);
+    expect_bitwise_equal(one, tess.render(spec), "tess " + grid);
+    EXPECT_EQ(weighted_checksum(one), tess_pins[g]) << "tess " << grid;
+  }
+  set_team_size(saved);
 }
 
 TEST(MarchingKernel, AdaptiveRenderCountsEmptyRays) {

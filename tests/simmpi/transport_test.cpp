@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -501,6 +502,28 @@ TEST(CliFlags, OutOfRangeIntegerFlagsExitTwo) {
     EXPECT_NE(out.find(flag), std::string::npos) << cmd << "\n" << out;
     EXPECT_EQ(out.find("check failed"), std::string::npos) << cmd << "\n" << out;
   }
+}
+
+// A missing or garbage snapshot is bad input: the command exits 1 with a
+// message naming the file, not an internal check failure and a source path.
+TEST(CliFlags, BadSnapshotInputNamesTheFile) {
+  char tmpl[] = "/tmp/pdtfe-badsnap-XXXXXX";
+  ASSERT_NE(nullptr, ::mkdtemp(tmpl));
+  const std::string dir = tmpl;
+  const std::string missing = dir + "/missing.bin";
+  const std::string garbage = dir + "/garbage.bin";
+  std::ofstream(garbage, std::ios::binary) << std::string(256, 'Z');
+  for (const std::string& path : {missing, garbage}) {
+    int rc = 0;
+    const std::string out =
+        run_capture(std::string(PDTFE_BINARY) + " info --in " + path, rc);
+    ASSERT_TRUE(WIFEXITED(rc)) << path << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << path << "\n" << out;
+    EXPECT_NE(out.find(path), std::string::npos) << out;
+    EXPECT_EQ(out.find("check failed"), std::string::npos) << out;
+  }
+  ::unlink(garbage.c_str());
+  ::rmdir(dir.c_str());
 }
 
 #endif  // PDTFE_BINARY
