@@ -43,8 +43,9 @@ FieldSpec bench_spec(std::size_t ng) {
 }
 
 // The two halves of a march render, timed apart: the per-triangulation
-// geometry table (built once per cube in the pipeline; the interpolant rows
-// come with the DensityField) and the rays over them.
+// geometry table (built at most once per cube in the pipeline, by the first
+// render that amortises it; the interpolant rows come with the
+// DensityField) and the rays over them.
 void BM_MarchTables(benchmark::State& state) {
   const auto& recon = shared_recon();
   for (auto _ : state) {

@@ -15,8 +15,9 @@
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and engine labels, plus the concurrent-triangulation, per-thread
-#      predicate-counter and shared-trace-recorder tests — against that
-#      build;
+#      predicate-counter and shared-trace-recorder tests and the kernel
+#      suites (render teams, row builds, renders inside item tasks) —
+#      against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      kernel fast-path, nbody (FOF cell-key packing), and engine suites
 #      against that build;
@@ -24,12 +25,16 @@
 #      and run them: the tiled render loops write ragged edge tiles through
 #      Grid2D::at.
 #
+# Every build here treats a compiler warning as an error
+# (CMAKE_COMPILE_WARNING_AS_ERROR); a plain `cmake -B build -S .` does not.
+#
 # usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
+WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 SKIP_TSAN=0
 SKIP_PERF=0
 while [ $# -gt 0 ]; do
@@ -45,7 +50,7 @@ echo "== lint: layering rules"
 bash scripts/check_layering.sh
 
 echo "== tier-1: configure + build (build/, $JOBS jobs)"
-cmake -B build -S . >/dev/null
+cmake -B build -S . "$WERROR" >/dev/null
 cmake --build build -j"$JOBS"
 
 echo "== tier-1: full ctest suite"
@@ -97,7 +102,7 @@ fi
 
 echo "== tsan: configure + build (build-thread/, DTFE_SANITIZE=thread)"
 cmake -B build-thread -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DDTFE_SANITIZE=thread >/dev/null
+      -DDTFE_SANITIZE=thread "$WERROR" >/dev/null
 cmake --build build-thread -j"$JOBS"
 
 echo "== tsan: fault + durable + engine labels"
@@ -116,20 +121,23 @@ TSAN_OPTS="halt_on_error=1 second_deadlock_stack=1 history_size=7 suppressions=$
 TSAN_OPTIONS="$TSAN_OPTS" \
     ctest --test-dir build-thread --output-on-failure -L 'fault|durable|engine'
 
-echo "== tsan: concurrent triangulations, predicate counters, shared trace"
+echo "== tsan: concurrent triangulations, predicate counters, shared trace, kernels"
 # Triangulation.ConcurrentBuildsMatchSerial builds one mesh on four threads
 # at once (a finished Triangulation holds no walk or scratch state, and the
 # predicate counters are thread_local); predicates_test checks that another
 # thread's calls never reach the caller's counters; obs_test has four rank
 # threads emitting spans and metrics into the shared recorder and registry.
+# kernels_test, density_test and fastpath_test drive the render teams, the
+# parallel row builds and renders nested inside parallel_tasks items.
 # Run as binaries, like the UBSan loop below.
-for t in triangulation_test predicates_test obs_test; do
+for t in triangulation_test predicates_test obs_test kernels_test \
+         density_test fastpath_test; do
   TSAN_OPTIONS="$TSAN_OPTS" "build-thread/tests/$t"
 done
 
 echo "== ubsan: configure + build (build-ubsan/, DTFE_SANITIZE=undefined)"
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DDTFE_SANITIZE=undefined >/dev/null
+      -DDTFE_SANITIZE=undefined "$WERROR" >/dev/null
 cmake --build build-ubsan -j"$JOBS"
 
 echo "== ubsan: geometry/kernel/nbody/engine suites"
@@ -150,7 +158,7 @@ ctest --test-dir build-ubsan --output-on-failure -L engine
 
 echo "== asan: configure + build (build-asan/, DTFE_SANITIZE=address)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DDTFE_SANITIZE=address >/dev/null
+      -DDTFE_SANITIZE=address "$WERROR" >/dev/null
 cmake --build build-asan -j"$JOBS" \
       --target kernels_test fastpath_test vector_field_test density_test
 

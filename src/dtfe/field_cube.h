@@ -5,12 +5,17 @@
 // pieces: the Delaunay mesh, its DTFE densities with their per-cell
 // interpolant rows, the lower-hull locator (paper §IV-A-2), and the marching
 // kernel's geometry table (dtfe/march_tables.h). FieldCube builds each of
-// them exactly once; the kernels, the audit, core::Reconstructor and the
-// engine's FieldKernel registry borrow them instead of rebuilding.
+// them at most once; the kernels, the audit, core::Reconstructor and the
+// engine's FieldKernel registry borrow them instead of rebuilding. The
+// first three are built with the cube; the table only when a march first
+// asks for it, which a march does only when its rays amortise the table
+// (MarchingKernel::render), so walk and tess items and small marches never
+// build one.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -22,10 +27,11 @@
 namespace dtfe {
 
 /// One Delaunay mesh plus its DTFE densities, hull silhouette and march
-/// geometry table, built once per work item and shared by whichever kernel
-/// (or audit) needs them. Immutable after construction, so concurrent
-/// renders may share one cube. Construction throws dtfe::Error for
-/// degenerate inputs, exactly like the pieces it bundles.
+/// geometry table, built at most once per work item and shared by whichever
+/// kernel (or audit) needs them. Immutable after construction apart from
+/// the table's one-time build, which is thread-safe, so concurrent renders
+/// may share one cube. Construction throws dtfe::Error for degenerate
+/// inputs, exactly like the pieces it bundles.
 class FieldCube {
  public:
   /// `particles` should already be in canonical (deterministic) order when
@@ -42,10 +48,11 @@ class FieldCube {
   std::span<const Vec3> points() const { return points_; }
   double particle_mass() const { return particle_mass_; }
 
-  /// The crossing-test tables for this cube's triangulation, shared by
-  /// every marching kernel rendering from it (the density path and each
-  /// channel of a vector render).
-  std::shared_ptr<const TetraGeomTable> geom_table() const { return geom_; }
+  /// The crossing-test tables for this cube's triangulation, built by the
+  /// first call (on the caller's team) and shared by every marching kernel
+  /// rendering from it afterwards (the density path and each channel of a
+  /// vector render). Concurrent first calls build it once.
+  std::shared_ptr<const TetraGeomTable> geom_table() const;
 
  private:
   std::vector<Vec3> points_;
@@ -53,7 +60,8 @@ class FieldCube {
   std::unique_ptr<Triangulation> tri_;
   std::unique_ptr<DensityField> density_;
   std::unique_ptr<HullProjection> hull_;
-  std::shared_ptr<const TetraGeomTable> geom_;
+  mutable std::once_flag geom_once_;
+  mutable std::shared_ptr<const TetraGeomTable> geom_;
 };
 
 }  // namespace dtfe

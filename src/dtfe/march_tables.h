@@ -22,6 +22,12 @@
 // Tables are indexed by raw cell id over cell_storage_size(); dead and
 // infinite slots hold zeros and are never dereferenced by a march (the walk
 // starts from a hull entry and stops at kNoCell).
+//
+// The march is templated on its geometry source: a TetraGeomTable, or a
+// MeshGeometry that computes the same rows from the mesh at each crossing.
+// The table is built from MeshGeometry, so both give the same bits. The
+// table costs ~196 B and one row build per cell up front and pays off only
+// when rays cross each cell many times (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +39,29 @@
 #include "geometry/tetra_coef.h"
 
 namespace dtfe {
+
+/// The march's geometry read straight off the mesh: the crossing-test
+/// coefficients, the neighbour (infinite neighbours collapsed to kNoCell)
+/// and the mirror slot, computed on each call. TetraGeomTable stores exactly
+/// these values per cell, so a march over either source is bitwise the same.
+class MeshGeometry {
+ public:
+  explicit MeshGeometry(const Triangulation& tri) : tri_(&tri) {}
+
+  VerticalTetraCoef coef(CellId c) const {
+    return make_vertical_coef(tri_->cell_points(c));
+  }
+  CellId next(CellId c, int face) const {
+    const CellId nb = tri_->cell(c).n[static_cast<std::size_t>(face)];
+    return nb == Triangulation::kNoCell || tri_->is_infinite(nb)
+               ? Triangulation::kNoCell
+               : nb;
+  }
+  int mirror(CellId c, int face) const { return tri_->mirror_index(c, face); }
+
+ private:
+  const Triangulation* tri_;
+};
 
 /// Geometry-only march tables: crossing-test coefficients plus resolved walk
 /// topology, one entry per raw cell id. Immutable after construction, safe

@@ -59,16 +59,31 @@ const MarchingOptions& checked(const MarchingOptions& opt) {
 }  // namespace
 
 MarchingKernel::MarchingKernel(const FieldCube& cube, MarchingOptions opt)
-    : MarchingKernel(cube.density(), cube.hull(), opt, cube.geom_table()) {}
+    : MarchingKernel(cube, cube.density(), opt) {}
+
+MarchingKernel::MarchingKernel(const FieldCube& cube,
+                               const DensityField& field, MarchingOptions opt)
+    : MarchingKernel(field, cube.hull(), opt) {
+  cube_ = &cube;
+}
 
 MarchingKernel::MarchingKernel(const DensityField& density,
                                const HullProjection& hull, MarchingOptions opt,
                                std::shared_ptr<const TetraGeomTable> geom)
-    : density_(&density), hull_(&hull), opt_(checked(opt)), field_(density) {
-  if (uses_tables())
-    geom_ = geom != nullptr ? std::move(geom)
-                            : std::make_shared<const TetraGeomTable>(
-                                  density.triangulation());
+    : density_(&density),
+      hull_(&hull),
+      opt_(checked(opt)),
+      geom_(std::move(geom)),
+      field_(density) {}
+
+const TetraGeomTable* MarchingKernel::table_for(double rays) const {
+  if (geom_ == nullptr &&
+      rays >= kTableRaysPerCell *
+                  static_cast<double>(density_->triangulation().num_cells()))
+    geom_ = cube_ != nullptr ? cube_->geom_table()
+                             : std::make_shared<const TetraGeomTable>(
+                                   density_->triangulation());
+  return geom_.get();
 }
 
 void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
@@ -96,11 +111,12 @@ void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
   }
 }
 
-MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
+template <class Geom>
+MarchingKernel::Attempt MarchingKernel::march_once_fast(const Geom& geom,
+                                                        const Vec2& xi,
                                                         double zmin,
                                                         double zmax) const {
   const Triangulation& tri = density_->triangulation();
-  const TetraGeomTable& geom = *geom_;
   Attempt out;
 
   const auto entry = hull_->first_entry(xi);
@@ -116,12 +132,14 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
   // average; the cap is a defensive bound against adjacency cycles.
   const std::uint64_t max_steps = 16 * tri.num_cells() + 64;
 
-  // Hot loop: each tetra costs six coefficient-table edge products plus one
+  // Hot loop: each tetra costs six coefficient-row edge products plus one
   // face classification. The first cell's span test already classifies both
-  // faces, so its exit needs no second pass.
+  // faces, so its exit needs no second pass. Rows bind by reference: a
+  // table row is read in place, a mesh row is computed once per cell.
   double s[6];
-  coef_edge_products(geom.coef(c), xi, s);
-  const VerticalSpan first = coef_vertical_span(geom.coef(c), s);
+  const auto& first_coef = geom.coef(c);
+  coef_edge_products(first_coef, xi, s);
+  const VerticalSpan first = coef_vertical_span(first_coef, s);
   if (!first.intersects || first.degenerate) {
     out.degenerate = true;
     out.degen_cell = c;
@@ -141,8 +159,9 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
       return out;
     }
     if (!have_exit) {
-      coef_edge_products(geom.coef(c), xi, s);
-      ve = coef_vertical_exit(geom.coef(c), s, entry_face);
+      const auto& coef = geom.coef(c);
+      coef_edge_products(coef, xi, s);
+      ve = coef_vertical_exit(coef, s, entry_face);
       if (!ve.found || ve.degenerate) {
         out.degenerate = true;
         out.degen_cell = c;
@@ -225,10 +244,12 @@ MarchingKernel::Attempt MarchingKernel::march_once_slow(const Vec2& xi,
   return out;
 }
 
+template <class Geom>
 MarchingKernel::LineResult MarchingKernel::march_line(
-    Vec2 xi, double zmin, double zmax, double eps, std::uint64_t& rng) const {
+    const Geom& geom, Vec2 xi, double zmin, double zmax, double eps,
+    std::uint64_t& rng) const {
   const Triangulation& tri = density_->triangulation();
-  const bool fast = geom_ != nullptr;
+  const bool fast = uses_coef_rows();
 
   LineResult out;
   for (int attempt = 0;; ++attempt) {
@@ -239,7 +260,7 @@ MarchingKernel::LineResult MarchingKernel::march_line(
       out.failed = true;
       return out;
     }
-    const Attempt a = fast ? march_once_fast(xi, zmin, zmax)
+    const Attempt a = fast ? march_once_fast(geom, xi, zmin, zmax)
                            : march_once_slow(xi, zmin, zmax);
     if (a.empty) {
       out.empty = true;
@@ -301,9 +322,10 @@ MarchingKernel::RayTally& MarchingKernel::RayTally::operator+=(
   return *this;
 }
 
-double MarchingKernel::refine_cell(const Vec2& center, double size,
-                                   double zmin, double zmax, double eps,
-                                   int depth, double weight,
+template <class Geom>
+double MarchingKernel::refine_cell(const Geom& geom, const Vec2& center,
+                                   double size, double zmin, double zmax,
+                                   double eps, int depth, double weight,
                                    std::uint64_t& rng, RayTally& tally) const {
   // Sample the four quadrant centers; if they agree (relative spread below
   // tolerance) or the depth budget is spent, their mean is the cell value;
@@ -316,7 +338,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
   double vals[4];
   double lo = 1e300, hi = -1e300, mean = 0.0;
   for (int i = 0; i < 4; ++i) {
-    const LineResult r = march_line(sub[i], zmin, zmax, eps, rng);
+    const LineResult r = march_line(geom, sub[i], zmin, zmax, eps, rng);
     vals[i] = r.sigma;
     tally.count(r);
     lo = std::min(lo, r.sigma);
@@ -332,7 +354,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
   }
   double refined = 0.0;
   for (int i = 0; i < 4; ++i)
-    refined += 0.25 * refine_cell(sub[i], size * 0.5, zmin, zmax, eps,
+    refined += 0.25 * refine_cell(geom, sub[i], size * 0.5, zmin, zmax, eps,
                                   depth + 1, 0.25 * weight, rng, tally);
   return refined;
 }
@@ -343,10 +365,32 @@ double MarchingKernel::integrate_line(const Vec2& xi, double zmin,
   const double extent =
       std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
   std::uint64_t rng = pixel_seed(opt_.seed, 0);
-  return march_line(xi, zmin, zmax, opt_.perturb_epsilon * extent, rng).sigma;
+  const double eps = opt_.perturb_epsilon * extent;
+  if (geom_ != nullptr)
+    return march_line(*geom_, xi, zmin, zmax, eps, rng).sigma;
+  return march_line(MeshGeometry(density_->triangulation()), xi, zmin, zmax,
+                    eps, rng)
+      .sigma;
 }
 
 Grid2D MarchingKernel::render(const FieldSpec& spec) const {
+  const MeshGeometry mesh(density_->triangulation());
+  if (!uses_coef_rows()) return render_on(mesh, MarchGeometry::kNone, spec);
+  // Rays the render plans: one per Monte Carlo sample, or the root's four
+  // quadrant samples per pixel of an adaptive render (refinement adds more).
+  const double per_pixel = opt_.adaptive_max_depth > 0
+                               ? 4.0
+                               : static_cast<double>(opt_.monte_carlo_samples);
+  const double rays = static_cast<double>(spec.nx()) *
+                      static_cast<double>(spec.ny()) * per_pixel;
+  if (const TetraGeomTable* table = table_for(rays))
+    return render_on(*table, MarchGeometry::kTable, spec);
+  return render_on(mesh, MarchGeometry::kMesh, spec);
+}
+
+template <class Geom>
+Grid2D MarchingKernel::render_on(const Geom& geom, MarchGeometry source,
+                                 const FieldSpec& spec) const {
   const std::size_t nx = spec.nx(), ny = spec.ny();
   Grid2D grid(nx, ny);
   const double h = spec.cell_size();
@@ -367,8 +411,9 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
     if (opt_.adaptive_max_depth > 0) {
       // Dynamic grid spacing: quadtree-refine cells whose corner lines
       // disagree.
-      grid.at(ix, iy) = refine_cell(spec.cell_center(ix, iy), h, spec.zmin,
-                                    spec.zmax, eps, 0, 1.0, rng, tally);
+      grid.at(ix, iy) = refine_cell(geom, spec.cell_center(ix, iy), h,
+                                    spec.zmin, spec.zmax, eps, 0, 1.0, rng,
+                                    tally);
       return;
     }
     double sigma = 0.0;
@@ -390,7 +435,8 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
         xi.x += (jx - 0.5) * h;
         xi.y += (jy - 0.5) * h;
       }
-      const LineResult r = march_line(xi, spec.zmin, spec.zmax, eps, rng);
+      const LineResult r =
+          march_line(geom, xi, spec.zmin, spec.zmax, eps, rng);
       tally.count(r);
       sigma += r.sigma;
     }
@@ -401,7 +447,8 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
 
   const RayTally& t = run.tally;
   stats_ = MarchingStats{nx * ny,  t.rays,  t.crossings, t.restarts,
-                         t.failed, t.empty, t.mass,      run.thread_seconds};
+                         t.failed, t.empty, t.mass,      run.thread_seconds,
+                         source};
   if (run.cancelled)
     throw Error("marching render cancelled: item deadline exceeded");
 

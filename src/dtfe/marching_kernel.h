@@ -8,10 +8,11 @@
 // intermediate 3D grid is ever built, and the sample points are the
 // mathematically optimal ones.
 //
-// The vertical hot path marches one line per pixel sample on precomputed
-// SoA coefficient tables (dtfe/march_tables.h, DESIGN.md §11): the cube's
-// geometry table and the field's own interpolant rows, borrowed by every
-// kernel over them. The direct AoS classifiers remain behind
+// The vertical hot path marches one line per pixel sample on coefficient
+// rows (dtfe/march_tables.h, DESIGN.md §11): the field's own interpolant
+// rows, and the geometry of the cube's table when the render's rays
+// amortise it, else the same geometry computed off the mesh per crossing.
+// The direct AoS classifiers remain behind
 // use_general_plucker/use_moller_trumbore as the audit/ablation oracle.
 //
 // Degeneracies (ℓ hits a vertex/edge or is coplanar with a face) are handled
@@ -75,6 +76,10 @@ struct MarchingOptions {
   const Deadline* deadline = nullptr;
 };
 
+/// Where a render's vertical march read its geometry: a TetraGeomTable, or
+/// MeshGeometry straight off the mesh (the ablation oracles read neither).
+enum class MarchGeometry { kNone, kMesh, kTable };
+
 struct MarchingStats {
   std::uint64_t cells_rendered = 0;
   std::uint64_t rays_marched = 0;        ///< lines of sight integrated
@@ -88,19 +93,33 @@ struct MarchingStats {
   /// catch grid-assembly corruption (see dtfe/audit.h).
   double ray_mass = 0.0;
   std::vector<double> thread_seconds;    ///< CPU seconds per team thread
+  MarchGeometry geometry = MarchGeometry::kNone;  ///< the march's source
 };
 
 class MarchingKernel {
  public:
+  /// Rays per live cell from which a render reads the geometry table rather
+  /// than the mesh: just above the measured break-even of 0.14–0.2 rays per
+  /// cell (table build included, one thread, DESIGN.md §11). Below it the
+  /// table would cost ~196 B per cell and buy no time.
+  static constexpr double kTableRaysPerCell = 0.25;
+
   /// The cube's density march: borrows the cube's density (with its
-  /// interpolant rows), hull and geometry table and builds nothing. The cube
-  /// must outlive the kernel.
+  /// interpolant rows) and hull, and asks the cube for its geometry table
+  /// only when a render amortises it. The cube must outlive the kernel.
   explicit MarchingKernel(const FieldCube& cube, MarchingOptions opt = {});
 
-  /// A march over any per-vertex field on a triangulation (vector channels,
-  /// tests). Reads the field's interpolant rows; builds the TetraGeomTable
-  /// unless `geom` shares one (FieldCube::geom_table()). Both referenced
-  /// objects must outlive the kernel.
+  /// A march over another per-vertex field on the cube's mesh (the vector
+  /// channels): the field's interpolant rows, the cube's hull and, when a
+  /// render amortises it, the cube's one geometry table. Both must outlive
+  /// the kernel.
+  MarchingKernel(const FieldCube& cube, const DensityField& field,
+                 MarchingOptions opt = {});
+
+  /// A march over any per-vertex field on a triangulation (tests, benches).
+  /// Reads the field's interpolant rows. A shared `geom` is used by every
+  /// render; without one, the first render that amortises a table builds
+  /// the kernel's own. Both referenced objects must outlive the kernel.
   MarchingKernel(const DensityField& density, const HullProjection& hull,
                  MarchingOptions opt = {},
                  std::shared_ptr<const TetraGeomTable> geom = nullptr);
@@ -109,13 +128,17 @@ class MarchingKernel {
   /// one render_tiles call on the calling thread's team). Returns an Ng×Ng
   /// grid of Σ̂ values. Pixels are visited in PixelTiles order, so
   /// neighbouring rays share cached table rows; the grid is the same for
-  /// any order (see MarchingOptions::seed). Throws dtfe::Error naming the
-  /// deadline if opt.deadline expires.
+  /// any order (see MarchingOptions::seed) and either geometry source. The
+  /// table is read when the render plans at least kTableRaysPerCell rays
+  /// per live cell (nx·ny·samples; 4 per pixel for adaptive renders), else
+  /// the mesh; stats().geometry says which. Throws dtfe::Error naming the
+  /// deadline if opt.deadline expires. Not for concurrent calls on one
+  /// kernel (stats and the kernel's own table are per kernel).
   Grid2D render(const FieldSpec& spec) const;
 
   /// Integrate the DTFE interpolant along the single vertical line through
-  /// ξ over [zmin, zmax]. Exposed for tests and for the walking-comparison
-  /// benches.
+  /// ξ over [zmin, zmax], on a table the kernel already has, else the mesh.
+  /// Exposed for tests and for the walking-comparison benches.
   double integrate_line(const Vec2& xi, double zmin, double zmax) const;
 
   /// Statistics from the most recent render() call.
@@ -147,17 +170,27 @@ class MarchingKernel {
     RayTally& operator+=(const RayTally& o);
   };
 
-  /// The vertical fast path marches on the tables; the Möller /
-  /// general-Plücker ablation oracles march the AoS geometry and need none.
-  bool uses_tables() const {
+  /// The vertical fast path marches on coefficient rows; the Möller /
+  /// general-Plücker ablation oracles march the AoS geometry.
+  bool uses_coef_rows() const {
     return !opt_.use_moller_trumbore && !opt_.use_general_plucker;
   }
+  /// The table a render of `rays` rays marches on: the kernel's, else the
+  /// cube's or a new one of its own when the rays amortise it; else null.
+  const TetraGeomTable* table_for(double rays) const;
+  /// The render over one geometry source (TetraGeomTable or MeshGeometry).
+  template <class Geom>
+  Grid2D render_on(const Geom& geom, MarchGeometry source,
+                   const FieldSpec& spec) const;
 
   /// March ξ, perturbing and retrying on degenerate hits (paper Fig. 2);
   /// each perturbation moves ξ by at most `eps`.
-  LineResult march_line(Vec2 xi, double zmin, double zmax, double eps,
-                        std::uint64_t& rng) const;
-  Attempt march_once_fast(const Vec2& xi, double zmin, double zmax) const;
+  template <class Geom>
+  LineResult march_line(const Geom& geom, Vec2 xi, double zmin, double zmax,
+                        double eps, std::uint64_t& rng) const;
+  template <class Geom>
+  Attempt march_once_fast(const Geom& geom, const Vec2& xi, double zmin,
+                          double zmax) const;
   Attempt march_once_slow(const Vec2& xi, double zmin, double zmax) const;
   /// Accumulate one tetra's contribution over [a, b) into sigma.
   void add_interval(CellId c, const Vec2& xi, double a, double b, double zmin,
@@ -166,14 +199,19 @@ class MarchingKernel {
   /// square cell centered at `center` with side `size`. `weight` is this
   /// node's share of the top-level 2D cell (1.0 at the root), used to
   /// accumulate MarchingStats::ray_mass from terminal samples only.
-  double refine_cell(const Vec2& center, double size, double zmin, double zmax,
-                     double eps, int depth, double weight, std::uint64_t& rng,
+  template <class Geom>
+  double refine_cell(const Geom& geom, const Vec2& center, double size,
+                     double zmin, double zmax, double eps, int depth,
+                     double weight, std::uint64_t& rng,
                      RayTally& tally) const;
 
   const DensityField* density_;
   const HullProjection* hull_;
+  const FieldCube* cube_ = nullptr;  ///< owner of the table, if any
   MarchingOptions opt_;
-  std::shared_ptr<const TetraGeomTable> geom_;
+  /// Shared at construction, or taken by the first render that amortises
+  /// it (from cube_, else built for this kernel).
+  mutable std::shared_ptr<const TetraGeomTable> geom_;
   FieldCoefTable field_;
   mutable MarchingStats stats_;
 };

@@ -1,6 +1,7 @@
-// The kernels' one threading mechanism. Every OpenMP team, schedule and ICV
-// in src/ comes from this header: the per-cell row builds, the tiled render
-// loop, the per-pixel RNG seed and the rank threads' team size.
+// The one threading mechanism. Every OpenMP team, schedule and ICV in src/
+// comes from this header: a rank's concurrent work items, the per-cell row
+// builds, the tiled render loop, the per-pixel RNG seed and the rank
+// threads' team size.
 #pragma once
 
 #include <omp.h>
@@ -62,6 +63,36 @@ void parallel_rows(std::size_t n, F&& row) {
   }
 }
 
+/// Call task(i) for every i in [0, n) on the calling thread's team, one
+/// index per schedule(dynamic, 1) unit, so a long task never holds back the
+/// ones queued behind it. A team opened inside a task nests inactive (see
+/// set_team_size): the task's renders and row builds run on its own thread.
+/// task(i) writes only task i's own storage and must not throw (an exception
+/// must not leave the region); the caller reads the results in index order
+/// after the join. A single task runs inline, keeping the whole team for its
+/// kernels. The declared TSan fork and join order what the caller prepared
+/// before the tasks and what they wrote before whatever the caller does
+/// next.
+template <class F>
+void parallel_tasks(std::size_t n, F&& task) {
+  if (n <= 1) {
+    if (n == 1) task(std::size_t{0});
+    return;
+  }
+  const auto count = static_cast<std::ptrdiff_t>(n);
+  char sync = 0;
+  detail::tsan_release(&sync);
+#pragma omp parallel
+  {
+    detail::tsan_acquire(&sync);
+#pragma omp for schedule(dynamic, 1)
+    for (std::ptrdiff_t i = 0; i < count; ++i)
+      task(static_cast<std::size_t>(i));
+    detail::tsan_release(&sync);
+  }
+  detail::tsan_acquire(&sync);
+}
+
 /// A pixel's RNG state: splitmix of (stream seed, row-major pixel index).
 /// Independent of which thread renders the pixel and in what order, so a
 /// render is bitwise reproducible under any schedule and team size, the
@@ -75,8 +106,10 @@ inline std::uint64_t pixel_seed(std::uint64_t seed, std::uint64_t index) {
 /// The calling thread's team size when nothing set it (the OpenMP default).
 inline int default_team_size() { return omp_get_max_threads(); }
 
-/// Cap the calling thread's kernel teams at n threads and forbid nested
-/// teams. Both are per-thread settings, so each rank thread sets its own.
+/// Cap the calling thread's teams at n threads and forbid nested teams: a
+/// team opened inside one of them (a render inside a parallel_tasks task)
+/// runs on the one thread that opens it. Both are per-thread settings, so
+/// each rank thread sets its own.
 inline void set_team_size(int n) {
   omp_set_num_threads(n);
   omp_set_max_active_levels(1);
@@ -107,10 +140,14 @@ template <class Tally, class Pixel>
 TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
                             const Deadline* deadline, Pixel&& pixel,
                             bool static_bands = false) {
-  const auto team = static_cast<std::size_t>(omp_get_max_threads());
-  std::vector<Tally> tallies(team);
+  // omp_get_max_threads() bounds the region's team from above; inside an
+  // outer team the region nests inactive and runs on one thread, so the
+  // per-thread slots are trimmed to the team that actually ran.
+  const auto bound = static_cast<std::size_t>(omp_get_max_threads());
+  std::vector<Tally> tallies(bound);
   TileRun<Tally> run;
-  run.thread_seconds.assign(team, 0.0);
+  run.thread_seconds.assign(bound, 0.0);
+  std::size_t team = bound;
   std::atomic<bool> cancelled{false};
   const PixelTiles tiles(nx, ny);
   const auto n_tiles = static_cast<std::ptrdiff_t>(tiles.count());
@@ -121,6 +158,7 @@ TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
   {
     detail::tsan_acquire(&sync);
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+    if (tid == 0) team = static_cast<std::size_t>(omp_get_num_threads());
     ThreadCpuTimer timer;
     Tally tally{};  // on this thread's stack: no false sharing
     std::uint64_t pixels_done = 0;
@@ -148,6 +186,8 @@ TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
   }
   detail::tsan_acquire(&sync);
 
+  tallies.resize(team);
+  run.thread_seconds.resize(team);
   for (const Tally& t : tallies) run.tally += t;
   run.cancelled = cancelled.load(std::memory_order_relaxed);
   return run;

@@ -194,7 +194,8 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
   if (request.seed != 0) opt.seed = request.seed;
   if (deadline != nullptr) opt.deadline = deadline;
   if (request.field == FieldKind::kDensity) {
-    // The density march borrows the cube's tables; it builds nothing.
+    // The density march borrows the cube's rows and, when its rays amortise
+    // it, the cube's geometry table.
     const MarchingKernel kernel(cube, opt);
     Grid2D grid = kernel.render(request.spec);
     stats.ray_mass = kernel.stats().ray_mass;
@@ -205,15 +206,14 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
 
   // Vector channels: march ∫f dz and ∫dz with the same kernel options and
   // take the per-cell ratio — the volume-weighted line-of-sight mean. Each
-  // channel is its own field with its own interpolant rows; every kernel
-  // shares the cube's geometry table. ray_mass stays NaN (there is no mass
-  // identity for these channels).
-  const std::shared_ptr<const TetraGeomTable> geom = cube.geom_table();
+  // channel is its own field with its own interpolant rows; the kernels
+  // share the cube's one geometry table when their rays amortise it.
+  // ray_mass stays NaN (there is no mass identity for these channels).
   const Triangulation& tri = cube.triangulation();
   const auto channels = channel_vertex_values(cube, request);
   const std::vector<double> ones(tri.num_vertices(), 1.0);
   const DensityField unit = DensityField::with_vertex_values(tri, ones);
-  const MarchingKernel path_kernel(unit, cube.hull(), opt, geom);
+  const MarchingKernel path_kernel(cube, unit, opt);
   const Grid2D path = path_kernel.render(request.spec);
   stats.failed_cells += path_kernel.stats().failed_cells;
   stats.perturb_restarts += path_kernel.stats().perturb_restarts;
@@ -222,7 +222,7 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
   planes.reserve(channels.size());
   for (const std::vector<double>& values : channels) {
     const DensityField f = DensityField::with_vertex_values(tri, values);
-    const MarchingKernel kernel(f, cube.hull(), opt, geom);
+    const MarchingKernel kernel(cube, f, opt);
     const Grid2D integral = kernel.render(request.spec);
     stats.failed_cells += kernel.stats().failed_cells;
     stats.perturb_restarts += kernel.stats().perturb_restarts;

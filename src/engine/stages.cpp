@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <set>
 #include <span>
 #include <string>
@@ -103,8 +104,9 @@ FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
   engine::RenderRequest request;
   try {
     // The two item spans are the item's phase timers: Triangulate is the
-    // whole cube build (mesh, densities with their interpolant rows, hull,
-    // geometry table), Render is the kernel plus the audit.
+    // whole cube build (mesh, densities with their interpolant rows, hull),
+    // Render the kernel (with the geometry table, when the render builds
+    // one) plus the audit.
     // A phase that throws still charges its CPU to its own span.
     obs::TraceSpan tri_span(engine::phases::kItemTriangulate,
                             engine::phases::kCategory, &record.actual_tri);
@@ -291,13 +293,29 @@ const char* in_flight_label(ItemPath path) {
   return phases::kInFlightLocal;
 }
 
+/// The run_items list for a work package's unpacked items.
+std::vector<StageContext::WorkItem> shipped_items(
+    const std::vector<std::ptrdiff_t>& request_ids,
+    const std::vector<Vec3>& centers,
+    std::vector<std::vector<Vec3>>& particle_sets, ItemPath path) {
+  std::vector<StageContext::WorkItem> items(centers.size());
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    items[i].cube = std::move(particle_sets[i]);
+    items[i].center = centers[i];
+    items[i].request_index = request_ids[i];
+    items[i].n_predict = static_cast<double>(items[i].cube.size());
+    items[i].path = path;
+  }
+  return items;
+}
+
 }  // namespace
 
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process) {
   const int total = opt.threads > 0 ? opt.threads : default_team_size();
   const int team = std::max(1, total / std::max(1, ranks_in_process));
-  // Each SimMpi rank thread caps its own kernel teams, so the P rank teams
-  // together stay within --threads.
+  // Each SimMpi rank thread caps its own team, so the P rank teams together
+  // stay within --threads.
   set_team_size(team);
   return team;
 }
@@ -321,7 +339,7 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
   obs::add(pipeline_metrics().runs);
-  // Cap this rank thread's kernel team so P rank teams never oversubscribe
+  // Cap this rank thread's team so P rank teams never oversubscribe
   // (DESIGN.md §8).
   configure_rank_threading(opt, P);
 }
@@ -352,6 +370,7 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   }
   res.phases.triangulate += rec.actual_tri;
   res.phases.render += rec.actual_interp;
+  if (received) ++res.items_received;
   if (rec.failed) ++res.items_failed;
   if (rec.fallback) ++res.items_fallback;
   if (rec.recovered) ++res.items_recovered;
@@ -378,23 +397,6 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   if (opt.keep_grids) res.grids.push_back(std::move(grid));
 }
 
-void StageContext::run_item(std::vector<Vec3> cube, const Vec3& center,
-                            std::ptrdiff_t request_index, double n_predict,
-                            ItemPath path) {
-  ItemRecord rec;
-  rec.fallback = path == ItemPath::kFallback;
-  rec.recovered = path == ItemPath::kRecover;
-  const Deadline deadline = make_deadline(res.model.predict(n_predict));
-  const ScopedCrashItem in_flight(me, request_index, in_flight_label(path));
-  FieldGrid grid = compute_field_item(std::move(cube), particle_mass, center,
-                                      opt, rec, &deadline);
-  rec.request_index = request_index;
-  record_item(std::move(rec), std::move(grid),
-              res.model.predict_tri(n_predict),
-              res.model.predict_interp(n_predict),
-              path == ItemPath::kReceived);
-}
-
 std::vector<Vec3> StageContext::gather_local(std::size_t i) const {
   std::vector<std::uint32_t> ids;
   index->gather_in_cube(my_requests[i], cube_side, ids);
@@ -404,10 +406,50 @@ std::vector<Vec3> StageContext::gather_local(std::size_t i) const {
   return cube;
 }
 
-void StageContext::execute_local(std::size_t idx_in_remaining) {
+StageContext::WorkItem StageContext::local_item(
+    std::size_t idx_in_remaining) const {
   const std::size_t i = remaining[idx_in_remaining];
-  run_item(gather_local(i), my_requests[i], my_request_ids[i], item_counts[i],
-           ItemPath::kLocal);
+  WorkItem item;
+  item.local = static_cast<std::ptrdiff_t>(i);
+  item.center = my_requests[i];
+  item.request_index = my_request_ids[i];
+  item.n_predict = item_counts[i];
+  return item;
+}
+
+void StageContext::run_items(std::vector<WorkItem> items) {
+  struct Done {
+    ItemRecord rec;
+    FieldGrid grid;
+    std::exception_ptr error;
+  };
+  std::vector<Done> done(items.size());
+  parallel_tasks(items.size(), [&](std::size_t k) {
+    WorkItem& item = items[k];
+    Done& d = done[k];
+    try {
+      obs::TraceRecorder::set_thread_rank(me);
+      if (item.local >= 0)
+        item.cube = gather_local(static_cast<std::size_t>(item.local));
+      d.rec.fallback = item.path == ItemPath::kFallback;
+      d.rec.recovered = item.path == ItemPath::kRecover;
+      const Deadline deadline = make_deadline(res.model.predict(item.n_predict));
+      const ScopedCrashItem in_flight(me, item.request_index,
+                                      in_flight_label(item.path));
+      d.grid = compute_field_item(std::move(item.cube), particle_mass,
+                                  item.center, opt, d.rec, &deadline);
+      d.rec.request_index = item.request_index;
+    } catch (...) {
+      d.error = std::current_exception();
+    }
+  });
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    if (done[k].error) std::rethrow_exception(done[k].error);
+    const double n = items[k].n_predict;
+    record_item(std::move(done[k].rec), std::move(done[k].grid),
+                res.model.predict_tri(n), res.model.predict_interp(n),
+                items[k].path == ItemPath::kReceived);
+  }
 }
 
 // ---- Stage 1: partitioning & redistribution + durable setup ---------------
@@ -662,11 +704,7 @@ void ComputeStage::run(StageContext& ctx) const {
                                   &res.phases.work_share);
       unpack_items(p.buf, req_ids, centers, cubes);
     }
-    for (std::size_t i = 0; i < centers.size(); ++i) {
-      const double n = static_cast<double>(cubes[i].size());
-      ctx.run_item(std::move(cubes[i]), centers[i], req_ids[i], n,
-                   ItemPath::kFallback);
-    }
+    ctx.run_items(shipped_items(req_ids, centers, cubes, ItemPath::kFallback));
   };
 
   // Shared retry bounds (util/retry.h): the sender's resend loop and the
@@ -722,10 +760,15 @@ void ComputeStage::run(StageContext& ctx) const {
 
   if (!res.schedule.send_list.empty()) {
     // SENDER: interleave gap-bin local items with sends, then leftovers.
-    for (std::size_t k = 0; k < ctx.plan.ordered_sends.size(); ++k) {
+    auto local_items = [&](int slot) {
+      std::vector<StageContext::WorkItem> items;
       for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
-        if (ctx.plan.item_assignment[j] == ctx.plan.gap_slot(k))
-          ctx.execute_local(j);
+        if (ctx.plan.item_assignment[j] == slot)
+          items.push_back(ctx.local_item(j));
+      return items;
+    };
+    for (std::size_t k = 0; k < ctx.plan.ordered_sends.size(); ++k) {
+      ctx.run_items(local_items(ctx.plan.gap_slot(k)));
 
       obs::TraceSpan pack_scope(phases::kPack, phases::kCategory,
                                 &res.phases.work_share);
@@ -752,16 +795,16 @@ void ComputeStage::run(StageContext& ctx) const {
       pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
                          std::move(buf)});
     }
-    for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
-      if (ctx.plan.item_assignment[j] == SenderPlan::kRunAtEnd)
-        ctx.execute_local(j);
+    ctx.run_items(local_items(SenderPlan::kRunAtEnd));
     // Ack reconciliation is deferred until after all local work so a slow
     // receiver never stalls the sender's own items.
     for (PendingSend& p : pending) reconcile(p);
   } else {
     // RECEIVER or neutral rank: drain local work...
+    std::vector<StageContext::WorkItem> drain;
     for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
-      ctx.execute_local(j);
+      drain.push_back(ctx.local_item(j));
+    ctx.run_items(std::move(drain));
     // ...then serve the expected work-sharing messages in order.
     std::vector<int> last_seq(static_cast<std::size_t>(ctx.P), 0);
     for (const int sender : res.schedule.recv_list) {
@@ -774,12 +817,8 @@ void ComputeStage::run(StageContext& ctx) const {
                                       &res.phases.work_share);
           unpack_items(buf, req_ids, centers, cubes);
         }
-        for (std::size_t i = 0; i < centers.size(); ++i) {
-          const double n = static_cast<double>(cubes[i].size());
-          ctx.run_item(std::move(cubes[i]), centers[i], req_ids[i], n,
-                       ItemPath::kReceived);
-          ++res.items_received;
-        }
+        ctx.run_items(
+            shipped_items(req_ids, centers, cubes, ItemPath::kReceived));
       };
 
       int attempts = 0;
@@ -866,14 +905,20 @@ void RecoverStage::run(StageContext& ctx) const {
     if (who == ctx.me) mine.push_back(gi);
   }
   // The recovered items run after the recover span, in their own item spans.
+  // fetch_cube may touch shared state (a snapshot reader), so every cube is
+  // fetched here on the rank thread before the items run.
   recover_scope.close();
+  std::vector<StageContext::WorkItem> items;
   for (const std::size_t gi : mine) {
-    const Vec3 w = wrap_periodic(ctx.field_centers[gi], ctx.box);
-    std::vector<Vec3> cube = ctx.fetch_cube(w, ctx.cube_side);
-    const double n = static_cast<double>(cube.size());
-    ctx.run_item(std::move(cube), w, static_cast<std::ptrdiff_t>(gi), n,
-                 ItemPath::kRecover);
+    StageContext::WorkItem item;
+    item.center = wrap_periodic(ctx.field_centers[gi], ctx.box);
+    item.cube = ctx.fetch_cube(item.center, ctx.cube_side);
+    item.request_index = static_cast<std::ptrdiff_t>(gi);
+    item.n_predict = static_cast<double>(item.cube.size());
+    item.path = ItemPath::kRecover;
+    items.push_back(std::move(item));
   }
+  ctx.run_items(std::move(items));
 }
 
 // ---- Final agreement -------------------------------------------------------

@@ -20,8 +20,9 @@
 // run_pipeline and run_pipeline_from_snapshot (framework/pipeline.h) are the
 // per-rank entries that feed it, one per data source, and every caller (the
 // Engine's rank threads, socket workers, tests) goes through them. Each item
-// runs through compute_field_item. The stages' metric ids and crash markers
-// are process-wide, so concurrent runs need no per-run service objects.
+// runs through compute_field_item, as one task of a run_items list. The
+// stages' metric ids and crash markers are process-wide, so concurrent runs
+// need no per-run service objects.
 #pragma once
 
 #include <cstdint>
@@ -101,13 +102,29 @@ struct StageContext {
                    double pred_interp, bool received);
   /// The owned + ghost particles inside my_requests[i]'s cube.
   std::vector<Vec3> gather_local(std::size_t i) const;
-  /// Compute one item inline on the rank thread and record it: arm the
-  /// watchdog from the model's prediction for `n_predict` particles, label
-  /// the crash slot, compute_field_item, record_item.
-  void run_item(std::vector<Vec3> cube, const Vec3& center,
-                std::ptrdiff_t request_index, double n_predict, ItemPath path);
-  /// Gather the cube for my_requests[remaining[j]], compute, record.
-  void execute_local(std::size_t idx_in_remaining);
+
+  /// One item of a list run_items computes: a local request, gathered in
+  /// its own task, or a cube already in hand (received, fallback and
+  /// recovered items).
+  struct WorkItem {
+    std::vector<Vec3> cube;
+    std::ptrdiff_t local = -1;  ///< index into my_requests, or -1
+    Vec3 center;
+    std::ptrdiff_t request_index = -1;
+    double n_predict = 0.0;  ///< particle count the model predicts from
+    ItemPath path = ItemPath::kLocal;
+  };
+  /// The item for my_requests[remaining[j]].
+  WorkItem local_item(std::size_t idx_in_remaining) const;
+  /// Compute a list of items concurrently, one parallel_tasks task each on
+  /// the rank's team, and commit them in list order on the rank thread.
+  /// Each task gathers its local cube, arms its own watchdog from the
+  /// model's prediction for n_predict particles, labels its crash slot and
+  /// runs compute_field_item. Back on the rank thread each item is
+  /// record_item'ed, or its exception rethrown, in order, so journals,
+  /// results and metrics see the sequence a serial loop would; items after
+  /// one that throws are dropped uncommitted.
+  void run_items(std::vector<WorkItem> items);
 };
 
 struct ExchangeStage {
@@ -137,9 +154,10 @@ PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube);
 
-/// Cap the calling rank thread's kernel team at max(1, threads / ranks)
+/// Cap the calling rank thread's team at max(1, threads / ranks)
 /// (default_team_size() when opt.threads is 0) and disable nested teams,
-/// through dtfe/parallel.h. Returns the team size.
+/// through dtfe/parallel.h: the rank's items run concurrently on that team
+/// and each item's kernels on its one thread. Returns the team size.
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process);
 
 }  // namespace dtfe::engine

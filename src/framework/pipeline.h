@@ -107,8 +107,9 @@ struct PhaseTimes {
   double partition = 0.0;
   double model = 0.0;       ///< count index, item counts and the cost fit
   double triangulate = 0.0; ///< cube builds: mesh, densities with their
-                            ///< interpolant rows, hull, geometry table
-  double render = 0.0;      ///< kernel renders (ensemble cubes) and audits
+                            ///< interpolant rows, hull
+  double render = 0.0;      ///< kernel renders (ensemble cubes, geometry
+                            ///< tables they build) and audits
   double work_share = 0.0;  ///< packing/unpacking/sending work packages
   double recover = 0.0;     ///< agreeing which lost items each rank redoes
   double total() const {

@@ -76,7 +76,9 @@ void append_metrics_object(std::string& out, const MetricsSnapshot& m) {
 RunReport::RankRow& RunReport::row_for(int rank) {
   for (RankRow& r : ranks_)
     if (r.rank == rank) return r;
-  ranks_.push_back({rank, {}});
+  RankRow row;
+  row.rank = rank;
+  ranks_.push_back(std::move(row));
   return ranks_.back();
 }
 

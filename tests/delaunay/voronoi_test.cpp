@@ -160,7 +160,9 @@ TEST(VoronoiVolumes, ZeroOrderDensityConservesMass) {
     if (std::isinf(vol[v]) || tri.is_duplicate(vid)) continue;
     const double density = rho.vertex_mass(vid) / vol[v];
     EXPECT_NEAR(density * vol[v], rho.vertex_mass(vid), 1e-12);
-    if (v == 3) EXPECT_DOUBLE_EQ(rho.vertex_mass(vid), 2.0);
+    if (v == 3) {
+      EXPECT_DOUBLE_EQ(rho.vertex_mass(vid), 2.0);
+    }
   }
 }
 

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "delaunay/hull_projection.h"
 #include "dtfe/density.h"
+#include "dtfe/field_cube.h"
+#include "dtfe/march_tables.h"
 #include "dtfe/marching_kernel.h"
 #include "dtfe/parallel.h"
 #include "dtfe/tess_kernel.h"
@@ -323,6 +326,13 @@ FieldSpec unit_cube_spec(std::size_t resolution) {
   return spec;
 }
 
+void expect_bitwise_equal(const Grid2D& a, const Grid2D& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a.flat(i), b.flat(i)) << what << " pixel " << i;
+}
+
 TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
   // Grids of 1, 7, 9 and 37 pixels make ragged edge tiles; Monte Carlo > 1
   // draws from the per-pixel RNG, so a pixel bound to the wrong ray seed
@@ -345,26 +355,126 @@ TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
       {0x1.ea01eb69afb6cp+8, 0x1.ae97dd5c3e2c9p+18, 0x1.fadb41fe001d7p+19,
        0x1.255416c4b00abp+28},
   };
+  // Each render also runs on a shared table, so the pins hold for both
+  // geometry sources: the small grids march off the mesh, the larger ones
+  // on the kernel's own table.
+  const auto table = std::make_shared<const TetraGeomTable>(fx.tri);
+  int mesh_renders = 0, table_renders = 0;
   const int saved = default_team_size();
   for (std::size_t m = 0; m < 4; ++m) {
     const MarchingKernel kernel(fx.rho, fx.hull, modes[m]);
+    const MarchingKernel on_table(fx.rho, fx.hull, modes[m], table);
     for (std::size_t g = 0; g < 4; ++g) {
       const FieldSpec spec = unit_cube_spec(sizes[g]);
+      const std::string what =
+          "mode " + std::to_string(m) + " grid " + std::to_string(sizes[g]);
       set_team_size(1);
       const Grid2D one = kernel.render(spec);
+      const MarchGeometry source = kernel.stats().geometry;
+      (source == MarchGeometry::kMesh ? mesh_renders : table_renders) += 1;
       set_team_size(4);
       const Grid2D four = kernel.render(spec);
-      ASSERT_EQ(one.size(), four.size());
-      for (std::size_t i = 0; i < one.size(); ++i)
-        ASSERT_EQ(one.flat(i), four.flat(i))
-            << "mode " << m << " grid " << sizes[g] << " pixel " << i;
+      expect_bitwise_equal(one, four, what + " 1 vs 4 threads");
+      const Grid2D shared = on_table.render(spec);
+      EXPECT_EQ(on_table.stats().geometry, MarchGeometry::kTable) << what;
+      expect_bitwise_equal(one, shared, what + " vs the shared table");
       char buf[64];
       std::snprintf(buf, sizeof buf, "%a", weighted_checksum(one));
       EXPECT_EQ(weighted_checksum(one), pinned[m][g])
-          << "mode " << m << " grid " << sizes[g] << " checksum " << buf;
+          << what << " checksum " << buf;
     }
   }
   set_team_size(saved);
+  EXPECT_GT(mesh_renders, 0);
+  EXPECT_GT(table_renders, 0);
+}
+
+TEST(MarchingKernel, MeshAndTableSourcesAgreeBitwise) {
+  // A 5×5×5 lattice is as degenerate as a mesh gets: the grid's rays run
+  // through lattice vertices and along cospherical faces, so the march
+  // perturbs and restarts. Every sampling mode must give the same bits and
+  // the same counts on the mesh as on a table.
+  std::vector<Vec3> lattice;
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 5; ++j)
+      for (int k = 0; k < 5; ++k)
+        lattice.push_back({0.25 * i, 0.25 * j, 0.25 * k});
+  const Triangulation tri(lattice);
+  const DensityField rho(tri, 1.0);
+  const HullProjection hull(tri);
+  const auto table = std::make_shared<const TetraGeomTable>(tri);
+  FieldSpec spec;  // pixel centres on the lattice lines
+  spec.origin = {-0.125, -0.125};
+  spec.length = 1.25;
+  spec.resolution = 5;
+  spec.zmin = -0.5;
+  spec.zmax = 1.5;
+  MarchingOptions mc, adaptive, zs;
+  mc.monte_carlo_samples = 4;
+  adaptive.adaptive_max_depth = 2;
+  zs.z_samples = 16;
+  std::uint64_t restarts = 0;
+  for (const MarchingOptions& mode : {MarchingOptions{}, mc, adaptive, zs}) {
+    const MarchingKernel on_mesh(rho, hull, mode);
+    const MarchingKernel on_table(rho, hull, mode, table);
+    const Grid2D a = on_mesh.render(spec);
+    const Grid2D b = on_table.render(spec);
+    ASSERT_EQ(on_mesh.stats().geometry, MarchGeometry::kMesh);
+    ASSERT_EQ(on_table.stats().geometry, MarchGeometry::kTable);
+    expect_bitwise_equal(a, b, "lattice");
+    EXPECT_EQ(on_mesh.stats().tetra_crossed, on_table.stats().tetra_crossed);
+    EXPECT_EQ(on_mesh.stats().perturb_restarts,
+              on_table.stats().perturb_restarts);
+    EXPECT_EQ(on_mesh.stats().ray_mass, on_table.stats().ray_mass);
+    restarts += on_mesh.stats().perturb_restarts;
+  }
+  EXPECT_GT(restarts, 0u);
+}
+
+TEST(MarchingKernel, TableOnlyWhenTheRaysAmortiseIt) {
+  // The rule: a render reads a table once it plans kTableRaysPerCell rays
+  // per live cell. A 32² catalog-sized render of a 10k-cell cube marches
+  // off the mesh; a render with as many rays as cells builds the table, and
+  // later smaller renders of the same kernel reuse it.
+  const FieldCube cube(random_points(2000, 41), 1.0);
+  const std::size_t cells = cube.triangulation().num_cells();
+  ASSERT_GE(cells, 10000u);
+  const MarchingKernel kernel(cube);
+  const Grid2D small = kernel.render(unit_cube_spec(32));
+  EXPECT_EQ(kernel.stats().geometry, MarchGeometry::kMesh);
+  std::size_t side = 1;
+  while (side * side < cells) ++side;
+  (void)kernel.render(unit_cube_spec(side));
+  EXPECT_EQ(kernel.stats().geometry, MarchGeometry::kTable);
+  expect_bitwise_equal(small, kernel.render(unit_cube_spec(32)),
+                       "32² on the cube's table");
+  EXPECT_EQ(kernel.stats().geometry, MarchGeometry::kTable);
+  // A fresh kernel decides from its own render's rays.
+  const MarchingKernel again(cube);
+  (void)again.render(unit_cube_spec(32));
+  EXPECT_EQ(again.stats().geometry, MarchGeometry::kMesh);
+}
+
+TEST(MarchingKernel, RenderInsideParallelTasksRunsOnItsOwnThread) {
+  // A render inside a parallel_tasks task nests inactive: the same grid as
+  // a render on the whole team, with one thread's CPU seconds, not one
+  // (idle) slot per thread of the outer team.
+  Fixture fx(400, 21);
+  const FieldSpec spec = unit_cube_spec(37);
+  const int saved = default_team_size();
+  set_team_size(4);
+  const MarchingKernel top(fx.rho, fx.hull);
+  const Grid2D reference = top.render(spec);
+  EXPECT_EQ(top.stats().thread_seconds.size(), 4u);
+  std::vector<MarchingKernel> kernels(4, MarchingKernel(fx.rho, fx.hull));
+  std::vector<Grid2D> grids(kernels.size());
+  parallel_tasks(kernels.size(),
+                 [&](std::size_t k) { grids[k] = kernels[k].render(spec); });
+  set_team_size(saved);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    expect_bitwise_equal(reference, grids[k], "task " + std::to_string(k));
+    EXPECT_EQ(kernels[k].stats().thread_seconds.size(), 1u) << "task " << k;
+  }
 }
 
 TEST(MarchingKernel, ExpiredDeadlineCancelsTheRender) {
@@ -404,13 +514,6 @@ TEST(MarchingKernel, ExpiredDeadlineCancelsTheRender) {
         << threads << " threads";
   }
   set_team_size(saved);
-}
-
-void expect_bitwise_equal(const Grid2D& a, const Grid2D& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    ASSERT_EQ(a.flat(i), b.flat(i)) << what << " pixel " << i;
 }
 
 TEST(WalkingKernel, WalkAndTessRendersDoNotDependOnTheSchedule) {

@@ -2,12 +2,15 @@
 // parity on one fixture cube, concurrent renders over one shared cube,
 // stage-by-stage equivalence with the one-call pipeline, Engine::run_batch
 // re-entrancy/determinism (sequential and from concurrent threads), and
-// grids that do not depend on the thread budget.
+// grids and checkpoint journals that do not depend on the thread budget.
 #include <gtest/gtest.h>
 #include <omp.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <map>
@@ -432,8 +435,8 @@ TEST(Engine, ConcurrentEnginesMatchSerial) {
   }
 }
 
-// The thread budget only sizes each rank's OpenMP kernel team; it must never
-// change a result. Two ranks, so work sharing ships items between them.
+// The thread budget only sizes each rank's team (its concurrent items); it
+// must never change a result. Two ranks, so work sharing ships items between them.
 TEST(Engine, GridsBitwiseIdenticalAcrossThreadBudgets) {
   std::vector<Vec3> centers = fixture_centers();
   centers.push_back({6.0, 6.5, 3.0});
@@ -625,6 +628,131 @@ TEST(Engine, RunBatchCarriesVelocityChannels) {
     // The item checksum is the plane-sum total, the same reduction the
     // thread-vs-socket parity check compares per channel.
     EXPECT_EQ(res.checksum, res.grid.sum());
+  }
+}
+
+/// A half-empty box: 2000 uniform particles with y < 5 only, so a field
+/// centred at y = 8 gathers no particles (a zero grid, committed without a
+/// render or an audit) and one at y = 2.5 a full cube.
+const ParticleSet& half_empty_set() {
+  static const ParticleSet set = [] {
+    ParticleSet s = generate_uniform(4000, 10.0, 11);
+    std::vector<Vec3> kept;
+    for (const Vec3& p : s.positions)
+      if (p.y < 5.0) kept.push_back(p);
+    s.positions = std::move(kept);
+    return s;
+  }();
+  return set;
+}
+
+/// Rank 0 owns x < 5 and rank 1 the rest at two ranks. Full cubes sit in
+/// the middle of each rank's list; the workload model's sample item, picked
+/// at random before the list runs, is an empty one at one and two ranks.
+std::vector<Vec3> half_empty_centers() {
+  const double ys[12] = {8.0, 8.0, 2.5, 8.0, 2.5, 8.0,
+                         8.0, 8.0, 2.5, 8.0, 8.0, 8.0};
+  std::vector<Vec3> centers;
+  for (std::size_t i = 0; i < 12; ++i)
+    centers.push_back({(i < 6 ? 2.0 : 7.0) + 0.1 * static_cast<double>(i),
+                       ys[i], 5.0});
+  return centers;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// One pipeline run with its own checkpoint directory: every rank's journal
+/// bytes, every committed grid, and the Error text each rank threw ("" if
+/// none). Each rank catches its own Error, so the others never wait on it.
+struct JournaledRun {
+  std::vector<std::string> journals;
+  std::map<std::ptrdiff_t, FieldGrid> grids;
+  std::vector<std::string> errors;
+};
+
+JournaledRun journaled_run(int ranks, int threads, bool audit_fatal) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("pdtfe-journal-" + std::to_string(::getpid()) + "-" +
+       std::to_string(ranks) + "-" + std::to_string(threads) +
+       (audit_fatal ? "-fatal" : ""));
+  fs::remove_all(dir);
+  PipelineOptions opt = fixture_pipeline_options();
+  opt.threads = threads;
+  opt.checkpoint_dir = dir.string();
+  // Work sharing follows measured item times, so it is off: each rank's
+  // list, and so its journal, is then fixed by the data alone.
+  opt.load_balance = false;
+  if (audit_fatal) {
+    // A negative tolerance fails every spot check of every rendered item.
+    // Spot checks march and walk single lines, so the Error text names the
+    // same values at any budget (the mass check's ray mass is a per-thread
+    // sum and would not).
+    opt.audit.level = AuditLevel::kFull;
+    opt.audit.spot_rel_tol = -1.0;
+    opt.audit_fatal = true;
+  }
+  JournaledRun out;
+  out.errors.resize(static_cast<std::size_t>(ranks));
+  std::mutex mtx;
+  simmpi::run(ranks, [&](simmpi::Comm& comm) {
+    try {
+      const PipelineResult res =
+          run_pipeline(comm, half_empty_set(), half_empty_centers(), opt);
+      const std::lock_guard<std::mutex> lock(mtx);
+      for (std::size_t i = 0; i < res.items.size(); ++i)
+        out.grids.emplace(res.items[i].request_index, res.grids[i]);
+    } catch (const Error& e) {
+      out.errors[static_cast<std::size_t>(comm.rank())] = e.what();
+    }
+  });
+  for (int r = 0; r < ranks; ++r)
+    out.journals.push_back(file_bytes(
+        (dir / ("journal-rank-" + std::to_string(r) + ".ckpt")).string()));
+  fs::remove_all(dir);
+  return out;
+}
+
+// Items run concurrently on each rank's team but commit in list order on
+// the rank thread, so the journals hold the same bytes at every thread
+// budget. A fatal audit in the middle of a list surfaces as the same Error,
+// after the same items were journaled, as in a serial run.
+TEST(Engine, JournalBytesDoNotDependOnTheThreadBudget) {
+  for (const int ranks : {1, 2}) {
+    const JournaledRun serial = journaled_run(ranks, 1, false);
+    ASSERT_EQ(serial.grids.size(), half_empty_centers().size());
+    const JournaledRun failing = journaled_run(ranks, 1, true);
+    for (int r = 0; r < ranks; ++r) {
+      const auto rank = static_cast<std::size_t>(r);
+      EXPECT_FALSE(serial.journals[rank].empty()) << "rank " << r;
+      EXPECT_TRUE(serial.errors[rank].empty()) << serial.errors[rank];
+      // The failure comes mid-list: some items were committed before it,
+      // fewer than a clean run commits.
+      EXPECT_NE(failing.errors[rank].find("audit failed"), std::string::npos)
+          << "ranks " << ranks << " rank " << r;
+      EXPECT_FALSE(failing.journals[rank].empty()) << "rank " << r;
+      EXPECT_LT(failing.journals[rank].size(), serial.journals[rank].size())
+          << "rank " << r;
+    }
+    for (const int threads : {2, 4}) {
+      const std::string what = "ranks " + std::to_string(ranks) +
+                               " threads " + std::to_string(threads);
+      const JournaledRun run = journaled_run(ranks, threads, false);
+      EXPECT_EQ(run.journals, serial.journals) << what;
+      ASSERT_EQ(run.grids.size(), serial.grids.size()) << what;
+      for (const auto& [id, grid] : serial.grids) {
+        ASSERT_TRUE(run.grids.count(id)) << what << " field " << id;
+        EXPECT_TRUE(planes_bitwise_equal(run.grids.at(id), grid))
+            << what << " field " << id;
+      }
+      const JournaledRun fail = journaled_run(ranks, threads, true);
+      EXPECT_EQ(fail.errors, failing.errors) << what;
+      EXPECT_EQ(fail.journals, failing.journals) << what;
+    }
   }
 }
 

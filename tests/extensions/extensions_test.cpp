@@ -268,8 +268,11 @@ TEST(FieldStatistics, SurfaceDensity2dSpectrumRuns) {
   std::size_t total_modes = 0;
   for (const auto& bin : ps) total_modes += bin.modes;
   EXPECT_GT(total_modes, 500u);
-  for (const auto& bin : ps)
-    if (bin.modes) EXPECT_GE(bin.power, 0.0);
+  for (const auto& bin : ps) {
+    if (bin.modes) {
+      EXPECT_GE(bin.power, 0.0);
+    }
+  }
 }
 
 TEST(AdaptiveRefinement, ImprovesMassRecoveryOnClusteredData) {

@@ -135,7 +135,9 @@ TEST(CreateCommunicationList, ConservesWorkAndLevelsTowardAverage) {
       if (g.received.count(rw.id)) t_after += g.received.at(rw.id);
       // No rank sends below the average or receives beyond it.
       EXPECT_GE(t_after, avg - 1e-9);
-      if (g.sent.count(rw.id)) EXPECT_NEAR(t_after, avg, 1e-9);
+      if (g.sent.count(rw.id)) {
+        EXPECT_NEAR(t_after, avg, 1e-9);
+      }
       EXPECT_LE(t_after, std::max(rw.time, avg) + 1e-9);
     }
   }

@@ -92,8 +92,9 @@ TEST(Expansion, SignMatchesLongDoubleOnRandomPolynomials) {
     const long double ld = static_cast<long double>(a) * b +
                            static_cast<long double>(c) * d -
                            static_cast<long double>(e) * f;
-    if (std::abs(static_cast<double>(ld)) > 1e-15)
+    if (std::abs(static_cast<double>(ld)) > 1e-15) {
       EXPECT_EQ(ex.sign(), ld > 0 ? 1 : -1);
+    }
   }
 }
 

@@ -60,8 +60,9 @@ TEST(HullProjection, EntryFaceIsTheDownwardHullFacet) {
     const CellId nb = tri.cell(entry.cell).n[entry.entry_face];
     EXPECT_TRUE(tri.is_infinite(nb));
     const auto hit = line_tetra_vertical(xi, tri.cell_points(entry.cell));
-    if (hit.intersects && !hit.degenerate)
+    if (hit.intersects && !hit.degenerate) {
       EXPECT_EQ(hit.enter_face, entry.entry_face);
+    }
   }
   EXPECT_GT(tested, 150);
 }

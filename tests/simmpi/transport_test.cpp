@@ -153,7 +153,9 @@ TEST(RetryPolicy, DeterministicBoundedBackoff) {
     EXPECT_DOUBLE_EQ(d, q.delay_ms(retry));
     EXPECT_GT(d, 0.0);
     EXPECT_LE(d, p.max_delay_ms);
-    if (retry <= 4) EXPECT_GE(d, prev * 0.5);  // grows modulo jitter
+    if (retry <= 4) {
+      EXPECT_GE(d, prev * 0.5);  // grows modulo jitter
+    }
     prev = d;
   }
 

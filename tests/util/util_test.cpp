@@ -406,7 +406,8 @@ TEST(CliArgs, NumericGettersRejectMalformedValues) {
 TEST(Timer, ThreadCpuAdvancesUnderWork) {
   ThreadCpuTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 2000000; ++i)
+    sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(t.seconds(), 0.0);
 }
 
