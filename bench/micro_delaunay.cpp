@@ -7,6 +7,7 @@
 
 #include "delaunay/hull_projection.h"
 #include "delaunay/triangulation.h"
+#include "geometry/predicates.h"
 #include "nbody/generators.h"
 #include "util/rng.h"
 
@@ -44,19 +45,29 @@ std::vector<Vec3> clustered_points(std::size_t n) {
 }
 
 void BM_DelaunayBuildClustered(benchmark::State& state) {
-  // Also reports allocations-per-insert: container regrowth events counted
-  // by the triangulation itself (alloc_events()).
+  // Also reports allocations-per-insert (container regrowth events counted
+  // by the triangulation itself, alloc_events()) and the predicate calls
+  // per insert beside the rate, from this thread's predicate_stats(): a
+  // faster build that does the same tests shows the same op counts.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = clustered_points(n);
   std::size_t alloc_events = 0;
+  reset_predicate_stats();
   for (auto _ : state) {
     Triangulation tri(pts);
     benchmark::DoNotOptimize(tri.num_cells());
     alloc_events = tri.alloc_events();
   }
+  const PredicateStats ops = predicate_stats();
+  const double inserts =
+      static_cast<double>(state.iterations()) * static_cast<double>(n);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.counters["allocs_per_insert"] =
       static_cast<double>(alloc_events) / static_cast<double>(n);
+  state.counters["insphere_per_insert"] =
+      static_cast<double>(ops.insphere_calls) / inserts;
+  state.counters["orient3d_per_insert"] =
+      static_cast<double>(ops.orient3d_calls) / inserts;
 }
 BENCHMARK(BM_DelaunayBuildClustered)->Arg(20000)->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,6 @@
 #include "delaunay/triangulation.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -61,12 +60,10 @@ bool lex_less(const Vec3& a, const Vec3& b) {
 // determinant is the first nonzero cofactor — an orient3d with the
 // top-ranked point's row replaced by q. If the top-ranked point is q itself,
 // q is pushed outside: no conflict. This makes every cavity well-defined and
-// star-shaped for arbitrarily degenerate inputs.
-bool insphere_conflict_perturbed(const Vec3& p0, const Vec3& p1,
-                                 const Vec3& p2, const Vec3& p3,
-                                 const Vec3& q) {
-  const double s = insphere(p0, p1, p2, p3, q);
-  if (s != 0.0) return s > 0.0;
+// star-shaped for arbitrarily degenerate inputs. perturbed_tie settles a test
+// whose insphere value is exactly 0.
+bool perturbed_tie(const Vec3& p0, const Vec3& p1, const Vec3& p2,
+                   const Vec3& p3, const Vec3& q) {
   const Vec3* pts[5] = {&p0, &p1, &p2, &p3, &q};
   std::sort(pts, pts + 5,
             [](const Vec3* a, const Vec3* b) { return lex_less(*a, *b); });
@@ -87,27 +84,54 @@ bool insphere_conflict_perturbed(const Vec3& p0, const Vec3& p1,
   return false;  // unreachable: a valid cell is not coplanar
 }
 
-// Unordered pair of vertex ids as a hashable 64-bit key (ids fit in 32 bits
-// even with the -1 infinite sentinel, via a +2 bias, so no key is 0).
+/// Conflict verdict from an insphere value s of (p0..p3, q).
+bool conflict_from(double s, const Vec3& p0, const Vec3& p1, const Vec3& p2,
+                   const Vec3& p3, const Vec3& q) {
+  if (s != 0.0) return s > 0.0;
+  return perturbed_tie(p0, p1, p2, p3, q);
+}
+
+bool insphere_conflict_perturbed(const Vec3& p0, const Vec3& p1,
+                                 const Vec3& p2, const Vec3& p3,
+                                 const Vec3& q) {
+  return conflict_from(insphere(p0, p1, p2, p3, q), p0, p1, p2, p3, q);
+}
+
+// Unordered pair of vertex ids as a sortable 64-bit key (ids fit in 32 bits
+// even with the -1 infinite sentinel, via a +2 bias).
 std::uint64_t edge_key(VertexId u, VertexId v) {
   const auto a = static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(u, v) + 2));
   const auto b = static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(u, v) + 2));
   return (a << 32) | b;
 }
 
+/// Directed-edge table slot of ring vertices u→w on a ring of `n` vertices.
+std::size_t ring_slot(std::int32_t u, std::int32_t w, std::size_t n) {
+  return static_cast<std::size_t>(u) * n + static_cast<std::size_t>(w);
+}
+
+/// Largest cavity boundary, in vertices, paired through the R² edge table:
+/// 128² eight-byte slots are 128 KiB.
+constexpr std::size_t kRingTableMax = 128;
+/// A ring number is a byte: a facet numbers at most 3 vertices past the
+/// R <= kRingTableMax check, so every number stays below this marker.
+constexpr std::uint8_t kNoRing = 0xff;
+static_assert(kRingTableMax + 2 < kNoRing);
+
 /// Boundary facet of the conflict cavity, already reversed to face it.
 struct BoundaryFacet {
   VertexId a, b, d;  // new cell base
   CellId outside;    // surviving neighbor
   int outside_slot;  // slot in `outside` that pointed at the dead cell
+  CellId cell;       // the new cell built on it
+  std::int32_t ring[3];  // ring numbers of a, d, b (the new cell's v[0..2])
 };
 
-/// Slot of the per-insert edge-pairing table: the first (cell, face) seen on
-/// a cavity edge, waiting for the second.
-struct CavityEdge {
-  std::uint64_t key;  // unordered vertex pair; 0 marks an empty slot
-  CellId cell;        // kNoCell once the partner is wired (the key stays)
-  std::int32_t slot;
+/// Slot of the directed-edge table: the new cell whose apex face holds the
+/// edge, stamped with the insert that wrote it.
+struct RingEdge {
+  std::uint32_t stamp;
+  CellId cell;
 };
 
 }  // namespace
@@ -115,21 +139,42 @@ struct CavityEdge {
 struct Triangulation::InsertState {
   CellId hint = kNoCell;  ///< walk start: the last insert's first new cell
   std::uint64_t walk_rng = 0x9e3779b97f4a7c15ull;  ///< one sequence per build
-  std::vector<CellId> conflict;         // conflict-BFS queue
+  std::vector<CellId> conflict;         // conflict-BFS queue (high-water size)
   std::vector<std::int8_t> mark;        // 0 unknown, 1 conflict, 2 boundary-safe
-  std::vector<CellId> visited;          // every marked id, for cleanup
-  std::vector<BoundaryFacet> boundary;  // cavity surface of the current insert
-  std::vector<CavityEdge> edges;        // edge-pairing table, sized per insert
-  std::array<std::size_t, 7> capacity{};  // at the previous growth() call
+  std::vector<BoundaryFacet> boundary;  // cavity surface (high-water size)
+  std::vector<std::uint8_t> ring_of;    // vertex + 1 -> ring number or kNoRing
+  std::vector<VertexId> ring;           // ring number -> vertex, for the reset
+  std::vector<RingEdge> edges;          // directed-edge table, ring² slots
+  std::uint32_t stamp = 0;              // unique inserts so far
+  std::array<std::size_t, 8> capacity{};  // at the previous growth() call
+
+  // Work tallies of the build, added to the metrics once, when the
+  // constructor leaves (normally or by a throw), if metrics were on when it
+  // started.
+  bool metrics = false;
+  std::size_t locates = 0;
+  std::size_t walk_steps = 0;
+  std::size_t conflict_cells = 0;
+
+  InsertState() = default;
+  InsertState(const InsertState&) = delete;
+  InsertState& operator=(const InsertState&) = delete;
+  ~InsertState() {
+    if (!metrics) return;
+    const DelaunayMetrics& m = delaunay_metrics();
+    obs::add(m.locates, static_cast<double>(locates));
+    obs::add(m.walk_steps, static_cast<double>(walk_steps));
+    obs::add(m.conflict_cells, static_cast<double>(conflict_cells));
+  }
 
   /// Containers whose capacity changed since the previous call (a vector
   /// only reallocates to grow): one insert's alloc_events() increment.
   std::size_t growth(const std::vector<Cell>& cells,
                      const std::vector<CellId>& free_list) {
-    const std::array<std::size_t, 7> now = {
+    const std::array<std::size_t, 8> now = {
         cells.capacity(),    free_list.capacity(), mark.capacity(),
-        conflict.capacity(), visited.capacity(),   boundary.capacity(),
-        edges.capacity()};
+        conflict.capacity(), boundary.capacity(),  ring_of.capacity(),
+        ring.capacity(),     edges.capacity()};
     std::size_t changed = 0;
     for (std::size_t i = 0; i < now.size(); ++i) changed += now[i] != capacity[i];
     capacity = now;
@@ -193,10 +238,11 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
   // insertions and freed when the constructor returns.
   cells_.reserve(7 * n + 64);
   InsertState st;
-  st.conflict.reserve(64);
-  st.visited.reserve(128);
-  st.boundary.reserve(64);
-  st.edges.reserve(256);
+  st.metrics = obs::metrics_enabled();
+  st.conflict.resize(64);
+  st.boundary.resize(64);
+  st.ring_of.assign(n + 1, kNoRing);
+  st.ring.resize(kRingTableMax + 3);
 
   st.hint = init_first_cell(a, b, c, d);
   num_unique_ = 4;
@@ -214,7 +260,7 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
     insert(order[k], st);
   }
 
-  if (obs::metrics_enabled()) {
+  if (st.metrics) {
     const DelaunayMetrics& m = delaunay_metrics();
     obs::add(m.constructions);
     obs::add(m.points_inserted, static_cast<double>(num_unique_));
@@ -226,97 +272,58 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
 
 CellId Triangulation::init_first_cell(VertexId a, VertexId b, VertexId c,
                                       VertexId d) {
-  cells_.reserve(64);
-  const CellId t0 = new_cell();
-  cells_[static_cast<std::size_t>(t0)].v = {a, b, c, d};
-
-  // One infinite cell per face: (facet in outward order) + infinity at slot 3.
-  std::array<CellId, 4> inf_cells;
-  for (int f = 0; f < 4; ++f) {
-    const CellId ic = new_cell();
-    inf_cells[static_cast<std::size_t>(f)] = ic;
-    Cell& t = cells_[static_cast<std::size_t>(ic)];
-    const Cell& base = cells_[static_cast<std::size_t>(t0)];
-    t.v = {base.v[kTetraFace[f][0]], base.v[kTetraFace[f][1]],
-           base.v[kTetraFace[f][2]], kInfinite};
-    t.n[3] = t0;
-    cells_[static_cast<std::size_t>(t0)].n[f] = ic;
-  }
+  // Cell 0 is the tetrahedron, cells 1..4 one infinite cell per face: (facet
+  // in outward order) + infinity at slot 3.
+  const CellId t0 = 0;
+  cells_.push_back({{a, b, c, d}, {1, 2, 3, 4}});
+  for (int f = 0; f < 4; ++f)
+    cells_.push_back({{cells_[0].v[kTetraFace[f][0]], cells_[0].v[kTetraFace[f][1]],
+                       cells_[0].v[kTetraFace[f][2]], kInfinite},
+                      {kNoCell, kNoCell, kNoCell, t0}});
+  live_cells_ = cells_allocated_ = 5;
 
   // Wire infinite-infinite adjacency by matching shared faces (brute force is
   // fine: 4 cells).
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j) {
-      if (i == j) continue;
-      const CellId ci = inf_cells[static_cast<std::size_t>(i)];
-      const CellId cj = inf_cells[static_cast<std::size_t>(j)];
+  for (CellId ci = 1; ci <= 4; ++ci)
+    for (CellId cj = 1; cj <= 4; ++cj) {
+      if (ci == cj) continue;
       const Cell& ti = cells_[static_cast<std::size_t>(ci)];
       const Cell& tj = cells_[static_cast<std::size_t>(cj)];
       // Face of ci whose vertex set equals tj's vertex set minus one.
-      for (int f = 0; f < 4; ++f) {
+      for (int f = 0; f < 3; ++f) {
         const VertexId fa = ti.v[kTetraFace[f][0]];
         const VertexId fb = ti.v[kTetraFace[f][1]];
         const VertexId fc = ti.v[kTetraFace[f][2]];
         int shared = 0;
         for (int s = 0; s < 4; ++s)
           if (tj.v[s] == fa || tj.v[s] == fb || tj.v[s] == fc) ++shared;
-        if (shared == 3 && f != 3) {
-          cells_[static_cast<std::size_t>(ci)].n[f] = cj;
-        }
+        if (shared == 3) cells_[static_cast<std::size_t>(ci)].n[f] = cj;
       }
     }
 
-  for (int s = 0; s < 4; ++s) {
-    const VertexId vv = cells_[static_cast<std::size_t>(t0)].v[s];
+  for (const VertexId vv : cells_[0].v)
     incident_cell_[static_cast<std::size_t>(vv)] = t0;
-  }
   return t0;
-}
-
-CellId Triangulation::new_cell() {
-  CellId c;
-  if (!free_list_.empty()) {
-    c = free_list_.back();
-    free_list_.pop_back();
-  } else {
-    c = static_cast<CellId>(cells_.size());
-    cells_.push_back({});
-  }
-  Cell& t = cells_[static_cast<std::size_t>(c)];
-  t.v = {kInfinite, kInfinite, kInfinite, kInfinite};
-  t.n = {kNoCell, kNoCell, kNoCell, kNoCell};
-  ++live_cells_;
-  ++cells_allocated_;
-  return c;
-}
-
-void Triangulation::free_cell(CellId c) {
-  Cell& t = cells_[static_cast<std::size_t>(c)];
-  t.v = {kDead, kDead, kDead, kDead};
-  t.n = {kNoCell, kNoCell, kNoCell, kNoCell};
-  free_list_.push_back(c);
-  --live_cells_;
 }
 
 bool Triangulation::cell_in_conflict(CellId c, const Vec3& p) const {
   const Cell& t = cell(c);
-  int inf_slot = -1;
   for (int i = 0; i < 4; ++i)
-    if (t.v[i] == kInfinite) {
-      inf_slot = i;
-      break;
-    }
-  if (inf_slot < 0) {
-    const auto pts = cell_points(c);
-    return insphere_conflict_perturbed(pts[0], pts[1], pts[2], pts[3], p);
-  }
-  // Infinite cell: its finite facet (face opposite infinity) winds INTO the
-  // hull, so "outside the hull" is the negative side. When p lies exactly in
-  // the facet plane, DELEGATE the decision to the finite neighbor across the
+    if (t.v[i] == kInfinite) return infinite_in_conflict(c, i, p);
+  return insphere_conflict_perturbed(point(t.v[0]), point(t.v[1]),
+                                     point(t.v[2]), point(t.v[3]), p);
+}
+
+bool Triangulation::infinite_in_conflict(CellId c, int inf_slot,
+                                         const Vec3& p) const {
+  // Its finite facet (face opposite infinity) winds INTO the hull, so
+  // "outside the hull" is the negative side. When p lies exactly in the
+  // facet plane, DELEGATE the decision to the finite neighbor across the
   // hull facet: geometrically "p inside the facet circumdisk ⇔ p inside the
   // neighbor's circumball" for coplanar p, and the neighbor's symbolically
   // perturbed insphere then also resolves the on-circle tie, keeping the two
   // sides of the facet consistent (no flat cells can be created).
+  const Cell& t = cell(c);
   const Vec3& a = point(t.v[kTetraFace[inf_slot][0]]);
   const Vec3& b = point(t.v[kTetraFace[inf_slot][1]]);
   const Vec3& d = point(t.v[kTetraFace[inf_slot][2]]);
@@ -325,8 +332,9 @@ bool Triangulation::cell_in_conflict(CellId c, const Vec3& p) const {
   if (o > 0.0) return false;
   const CellId fin = t.n[inf_slot];
   DTFE_DCHECK(!is_infinite(fin));
-  const auto np = cell_points(fin);
-  return insphere_conflict_perturbed(np[0], np[1], np[2], np[3], p);
+  const Cell& f = cell(fin);
+  return insphere_conflict_perturbed(point(f.v[0]), point(f.v[1]),
+                                     point(f.v[2]), point(f.v[3]), p);
 }
 
 Triangulation::LocateResult Triangulation::locate_from(
@@ -342,17 +350,6 @@ Triangulation::LocateResult Triangulation::locate_from(
   DTFE_CHECK_MSG(c != kNoCell, "locate on empty triangulation");
   if (rng_state == 0) rng_state = 0x9e3779b97f4a7c15ull;
 
-  // If the hint is infinite, step to its finite neighbor to start the walk.
-  if (is_infinite(c)) {
-    const int inf_slot = index_of(c, kInfinite);
-    c = cell(c).n[inf_slot];
-  }
-
-  // Slot of the face we entered the current cell through, or -1. Its winding
-  // is the reverse of the face we just crossed (shared facet, opposite
-  // orientation), so p is strictly on its negative side — no need to re-test.
-  int entry_face = -1;
-
   // Walk-length accounting (dtfe.delaunay.walk_steps / .locates): emitted on
   // every exit path, including the failure throw, via the destructor.
   struct WalkCount {
@@ -364,16 +361,33 @@ Triangulation::LocateResult Triangulation::locate_from(
         obs::add(m.walk_steps, static_cast<double>(steps));
       }
     }
-  } walk;
+  } count;
+  return walk(p, c, rng_state, count.steps);
+}
+
+Triangulation::LocateResult Triangulation::walk(const Vec3& p, CellId c,
+                                                std::uint64_t& rng_state,
+                                                std::size_t& steps) const {
+  // If the start is infinite, step to its finite neighbor to start the walk.
+  if (is_infinite(c)) {
+    const int inf_slot = index_of(c, kInfinite);
+    c = cell(c).n[inf_slot];
+  }
+
+  // Slot of the face we entered the current cell through, or -1. Its winding
+  // is the reverse of the face we just crossed (shared facet, opposite
+  // orientation), so p is strictly on its negative side — no need to re-test.
+  int entry_face = -1;
 
   const std::size_t max_steps = 8 * cells_.size() + 64;
   for (std::size_t step = 0; step < max_steps; ++step) {
-    walk.steps = step + 1;
+    ++steps;
     if (is_infinite(c)) {
       return {c, LocateStatus::kOutsideHull, kInfinite};
     }
     const Cell& t = cell(c);
-    const auto pts = cell_points(c);
+    const Vec3* pts[4] = {&point(t.v[0]), &point(t.v[1]), &point(t.v[2]),
+                          &point(t.v[3])};
     const auto r = static_cast<int>(next_rand(rng_state) & 3);
     bool moved = false;
     for (int k = 0; k < 4; ++k) {
@@ -383,8 +397,8 @@ Triangulation::LocateResult Triangulation::locate_from(
       // walk_steps metric bitwise unchanged (the skipped test could only
       // ever have answered "negative side").
       if (f == entry_face) continue;
-      const double o = orient3d(pts[kTetraFace[f][0]], pts[kTetraFace[f][1]],
-                                pts[kTetraFace[f][2]], p);
+      const double o = orient3d(*pts[kTetraFace[f][0]], *pts[kTetraFace[f][1]],
+                                *pts[kTetraFace[f][2]], p);
       if (o > 0.0) {
         entry_face = mirror_index(c, f);
         c = t.n[f];
@@ -394,8 +408,7 @@ Triangulation::LocateResult Triangulation::locate_from(
     }
     if (!moved) {
       for (int i = 0; i < 4; ++i)
-        if (pts[static_cast<std::size_t>(i)] == p)
-          return {c, LocateStatus::kOnVertex, t.v[i]};
+        if (*pts[i] == p) return {c, LocateStatus::kOnVertex, t.v[i]};
       return {c, LocateStatus::kInside, kInfinite};
     }
   }
@@ -403,113 +416,220 @@ Triangulation::LocateResult Triangulation::locate_from(
 }
 
 void Triangulation::insert(VertexId vid, InsertState& st) {
-  const Vec3 p = points_[static_cast<std::size_t>(vid)];
-  const LocateResult loc = locate_from(p, st.hint, st.walk_rng);
+  const Vec3& p = points_[static_cast<std::size_t>(vid)];
+  const LocateResult loc = walk(p, st.hint, st.walk_rng, st.walk_steps);
+  ++st.locates;
   if (loc.status == LocateStatus::kOnVertex) {
     duplicate_of_[static_cast<std::size_t>(vid)] = loc.vertex;
     return;
   }
   ++num_unique_;
 
+  // The scratch vectors keep their high-water size; the counts say how much
+  // of them this insert uses, so a dequeued cell can write its (at most
+  // four) queue and boundary entries without a branch per entry.
   std::vector<CellId>& conflict = st.conflict;
   std::vector<std::int8_t>& mark = st.mark;
-  std::vector<CellId>& visited = st.visited;
-  std::vector<CavityEdge>& edges = st.edges;
-  conflict.clear();
-  visited.clear();
-  st.boundary.clear();
+  std::vector<BoundaryFacet>& boundary = st.boundary;
+  std::vector<RingEdge>& edges = st.edges;
+  std::size_t n_conflict = 0;
+  std::size_t n_new = 0;
 
   // --- grow the conflict region by BFS from the located cell ---------------
-  if (mark.size() < cells_.size() + 8) mark.resize(cells_.size() + 8, 0);
+  // Every id the BFS can meet is below cells_.size() <= capacity, so `mark`
+  // grows only when the cell store does.
+  if (mark.size() < cells_.capacity()) mark.resize(cells_.capacity(), 0);
 
   DTFE_DCHECK(cell_in_conflict(loc.cell, p));
-  conflict.push_back(loc.cell);
-  visited.push_back(loc.cell);
+  conflict[n_conflict++] = loc.cell;
   mark[static_cast<std::size_t>(loc.cell)] = 1;
 
   // BFS over strictly conflicting cells (the queue grows while it is read).
-  for (std::size_t qi = 0; qi < conflict.size(); ++qi) {
-    const Cell t = cell(conflict[qi]);
+  // A dequeued cell first tests its unmarked neighbours, the finite ones two
+  // per insphere2 call; a cell's verdict depends on nothing the BFS changes,
+  // so this is the order-independent part. Then, in face order, it marks
+  // them and queues the conflicting ones. Now every neighbour's mark is
+  // final, so the faces toward non-conflicting neighbours are this cell's
+  // share of the cavity boundary, gathered in (queue, face) order.
+  for (std::size_t qi = 0; qi < n_conflict; ++qi) {
+    const CellId cc = conflict[qi];
+    const Cell& t = cells_[static_cast<std::size_t>(cc)];
+    bool fresh[4] = {false, false, false, false};
+    bool in[4] = {false, false, false, false};
+    const Vec3* tet[4][4];  // the untested finite neighbours' vertices
+    int tet_face[4] = {0, 0, 0, 0};
+    int n_tet = 0;
     for (int f = 0; f < 4; ++f) {
       const CellId nb = t.n[f];
       if (mark[static_cast<std::size_t>(nb)] != 0) continue;
-      if (cell_in_conflict(nb, p)) {
-        mark[static_cast<std::size_t>(nb)] = 1;
-        conflict.push_back(nb);
-      } else {
-        mark[static_cast<std::size_t>(nb)] = 2;
-      }
-      visited.push_back(nb);
-    }
-  }
-  if (obs::metrics_enabled())
-    obs::add(delaunay_metrics().conflict_cells,
-             static_cast<double>(conflict.size()));
-
-  for (const CellId cc : conflict) {
-    const Cell t = cell(cc);  // copy: cells_ may reallocate later, not here
-    for (int f = 0; f < 4; ++f) {
-      const CellId nb = t.n[f];
-      if (mark[static_cast<std::size_t>(nb)] == 1) continue;
-      BoundaryFacet bf;
-      bf.a = t.v[kTetraFace[f][0]];
-      bf.b = t.v[kTetraFace[f][1]];
-      bf.d = t.v[kTetraFace[f][2]];
-      bf.outside = nb;
-      bf.outside_slot = mirror_index(cc, f);
-      st.boundary.push_back(bf);
-    }
-  }
-
-  // --- retriangulate the cavity --------------------------------------------
-  for (const CellId cc : conflict) free_cell(cc);
-
-  // One new cell per boundary facet, in facet order. Each cavity edge is
-  // shared by exactly two new cells' apex faces: the first to reach it parks
-  // in an open-addressed table (multiplicative hash, linear probing, load
-  // <= 3/8), the second wires both. A matched slot keeps its key, so a third
-  // occurrence throws, and no edge may be left open.
-  edges.assign(std::bit_ceil(4 * st.boundary.size()), CavityEdge{});
-  const std::size_t mask = edges.size() - 1;
-  const int shift = std::countl_zero(mask);
-  std::size_t open = 0;
-  CellId first_new = kNoCell;
-  for (const BoundaryFacet& bf : st.boundary) {
-    const CellId nc = new_cell();
-    if (first_new == kNoCell) first_new = nc;
-    Cell& t = cells_[static_cast<std::size_t>(nc)];
-    // Reversed facet + apex keeps the cell positively oriented (see header).
-    t.v = {bf.a, bf.d, bf.b, vid};
-    t.n[3] = bf.outside;
-    cells_[static_cast<std::size_t>(bf.outside)].n[bf.outside_slot] = nc;
-
-    // Faces 0..2 contain the apex and one base edge each.
-    for (std::int32_t k = 0; k < 3; ++k) {
-      const VertexId u = t.v[static_cast<std::size_t>((k + 1) % 3)];
-      const VertexId w = t.v[static_cast<std::size_t>((k + 2) % 3)];
-      const std::uint64_t key = edge_key(u, w);
-      std::size_t h = (key * 0x9e3779b97f4a7c15ull) >> shift;
-      while (edges[h].key != 0 && edges[h].key != key) h = (h + 1) & mask;
-      CavityEdge& e = edges[h];
-      if (e.key == 0) {
-        e = {key, nc, k};
-        ++open;
+      fresh[f] = true;
+      const Cell& u = cells_[static_cast<std::size_t>(nb)];
+      int inf_slot = -1;
+      for (int i = 0; i < 4; ++i)
+        if (u.v[i] == kInfinite) inf_slot = i;
+      if (inf_slot >= 0) {
+        in[f] = infinite_in_conflict(nb, inf_slot, p);
         continue;
       }
-      DTFE_CHECK_MSG(e.cell != kNoCell, "cavity boundary was not watertight");
-      t.n[static_cast<std::size_t>(k)] = e.cell;
-      cells_[static_cast<std::size_t>(e.cell)].n[static_cast<std::size_t>(e.slot)] = nc;
-      e.cell = kNoCell;
-      --open;
+      for (int i = 0; i < 4; ++i) tet[n_tet][i] = &point(u.v[i]);
+      tet_face[n_tet++] = f;
     }
-    for (int s = 0; s < 4; ++s)
-      if (t.v[s] != kInfinite)
-        incident_cell_[static_cast<std::size_t>(t.v[s])] = nc;
-  }
-  DTFE_CHECK_MSG(open == 0, "cavity boundary was not watertight");
+    for (int i = 0; i < n_tet; i += 2) {
+      // An odd count runs its last tetrahedron in both lanes.
+      const int lanes = std::min(2, n_tet - i);
+      double s[2];
+      insphere2(tet[i], tet[i + lanes - 1], p, lanes, s);
+      for (int k = 0; k < lanes; ++k) {
+        const Vec3* const* q = tet[i + k];
+        in[tet_face[i + k]] = conflict_from(s[k], *q[0], *q[1], *q[2], *q[3], p);
+      }
+    }
 
-  for (const CellId cid : visited) mark[static_cast<std::size_t>(cid)] = 0;
-  st.hint = first_new;
+    if (conflict.size() < n_conflict + 4) conflict.resize(2 * (n_conflict + 4));
+    if (boundary.size() < n_new + 4) boundary.resize(2 * (n_new + 4));
+    for (int f = 0; f < 4; ++f) {
+      const CellId nb = t.n[f];
+      std::int8_t& m = mark[static_cast<std::size_t>(nb)];
+      const bool queue = fresh[f] && in[f];
+      m = fresh[f] ? static_cast<std::int8_t>(in[f] ? 1 : 2) : m;
+      conflict[n_conflict] = nb;
+      n_conflict += queue;
+      const CellId* un = cells_[static_cast<std::size_t>(nb)].n.data();
+      const int slot = (un[1] == cc) + 2 * (un[2] == cc) + 3 * (un[3] == cc);
+      boundary[n_new] = {t.v[kTetraFace[f][0]], t.v[kTetraFace[f][1]],
+                         t.v[kTetraFace[f][2]], nb, slot, kNoCell, {0, 0, 0}};
+      n_new += m != 1;
+    }
+  }
+  st.conflict_cells += n_conflict;
+
+  // --- retriangulate the cavity --------------------------------------------
+  // New cell j takes the id that freeing every conflict cell onto the free
+  // list, in queue order, and then popping would give: the conflict cells
+  // from the back of the queue, then the older free list, then fresh slots.
+  // Conflict cells left over (more cells than boundary facets) are freed as
+  // that would leave them.
+  const std::size_t reused = std::min(n_conflict, n_new);
+  for (std::size_t i = 0; i + reused < n_conflict; ++i) {
+    Cell& t = cells_[static_cast<std::size_t>(conflict[i])];
+    t.v = {kDead, kDead, kDead, kDead};
+    t.n = {kNoCell, kNoCell, kNoCell, kNoCell};
+    free_list_.push_back(conflict[i]);
+  }
+  live_cells_ += n_new;
+  live_cells_ -= n_conflict;
+  cells_allocated_ += n_new;
+
+  // One new cell per boundary facet, in facet order: base = the reversed
+  // facet, apex = the new vertex. Its faces 0..2 each hold the apex and one
+  // base edge, which is also in exactly one other new cell. The boundary is
+  // a closed, consistently oriented triangulated sphere with F facets, so it
+  // has R = F/2 + 2 vertices and each of its edges is crossed once in each
+  // direction. Numbering those vertices in first-seen order (ring numbers),
+  // a new cell parks its id at edges[u·R + w] for the directed base edge
+  // u→w of each of its faces 0..2, and its neighbour across that face is the
+  // cell parked at edges[w·R + u]: no hashing, probing or branching on which
+  // side came first. The stamps catch a boundary that is not a closed
+  // sphere: an edge crossed twice the same way, or never the other way.
+  // Past kRingTableMax ring vertices (degenerate inputs; clustered and
+  // uniform cavities stay under ~100) the R² table would be too large, and
+  // sorting the edges pairs them instead.
+  const std::size_t n_ring = n_new / 2 + 2;
+  const bool use_table = n_ring <= kRingTableMax;
+  if (use_table && edges.size() < n_ring * n_ring)
+    edges.resize(n_ring * n_ring, RingEdge{0, kNoCell});
+  const std::uint32_t stamp = ++st.stamp;
+  std::size_t n_seen = 0;
+  const std::size_t first_fresh = cells_.size();
+  std::size_t n_fresh = 0;
+  for (std::size_t j = 0; j < n_new; ++j) {
+    BoundaryFacet& bf = boundary[j];
+    if (j < reused) {
+      bf.cell = conflict[n_conflict - 1 - j];
+    } else if (!free_list_.empty()) {
+      bf.cell = free_list_.back();
+      free_list_.pop_back();
+    } else {
+      bf.cell = static_cast<CellId>(first_fresh + n_fresh++);
+    }
+    if (!use_table) continue;
+    const VertexId base[3] = {bf.a, bf.d, bf.b};
+    for (int i = 0; i < 3; ++i) {
+      std::uint8_t& r = st.ring_of[static_cast<std::size_t>(base[i] + 1)];
+      const bool first = r == kNoRing;
+      st.ring[n_seen] = base[i];
+      r = first ? static_cast<std::uint8_t>(n_seen) : r;
+      n_seen += first;
+      bf.ring[i] = r;
+    }
+    DTFE_CHECK_MSG(n_seen <= n_ring, "cavity boundary was not watertight");
+    for (int k = 0; k < 3; ++k) {
+      RingEdge& e = edges[ring_slot(bf.ring[(k + 1) % 3], bf.ring[(k + 2) % 3], n_ring)];
+      DTFE_CHECK_MSG(e.stamp != stamp, "cavity boundary was not watertight");
+      e = {stamp, bf.cell};
+    }
+  }
+
+  // Store each new cell once, its faces 0..2 wired to `across(j, k)`.
+  const auto build = [&](auto&& across) {
+    CellId unused = kNoCell;  // where a write meant for no vertex goes
+    for (std::size_t j = 0; j < n_new; ++j) {
+      const BoundaryFacet& bf = boundary[j];
+      // Reversed facet + apex keeps the cell positively oriented (see header).
+      const Cell t{{bf.a, bf.d, bf.b, vid},
+                   {across(j, 0), across(j, 1), across(j, 2), bf.outside}};
+      cells_[static_cast<std::size_t>(bf.outside)].n[static_cast<std::size_t>(bf.outside_slot)] = bf.cell;
+      if (static_cast<std::size_t>(bf.cell) == cells_.size())
+        cells_.push_back(t);
+      else
+        cells_[static_cast<std::size_t>(bf.cell)] = t;
+      // Base vertices; only these can be the infinite one. The apex is in
+      // every new cell, so it ends on the last.
+      for (int i = 0; i < 3; ++i) {
+        const VertexId v = t.v[static_cast<std::size_t>(i)];
+        *(v == kInfinite ? &unused : &incident_cell_[static_cast<std::size_t>(v)]) = bf.cell;
+      }
+    }
+  };
+  if (use_table) {
+    build([&](std::size_t j, int k) {
+      const BoundaryFacet& bf = boundary[j];
+      const RingEdge& e = edges[ring_slot(bf.ring[(k + 2) % 3], bf.ring[(k + 1) % 3], n_ring)];
+      DTFE_CHECK_MSG(e.stamp == stamp, "cavity boundary was not watertight");
+      return e.cell;
+    });
+    for (std::size_t i = 0; i < n_seen; ++i)
+      st.ring_of[static_cast<std::size_t>(st.ring[i] + 1)] = kNoRing;
+  } else {
+    // Every undirected apex-face edge must occur exactly twice.
+    std::vector<std::pair<std::uint64_t, std::size_t>> by_edge(3 * n_new);
+    for (std::size_t j = 0; j < n_new; ++j) {
+      const BoundaryFacet& bf = boundary[j];
+      const VertexId base[3] = {bf.a, bf.d, bf.b};
+      for (std::size_t k = 0; k < 3; ++k)
+        by_edge[3 * j + k] = {edge_key(base[(k + 1) % 3], base[(k + 2) % 3]), 3 * j + k};
+    }
+    std::sort(by_edge.begin(), by_edge.end());
+    std::vector<CellId> partner(3 * n_new);
+    for (std::size_t i = 0; i < by_edge.size(); i += 2) {
+      DTFE_CHECK_MSG(i + 1 < by_edge.size() &&
+                         by_edge[i].first == by_edge[i + 1].first &&
+                         (i + 2 == by_edge.size() ||
+                          by_edge[i + 2].first != by_edge[i].first),
+                     "cavity boundary was not watertight");
+      partner[by_edge[i].second] = boundary[by_edge[i + 1].second / 3].cell;
+      partner[by_edge[i + 1].second] = boundary[by_edge[i].second / 3].cell;
+    }
+    build([&](std::size_t j, int k) { return partner[3 * j + static_cast<std::size_t>(k)]; });
+  }
+  st.hint = boundary[0].cell;
+  incident_cell_[static_cast<std::size_t>(vid)] = boundary[n_new - 1].cell;
+
+  // Every marked cell is a conflict cell or the outside of a boundary facet.
+  for (std::size_t i = 0; i < n_conflict; ++i)
+    mark[static_cast<std::size_t>(conflict[i])] = 0;
+  for (std::size_t j = 0; j < n_new; ++j)
+    mark[static_cast<std::size_t>(boundary[j].outside)] = 0;
   alloc_events_ += st.growth(cells_, free_list_);
 }
 

@@ -15,7 +15,10 @@
 //    cell, finite or not, is combinatorially positively oriented).
 //
 // Point location is a remembering stochastic walk (paper §III-C-1); insertion
-// order is Morton/BRIO spatially sorted for near-linear total walk cost. The
+// order is Morton/BRIO spatially sorted for near-linear total walk cost. Each
+// insert grows its conflict region by BFS (finite neighbours tested two per
+// insphere2 call), gathering the cavity boundary as it goes, and wires the
+// new cells through a table of the boundary's directed edges. The
 // walk hint, walk RNG and insertion scratch live only while the constructor
 // runs, so a finished Triangulation holds just the mesh and every const
 // method is safe to call from many threads.
@@ -164,13 +167,17 @@ class Triangulation {
  private:
   static constexpr VertexId kDead = -2;
 
-  /// Walk state and scratch buffers of one construction (triangulation.cpp).
+  /// Walk state, scratch buffers and work tallies of one construction
+  /// (triangulation.cpp).
   struct InsertState;
 
   bool cell_in_conflict(CellId c, const Vec3& p) const;
+  /// Conflict test of infinite cell c, whose slot `inf_slot` is kInfinite.
+  bool infinite_in_conflict(CellId c, int inf_slot, const Vec3& p) const;
+  /// The stochastic walk from live cell `start`; adds its steps to `steps`.
+  LocateResult walk(const Vec3& p, CellId start, std::uint64_t& rng_state,
+                    std::size_t& steps) const;
   void insert(VertexId vid, InsertState& st);
-  CellId new_cell();
-  void free_cell(CellId c);
   CellId init_first_cell(VertexId a, VertexId b, VertexId c, VertexId d);
 
   std::vector<Vec3> points_;

@@ -117,7 +117,7 @@ inline void set_team_size(int n) {
 
 template <class Tally>
 struct TileRun {
-  Tally tally{};  ///< every thread's Tally, summed in thread order
+  Tally tally{};  ///< every tile's Tally, summed in tile order
   std::vector<double> thread_seconds;  ///< CPU seconds per team thread
   bool cancelled = false;  ///< the deadline fired; some pixels were skipped
 };
@@ -125,9 +125,12 @@ struct TileRun {
 /// Call pixel(ix, iy, tally) once per pixel of an nx × ny grid on the
 /// calling thread's team, in PixelTiles order: one 8×8 tile per
 /// schedule(dynamic, 1) unit, or with `static_bands` one contiguous band of
-/// tiles per thread, schedule(static). Each thread adds into its own Tally
-/// (which needs `+=`). A pixel writes only its own output and seeds any RNG
-/// from pixel_seed, so the grid does not depend on the schedule.
+/// tiles per thread, schedule(static). Each tile's pixels add, row by row,
+/// into that tile's own Tally (which needs `+=`), and the tiles' Tallies are
+/// summed in tile order after the join, so a floating-point tally (the
+/// march's ray mass) is the same bits under any schedule and team size. A
+/// pixel writes only its own output and seeds any RNG from pixel_seed, so
+/// the grid does not depend on the schedule either.
 ///
 /// Each thread polls `deadline` (may be null) on its first pixel and every
 /// 16th after; once it fires, all skip their remaining pixels and the run
@@ -144,13 +147,13 @@ TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
   // outer team the region nests inactive and runs on one thread, so the
   // per-thread slots are trimmed to the team that actually ran.
   const auto bound = static_cast<std::size_t>(omp_get_max_threads());
-  std::vector<Tally> tallies(bound);
   TileRun<Tally> run;
   run.thread_seconds.assign(bound, 0.0);
   std::size_t team = bound;
   std::atomic<bool> cancelled{false};
   const PixelTiles tiles(nx, ny);
   const auto n_tiles = static_cast<std::ptrdiff_t>(tiles.count());
+  std::vector<Tally> tile_tallies(tiles.count());
 
   char sync = 0;
   detail::tsan_release(&sync);
@@ -160,35 +163,35 @@ TileRun<Tally> render_tiles(std::size_t nx, std::size_t ny,
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     if (tid == 0) team = static_cast<std::size_t>(omp_get_num_threads());
     ThreadCpuTimer timer;
-    Tally tally{};  // on this thread's stack: no false sharing
     std::uint64_t pixels_done = 0;
-    auto visit = [&](std::size_t ix, std::size_t iy) {
-      if (deadline &&
-          (cancelled.load(std::memory_order_relaxed) ||
-           ((pixels_done++ & 15) == 0 && deadline->expired()))) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-      pixel(ix, iy, tally);
+    auto visit_tile = [&](std::ptrdiff_t t) {
+      Tally tally{};  // on this thread's stack: no false sharing
+      tiles.for_each_pixel(static_cast<std::size_t>(t), [&](std::size_t ix,
+                                                            std::size_t iy) {
+        if (deadline &&
+            (cancelled.load(std::memory_order_relaxed) ||
+             ((pixels_done++ & 15) == 0 && deadline->expired()))) {
+          cancelled.store(true, std::memory_order_relaxed);
+          return;
+        }
+        pixel(ix, iy, tally);
+      });
+      tile_tallies[static_cast<std::size_t>(t)] = tally;
     };
     if (static_bands) {
 #pragma omp for schedule(static)
-      for (std::ptrdiff_t t = 0; t < n_tiles; ++t)
-        tiles.for_each_pixel(static_cast<std::size_t>(t), visit);
+      for (std::ptrdiff_t t = 0; t < n_tiles; ++t) visit_tile(t);
     } else {
 #pragma omp for schedule(dynamic, 1)
-      for (std::ptrdiff_t t = 0; t < n_tiles; ++t)
-        tiles.for_each_pixel(static_cast<std::size_t>(t), visit);
+      for (std::ptrdiff_t t = 0; t < n_tiles; ++t) visit_tile(t);
     }
-    tallies[tid] = tally;
     run.thread_seconds[tid] = timer.seconds();
     detail::tsan_release(&sync);
   }
   detail::tsan_acquire(&sync);
 
-  tallies.resize(team);
   run.thread_seconds.resize(team);
-  for (const Tally& t : tallies) run.tally += t;
+  for (const Tally& t : tile_tallies) run.tally += t;
   run.cancelled = cancelled.load(std::memory_order_relaxed);
   return run;
 }

@@ -39,26 +39,27 @@ DesResult simulate_work_sharing(
   res.busy_std_unbalanced = unbalanced_stats.stddev();
 
   // Every rank computes the same schedule (as in the real code, where the
-  // Allgathered inputs are identical).
-  std::vector<WorkShareSchedule> schedules(P);
+  // Allgathered inputs are identical): row r of the all-ranks schedule is
+  // what rank r's own create_communication_list call returns.
+  const std::vector<WorkShareSchedule> schedules =
+      create_communication_lists(std::move(work));
   std::vector<SenderPlan> plans(P);
-  for (std::size_t r = 0; r < P; ++r) {
-    schedules[r] = create_communication_list(work, static_cast<int>(r));
+  for (std::size_t r = 0; r < P; ++r)
     if (!schedules[r].send_list.empty())
       plans[r] = plan_sender(schedules[r].send_list, predicted[r]);
-  }
 
   // --- sender timelines ------------------------------------------------------
   // Senders never block (buffered sends), so their timelines close first.
-  // arrival[receiver] collects (sender, arrival_time, actual shipped work) —
-  // matched by sender id at the receiver, like MPI_Recv(source).
+  // arrivals[receiver] collects (sender, arrival_time, actual shipped work)
+  // in send order — matched by sender id at the receiver, like
+  // MPI_Recv(source).
   struct Incoming {
+    int sender = 0;
     double arrival = 0.0;
     double work = 0.0;
+    bool received = false;
   };
-  // arrivals[r][s] = queue of messages from sender s to receiver r.
-  std::vector<std::vector<std::vector<Incoming>>> arrivals(
-      P, std::vector<std::vector<Incoming>>(P));
+  std::vector<std::vector<Incoming>> arrivals(P);
   std::vector<double> finish(P, 0.0);
   std::vector<double> busy(P, 0.0);
 
@@ -78,10 +79,11 @@ DesResult simulate_work_sharing(
         if (plan.item_assignment[i] == static_cast<int>(k))
           shipped_actual += actual[r][i];
       const auto dest = static_cast<std::size_t>(plan.ordered_sends[k].receiver);
-      arrivals[dest][r].push_back(
-          {now + opt.message_latency +
+      arrivals[dest].push_back(
+          {static_cast<int>(r),
+           now + opt.message_latency +
                opt.seconds_per_unit_sent * shipped_actual,
-           shipped_actual});
+           shipped_actual, false});
       res.shipped_work += shipped_actual;
     }
     for (std::size_t i = 0; i < actual[r].size(); ++i)
@@ -102,12 +104,22 @@ DesResult simulate_work_sharing(
       now += t;
       my_busy += t;
     }
-    std::vector<std::size_t> next_from(P, 0);
+    // By sender, each sender's messages still in send order: a receive from
+    // s takes s's first message not yet received.
+    std::vector<Incoming>& inbox = arrivals[r];
+    std::stable_sort(inbox.begin(), inbox.end(),
+                     [](const Incoming& a, const Incoming& b) {
+                       return a.sender < b.sender;
+                     });
     for (const int sender : schedules[r].recv_list) {
-      const auto s = static_cast<std::size_t>(sender);
-      DTFE_CHECK_MSG(next_from[s] < arrivals[r][s].size(),
+      auto it = std::lower_bound(
+          inbox.begin(), inbox.end(), sender,
+          [](const Incoming& m, int s) { return m.sender < s; });
+      while (it != inbox.end() && it->sender == sender && it->received) ++it;
+      DTFE_CHECK_MSG(it != inbox.end() && it->sender == sender,
                      "schedule promised a message that was never sent");
-      const Incoming& msg = arrivals[r][s][next_from[s]++];
+      it->received = true;
+      const Incoming& msg = *it;
       now = std::max(now, msg.arrival);  // blocking MPI_Recv
       now += msg.work;
       my_busy += msg.work;

@@ -24,15 +24,28 @@ const ScheduleMetrics& schedule_metrics() {
 }
 }  // namespace
 
-WorkShareSchedule create_communication_list(std::vector<RankWork> all,
-                                            int my_id) {
-  WorkShareSchedule out;
-  if (all.empty()) return out;
+namespace {
+
+/// Every rank's lists; false if the input was already level (nothing to
+/// share), in which case no schedule is counted.
+bool schedule_rows(std::vector<RankWork> all,
+                   std::vector<WorkShareSchedule>& rows) {
+  const std::size_t P = all.size();
+  rows.assign(P, WorkShareSchedule{});
+  std::vector<bool> seen(P, false);
+  for (const RankWork& w : all) {
+    DTFE_CHECK_MSG(w.id >= 0 && static_cast<std::size_t>(w.id) < P &&
+                       !seen[static_cast<std::size_t>(w.id)],
+                   "work-sharing ranks must be numbered 0.." << P - 1
+                                                              << ", each once");
+    seen[static_cast<std::size_t>(w.id)] = true;
+  }
+  if (P == 0) return false;
 
   double avg = 0.0;
   for (const RankWork& w : all) avg += w.time;
-  avg /= static_cast<double>(all.size());
-  out.average_time = avg;
+  avg /= static_cast<double>(P);
+  for (WorkShareSchedule& row : rows) row.average_time = avg;
 
   // Ps ← SortByTimeDescending(P)
   std::stable_sort(all.begin(), all.end(),
@@ -48,13 +61,15 @@ WorkShareSchedule create_communication_list(std::vector<RankWork> all,
     else
       break;
   }
-  if (lr < 0) return out;  // perfectly balanced: nothing to share
+  if (lr < 0) return false;  // perfectly balanced: nothing to share
 
-  std::ptrdiff_t cr = static_cast<std::ptrdiff_t>(all.size()) - 1;
+  std::ptrdiff_t cr = static_cast<std::ptrdiff_t>(P) - 1;
   for (std::ptrdiff_t i = 0; i <= lr; ++i) {
     while (cr > lr && all[static_cast<std::size_t>(i)].time > avg) {
       RankWork& sender = all[static_cast<std::size_t>(i)];
       RankWork& receiver = all[static_cast<std::size_t>(cr)];
+      WorkShareSchedule& send_row = rows[static_cast<std::size_t>(sender.id)];
+      WorkShareSchedule& recv_row = rows[static_cast<std::size_t>(receiver.id)];
       const double excess = sender.time - avg;
       const double capacity = avg - receiver.time;
       if (capacity <= 0.0) {
@@ -66,30 +81,54 @@ WorkShareSchedule create_communication_list(std::vector<RankWork> all,
       }
       if (excess > capacity) {
         // Fill this receiver to the average and move to the next receiver.
-        if (my_id == sender.id)
-          out.send_list.push_back({receiver.id, capacity, receiver.time});
-        else if (my_id == receiver.id)
-          out.recv_list.push_back(sender.id);
+        send_row.send_list.push_back({receiver.id, capacity, receiver.time});
+        recv_row.recv_list.push_back(sender.id);
         sender.time -= capacity;
         receiver.time = avg;
         --cr;
       } else {
         // The receiver absorbs the sender's whole excess; it remains the
         // candidate for the next sender.
-        if (my_id == sender.id)
-          out.send_list.push_back({receiver.id, excess, receiver.time});
-        else if (my_id == receiver.id)
-          out.recv_list.push_back(sender.id);
+        send_row.send_list.push_back({receiver.id, excess, receiver.time});
+        recv_row.recv_list.push_back(sender.id);
         receiver.time += excess;
         sender.time = avg;
       }
     }
   }
-  if (obs::metrics_enabled()) {
-    const ScheduleMetrics& m = schedule_metrics();
-    obs::add(m.schedules);
-    obs::add(m.planned_sends, static_cast<double>(out.send_list.size()));
+  return true;
+}
+
+void count_schedules(std::size_t schedules, std::size_t sends) {
+  if (!obs::metrics_enabled()) return;
+  const ScheduleMetrics& m = schedule_metrics();
+  obs::add(m.schedules, static_cast<double>(schedules));
+  obs::add(m.planned_sends, static_cast<double>(sends));
+}
+
+}  // namespace
+
+std::vector<WorkShareSchedule> create_communication_lists(
+    std::vector<RankWork> all) {
+  std::vector<WorkShareSchedule> rows;
+  if (schedule_rows(std::move(all), rows)) {
+    std::size_t sends = 0;
+    for (const WorkShareSchedule& row : rows) sends += row.send_list.size();
+    count_schedules(rows.size(), sends);
   }
+  return rows;
+}
+
+WorkShareSchedule create_communication_list(std::vector<RankWork> all,
+                                            int my_id) {
+  if (all.empty()) return {};
+  DTFE_CHECK_MSG(my_id >= 0 && static_cast<std::size_t>(my_id) < all.size(),
+                 "rank " << my_id << " is not one of the " << all.size()
+                         << " work-sharing ranks");
+  std::vector<WorkShareSchedule> rows;
+  const bool shared = schedule_rows(std::move(all), rows);
+  WorkShareSchedule out = std::move(rows[static_cast<std::size_t>(my_id)]);
+  if (shared) count_schedules(1, out.send_list.size());
   return out;
 }
 

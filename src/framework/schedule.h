@@ -43,8 +43,14 @@ struct WorkShareSchedule {
   double average_time = 0.0;
 };
 
-/// Paper Fig. 5. `all` is the Allgathered (id, time) array; `my_id` selects
-/// which rank's lists to emit.
+/// Paper Fig. 5 for every rank at once: one descending sort and one greedy
+/// pass, O(P log P) for P ranks. `all` is the Allgathered (id, time) array,
+/// whose ids must be 0..P-1, each once, in any order; row r holds rank r's
+/// lists (and the average, in every row).
+std::vector<WorkShareSchedule> create_communication_lists(
+    std::vector<RankWork> all);
+
+/// Paper Fig. 5 for one rank: row `my_id` of create_communication_lists.
 WorkShareSchedule create_communication_list(std::vector<RankWork> all,
                                             int my_id);
 

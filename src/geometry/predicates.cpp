@@ -11,17 +11,19 @@
 
 namespace dtfe {
 
-namespace {
-
-constexpr double kEpsilon = 0x1p-53;  // half machine epsilon for double
-constexpr double kCcwErrBoundA = (3.0 + 16.0 * kEpsilon) * kEpsilon;
-constexpr double kO3dErrBoundA = (7.0 + 56.0 * kEpsilon) * kEpsilon;
-constexpr double kIspErrBoundA = (16.0 + 224.0 * kEpsilon) * kEpsilon;
-constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
+namespace detail {
 
 // Per-thread tallies: concurrent triangulations each count into their own
 // thread's counters, so the hot path writes no shared cache line.
-thread_local PredicateStats t_stats;
+constinit thread_local PredicateStats t_predicate_stats;
+
+}  // namespace detail
+
+namespace {
+
+using detail::kEpsilon;
+constexpr double kCcwErrBoundA = (3.0 + 16.0 * kEpsilon) * kEpsilon;
+constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
 
 double orient2d_exact(const Vec2& a, const Vec2& b, const Vec2& c) {
   const Expansion acx = Expansion::from_diff(a.x, c.x);
@@ -50,6 +52,10 @@ double incircle2d_exact(const Vec2& a, const Vec2& b, const Vec2& c,
                         clift * (adx * bdy - bdx * ady);
   return static_cast<double>(det.sign());
 }
+
+}  // namespace
+
+namespace detail {
 
 // Exact det[b−a; c−a; d−a].
 double orient3d_exact(const Vec3& a, const Vec3& b, const Vec3& c,
@@ -112,10 +118,10 @@ double insphere_exact(const Vec3& a, const Vec3& b, const Vec3& c,
   return -static_cast<double>(det.sign());
 }
 
-}  // namespace
+}  // namespace detail
 
-PredicateStats predicate_stats() { return t_stats; }
-void reset_predicate_stats() { t_stats = {}; }
+PredicateStats predicate_stats() { return detail::t_predicate_stats; }
+void reset_predicate_stats() { detail::t_predicate_stats = {}; }
 
 double orient2d(const Vec2& a, const Vec2& b, const Vec2& c) {
   const double detleft = (a.x - c.x) * (b.y - c.y);
@@ -169,28 +175,6 @@ double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c,
          baz * (cax * day - cay * dax);
 }
 
-double orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
-  ++t_stats.orient3d_calls;
-  const double bax = b.x - a.x, bay = b.y - a.y, baz = b.z - a.z;
-  const double cax = c.x - a.x, cay = c.y - a.y, caz = c.z - a.z;
-  const double dax = d.x - a.x, day = d.y - a.y, daz = d.z - a.z;
-
-  const double caydaz = cay * daz, cazday = caz * day;
-  const double caxdaz = cax * daz, cazdax = caz * dax;
-  const double caxday = cax * day, caydax = cay * dax;
-
-  const double det = bax * (caydaz - cazday) - bay * (caxdaz - cazdax) +
-                     baz * (caxday - caydax);
-
-  const double permanent = (std::abs(caydaz) + std::abs(cazday)) * std::abs(bax) +
-                           (std::abs(caxdaz) + std::abs(cazdax)) * std::abs(bay) +
-                           (std::abs(caxday) + std::abs(caydax)) * std::abs(baz);
-  const double errbound = kO3dErrBoundA * permanent;
-  if (det > errbound || -det > errbound) return det;
-  ++t_stats.orient3d_exact;
-  return orient3d_exact(a, b, c, d);
-}
-
 double insphere_fast(const Vec3& a, const Vec3& b, const Vec3& c,
                      const Vec3& d, const Vec3& e) {
   const double aex = a.x - e.x, aey = a.y - e.y, aez = a.z - e.z;
@@ -219,72 +203,6 @@ double insphere_fast(const Vec3& a, const Vec3& b, const Vec3& c,
   // is positively oriented in our convention (hand-verified on the unit
   // tetrahedron; see tests), hence the negation.
   return -((dlift * abc - clift * dab) + (blift * cda - alift * bcd));
-}
-
-double insphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d,
-                const Vec3& e) {
-  ++t_stats.insphere_calls;
-  const double aex = a.x - e.x, aey = a.y - e.y, aez = a.z - e.z;
-  const double bex = b.x - e.x, bey = b.y - e.y, bez = b.z - e.z;
-  const double cex = c.x - e.x, cey = c.y - e.y, cez = c.z - e.z;
-  const double dex = d.x - e.x, dey = d.y - e.y, dez = d.z - e.z;
-
-  const double aexbey = aex * bey, bexaey = bex * aey;
-  const double bexcey = bex * cey, cexbey = cex * bey;
-  const double cexdey = cex * dey, dexcey = dex * cey;
-  const double dexaey = dex * aey, aexdey = aex * dey;
-  const double aexcey = aex * cey, cexaey = cex * aey;
-  const double bexdey = bex * dey, dexbey = dex * bey;
-
-  const double ab = aexbey - bexaey;
-  const double bc = bexcey - cexbey;
-  const double cd = cexdey - dexcey;
-  const double da = dexaey - aexdey;
-  const double ac = aexcey - cexaey;
-  const double bd = bexdey - dexbey;
-
-  const double abc = aez * bc - bez * ac + cez * ab;
-  const double bcd = bez * cd - cez * bd + dez * bc;
-  const double cda = cez * da + dez * ac + aez * cd;
-  const double dab = dez * ab + aez * bd + bez * da;
-
-  const double alift = aex * aex + aey * aey + aez * aez;
-  const double blift = bex * bex + bey * bey + bez * bez;
-  const double clift = cex * cex + cey * cey + cez * cez;
-  const double dlift = dex * dex + dey * dey + dez * dez;
-
-  const double det =
-      (dlift * abc - clift * dab) + (blift * cda - alift * bcd);
-
-  const double aezplus = std::abs(aez), bezplus = std::abs(bez);
-  const double cezplus = std::abs(cez), dezplus = std::abs(dez);
-  const double aexbeyplus = std::abs(aexbey), bexaeyplus = std::abs(bexaey);
-  const double bexceyplus = std::abs(bexcey), cexbeyplus = std::abs(cexbey);
-  const double cexdeyplus = std::abs(cexdey), dexceyplus = std::abs(dexcey);
-  const double dexaeyplus = std::abs(dexaey), aexdeyplus = std::abs(aexdey);
-  const double aexceyplus = std::abs(aexcey), cexaeyplus = std::abs(cexaey);
-  const double bexdeyplus = std::abs(bexdey), dexbeyplus = std::abs(dexbey);
-
-  const double permanent =
-      ((cexdeyplus + dexceyplus) * bezplus +
-       (dexbeyplus + bexdeyplus) * cezplus +
-       (bexceyplus + cexbeyplus) * dezplus) * alift +
-      ((dexaeyplus + aexdeyplus) * cezplus +
-       (aexceyplus + cexaeyplus) * dezplus +
-       (cexdeyplus + dexceyplus) * aezplus) * blift +
-      ((aexbeyplus + bexaeyplus) * dezplus +
-       (bexdeyplus + dexbeyplus) * aezplus +
-       (dexaeyplus + aexdeyplus) * bezplus) * clift +
-      ((bexceyplus + cexbeyplus) * aezplus +
-       (cexaeyplus + aexceyplus) * bezplus +
-       (aexbeyplus + bexaeyplus) * cezplus) * dlift;
-
-  const double errbound = kIspErrBoundA * permanent;
-  // det here is the raw matrix determinant; our convention negates it (see
-  // insphere_fast). The filter test is symmetric, so certify then negate.
-  if (det > errbound || -det > errbound) return -det;
-  ++t_stats.insphere_exact;
-  return insphere_exact(a, b, c, d, e);
 }
 
 }  // namespace dtfe

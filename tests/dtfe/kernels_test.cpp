@@ -389,6 +389,68 @@ TEST(MarchingKernel, RenderIsPinnedAcrossThreadsAndRaggedTiles) {
   EXPECT_GT(table_renders, 0);
 }
 
+// A floating-point tally whose sum depends on the order it is added in:
+// pixel values span many binades, so regrouping the additions changes the
+// last bits.
+struct SumTally {
+  double sum = 0.0;
+  SumTally& operator+=(const SumTally& o) {
+    sum += o.sum;
+    return *this;
+  }
+};
+
+TEST(RenderTiles, FloatingTallyDoesNotDependOnTheSchedule) {
+  // 37×37 pixels make 25 tiles, so every team size splits them differently.
+  const auto pixel = [](std::size_t ix, std::size_t iy, SumTally& t) {
+    t.sum += std::ldexp(1.0 + 0.1 * static_cast<double>(ix),
+                        static_cast<int>((ix * 7 + iy * 13) % 40) - 20);
+  };
+  const int saved = default_team_size();
+  set_team_size(1);
+  const double reference = render_tiles<SumTally>(37, 37, nullptr, pixel).tally.sum;
+  for (const bool bands : {false, true})
+    for (const int threads : {1, 2, 4})
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        set_team_size(threads);
+        const double sum =
+            render_tiles<SumTally>(37, 37, nullptr, pixel, bands).tally.sum;
+        char buf[2][32];
+        std::snprintf(buf[0], sizeof buf[0], "%a", sum);
+        std::snprintf(buf[1], sizeof buf[1], "%a", reference);
+        EXPECT_EQ(sum, reference)
+            << (bands ? "static bands" : "dynamic tiles") << ", " << threads
+            << " threads, repeat " << repeat << ": " << buf[0] << " vs "
+            << buf[1];
+      }
+  set_team_size(saved);
+}
+
+TEST(MarchingKernel, RayMassDoesNotDependOnTheSchedule) {
+  // The mass audit prints ray_mass, so a fatal audit must name the same
+  // number at any --threads.
+  Fixture fx(400, 21);
+  MarchingOptions mc;
+  mc.monte_carlo_samples = 4;
+  const int saved = default_team_size();
+  for (const MarchingOptions& opt : {MarchingOptions{}, mc}) {
+    const MarchingKernel kernel(fx.rho, fx.hull, opt);
+    const FieldSpec spec = unit_cube_spec(37);
+    set_team_size(1);
+    (void)kernel.render(spec);
+    const double reference = kernel.stats().ray_mass;
+    for (const int threads : {1, 2, 4})
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        set_team_size(threads);
+        (void)kernel.render(spec);
+        EXPECT_EQ(kernel.stats().ray_mass, reference)
+            << "mc " << opt.monte_carlo_samples << ", " << threads
+            << " threads, repeat " << repeat;
+      }
+  }
+  set_team_size(saved);
+}
+
 TEST(MarchingKernel, MeshAndTableSourcesAgreeBitwise) {
   // A 5×5×5 lattice is as degenerate as a mesh gets: the grid's rays run
   // through lattice vertices and along cospherical faces, so the march

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace dtfe {
@@ -154,6 +155,47 @@ TEST(CreateCommunicationList, NoRankIsBothSenderAndReceiver) {
       EXPECT_TRUE(s.send_list.empty() || s.recv_list.empty());
     }
   }
+}
+
+TEST(CreateCommunicationLists, RowRIsRankRsOwnList) {
+  // One sort for every rank's lists, as the simulator asks at 16k ranks,
+  // must give each rank exactly what its own call gives. The array lists
+  // the ranks in shuffled order, so a row is found by id, not position.
+  Rng rng(17);
+  for (const int P : {1, 2, 3, 17, 1000}) {
+    std::vector<RankWork> w;
+    for (int r = 0; r < P; ++r) w.push_back({r, rng.uniform(0.0, 100.0)});
+    for (int i = P - 1; i > 0; --i)
+      std::swap(w[static_cast<std::size_t>(i)],
+                w[rng.uniform_index(static_cast<std::size_t>(i) + 1)]);
+    const std::vector<WorkShareSchedule> rows = create_communication_lists(w);
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(P));
+    std::size_t sends = 0;
+    for (int r = 0; r < P; ++r) {
+      const WorkShareSchedule& row = rows[static_cast<std::size_t>(r)];
+      const WorkShareSchedule own = create_communication_list(w, r);
+      EXPECT_EQ(row.average_time, own.average_time) << "P " << P << " rank " << r;
+      EXPECT_EQ(row.recv_list, own.recv_list) << "P " << P << " rank " << r;
+      ASSERT_EQ(row.send_list.size(), own.send_list.size())
+          << "P " << P << " rank " << r;
+      for (std::size_t k = 0; k < row.send_list.size(); ++k) {
+        EXPECT_EQ(row.send_list[k].receiver, own.send_list[k].receiver);
+        EXPECT_EQ(row.send_list[k].amount, own.send_list[k].amount);
+        EXPECT_EQ(row.send_list[k].send_at, own.send_list[k].send_at);
+      }
+      sends += row.send_list.size();
+    }
+    if (P > 1) {
+      EXPECT_GT(sends, 0u) << "P " << P;
+    }
+  }
+}
+
+TEST(CreateCommunicationLists, RankIdsMustNumberTheRanks) {
+  EXPECT_THROW(create_communication_lists({{0, 1.0}, {2, 3.0}}), Error);
+  EXPECT_THROW(create_communication_lists({{1, 1.0}, {1, 3.0}}), Error);
+  EXPECT_THROW(create_communication_list({{0, 1.0}, {1, 3.0}}, 2), Error);
+  EXPECT_TRUE(create_communication_lists({}).empty());
 }
 
 TEST(PlanSender, SendsOrderedAndItemsPartitioned) {

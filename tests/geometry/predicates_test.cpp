@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "util/rng.h"
@@ -87,6 +88,51 @@ TEST(Insphere, SignFlipsWithOrientation) {
   const Vec3 q{0.25, 0.25, 0.25};
   EXPECT_GT(insphere(kA, kB, kC, kD, q), 0.0);
   EXPECT_LT(insphere(kB, kA, kC, kD, q), 0.0);
+}
+
+TEST(Insphere2, LanesMatchScalarBitwise) {
+  // Each lane must return the scalar insphere's exact bits and count like
+  // it: random tetrahedra (filter certifies), lattice ones with cospherical
+  // queries (exact stage, value 0), and a lane of each kind side by side.
+  Rng rng(3);
+  const auto rv = [&] { return Vec3{rng.uniform(), rng.uniform(), rng.uniform()}; };
+  const auto lattice = [&] {
+    return Vec3{static_cast<double>(rng.uniform_index(3)),
+                static_cast<double>(rng.uniform_index(3)),
+                static_cast<double>(rng.uniform_index(3))};
+  };
+  for (int iter = 0; iter < 4000; ++iter) {
+    const bool exact0 = iter % 3 == 0, exact1 = iter % 5 == 0;
+    Vec3 p0[4], p1[4];
+    for (Vec3& v : p0) v = exact0 ? lattice() : rv();
+    for (Vec3& v : p1) v = exact1 ? lattice() : rv();
+    const Vec3 e = (exact0 || exact1) ? lattice() : rv();
+    const Vec3* const t0[4] = {&p0[0], &p0[1], &p0[2], &p0[3]};
+    const Vec3* const t1[4] = {&p1[0], &p1[1], &p1[2], &p1[3]};
+
+    reset_predicate_stats();
+    const double want0 = insphere(p0[0], p0[1], p0[2], p0[3], e);
+    const double want1 = insphere(p1[0], p1[1], p1[2], p1[3], e);
+    const PredicateStats scalar = predicate_stats();
+
+    reset_predicate_stats();
+    double s[2];
+    insphere2(t0, t1, e, 2, s);
+    const PredicateStats pair = predicate_stats();
+    EXPECT_EQ(std::memcmp(&s[0], &want0, sizeof(double)), 0) << "iter " << iter;
+    EXPECT_EQ(std::memcmp(&s[1], &want1, sizeof(double)), 0) << "iter " << iter;
+    EXPECT_EQ(pair.insphere_calls, scalar.insphere_calls);
+    EXPECT_EQ(pair.insphere_exact, scalar.insphere_exact);
+
+    // One real lane: t0 in both, counted once.
+    reset_predicate_stats();
+    insphere2(t0, t0, e, 1, s);
+    const PredicateStats one = predicate_stats();
+    EXPECT_EQ(std::memcmp(&s[0], &want0, sizeof(double)), 0) << "iter " << iter;
+    EXPECT_EQ(std::memcmp(&s[1], &want0, sizeof(double)), 0) << "iter " << iter;
+    EXPECT_EQ(one.insphere_calls, 1u);
+    EXPECT_LE(one.insphere_exact, 1u);
+  }
 }
 
 TEST(Orient2d, BasicAndDegenerate) {
