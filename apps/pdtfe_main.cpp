@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -56,6 +57,7 @@
 #include "obs/trace.h"
 #include "util/cli.h"
 #include "util/image.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
@@ -270,6 +272,32 @@ int cmd_render(const CliArgs& args) {
   return 0;
 }
 
+/// Request generation, inside the caller's pipeline.requests span: read the
+/// snapshot into `set`, then find its FOF groups on the calling thread's
+/// team, each step under its own child span. Nothing else runs in the
+/// process meanwhile, so the process CPU clock times the whole team as
+/// nbody.fof's team_cpu_s.
+std::vector<FofGroup> find_request_groups(const std::string& path,
+                                          ParticleSet& set) {
+  {
+    obs::TraceSpan span(engine::phases::kReadSnapshot, "nbody");
+    set = read_snapshot(path);
+  }
+  auto process_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+  obs::TraceSpan span(engine::phases::kFof, "nbody");
+  const double cpu0 = process_cpu_s();
+  std::vector<FofGroup> groups = find_fof_groups(set);
+  span.add_arg("team_cpu_s", process_cpu_s() - cpu0);
+  span.add_arg("threads", static_cast<double>(default_team_size()));
+  span.add_arg("groups", static_cast<double>(groups.size()));
+  return groups;
+}
+
 int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   // Worker re-entry (engine/multiproc.h): a launcher spawned this process
   // as one rank of a socket-transport run. Everything beyond the bootstrap
@@ -293,11 +321,13 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   const bool socket = cfg.transport.kind == engine::TransportKind::kSocket;
   const PipelineOptions& opt = cfg.pipeline;
 
+  // FOF runs on this thread's team, sized like each rank's.
+  if (opt.threads > 0) set_team_size(opt.threads);
   std::vector<engine::FieldRequest> requests;
   {
     obs::TraceSpan span(engine::phases::kRequests);
-    const ParticleSet set = read_snapshot(cfg.snapshot);
-    const auto groups = find_fof_groups(set);
+    ParticleSet set;
+    const auto groups = find_request_groups(cfg.snapshot, set);
     for (std::size_t i = 0;
          i < groups.size() && requests.size() < cfg.n_fields; ++i)
       requests.push_back({groups[i].center});
@@ -510,8 +540,7 @@ int cmd_lensing(const CliArgs& args) {
   Vec3 target;
   {
     obs::TraceSpan span(engine::phases::kRequests);
-    set = read_snapshot(common.in);
-    const auto groups = find_fof_groups(set);
+    const auto groups = find_request_groups(common.in, set);
     DTFE_CHECK_MSG(!groups.empty(), "no FOF objects found");
     target = groups[0].center;
   }

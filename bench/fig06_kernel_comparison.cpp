@@ -7,7 +7,7 @@
 // Scaled reproduction: a Zel'dovich box (the Gadget-demo stand-in), one
 // grid, both kernels on 8-thread teams (oversubscribed here; per-thread
 // CPU time is the balance metric).
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "fig_common.h"
 #include "util/timer.h"
 

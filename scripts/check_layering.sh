@@ -9,7 +9,7 @@
 #     subcommand legitimately needs).
 #
 #   * OpenMP has one owner: no `#include <omp.h>`, `#pragma omp` or
-#     `omp_*(` call in src/, apps/ or bench/ outside src/dtfe/parallel.h,
+#     `omp_*(` call in src/, apps/ or bench/ outside src/util/parallel.h,
 #     so replacing the threading mechanism means replacing that header.
 #
 # Greps source lines only, so the rules stay cheap and editor-friendly.
@@ -40,9 +40,9 @@ check apps      'framework|simmpi' \
 omp_hits="$(grep -rnE \
   '#[[:space:]]*include[[:space:]]*<omp\.h>|#[[:space:]]*pragma[[:space:]]+omp|\bomp_[a-z_]+[[:space:]]*\(' \
   src apps bench --include='*.h' --include='*.cpp' |
-  grep -v '^src/dtfe/parallel\.h:' || true)"
+  grep -v '^src/util/parallel\.h:' || true)"
 if [ -n "$omp_hits" ]; then
-  echo "layering violation: OpenMP is used only through src/dtfe/parallel.h" >&2
+  echo "layering violation: OpenMP is used only through src/util/parallel.h" >&2
   echo "$omp_hits" >&2
   fail=1
 fi

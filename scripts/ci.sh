@@ -15,9 +15,9 @@
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and engine labels, plus the concurrent-triangulation, per-thread
-#      predicate-counter and shared-trace-recorder tests and the kernel
-#      suites (render teams, row builds, renders inside item tasks) —
-#      against that build;
+#      predicate-counter and shared-trace-recorder tests, the kernel
+#      suites (render teams, row builds, renders inside item tasks) and the
+#      nbody suite (FOF's concurrent union-find) — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      kernel fast-path, triangulation, nbody (FOF cell-key packing), and
 #      engine suites against that build;
@@ -122,17 +122,18 @@ TSAN_OPTS="halt_on_error=1 second_deadlock_stack=1 history_size=7 suppressions=$
 TSAN_OPTIONS="$TSAN_OPTS" \
     ctest --test-dir build-thread --output-on-failure -L 'fault|durable|engine'
 
-echo "== tsan: concurrent triangulations, predicate counters, shared trace, kernels"
+echo "== tsan: concurrent triangulations, predicate counters, shared trace, kernels, FOF"
 # Triangulation.ConcurrentBuildsMatchSerial builds one mesh on four threads
 # at once (a finished Triangulation holds no walk or scratch state, and the
 # predicate counters are thread_local); predicates_test checks that another
 # thread's calls never reach the caller's counters; obs_test has four rank
 # threads emitting spans and metrics into the shared recorder and registry.
 # kernels_test, density_test and fastpath_test drive the render teams, the
-# parallel row builds and renders nested inside parallel_tasks items.
+# parallel row builds and renders nested inside parallel_tasks items;
+# nbody_test runs FOF's compare-and-swap union-find on teams of 2 and 4.
 # Run as binaries, like the UBSan loop below.
 for t in triangulation_test predicates_test obs_test kernels_test \
-         density_test fastpath_test; do
+         density_test fastpath_test nbody_test; do
   TSAN_OPTIONS="$TSAN_OPTS" "build-thread/tests/$t"
 done
 

@@ -16,7 +16,7 @@ namespace dtfe {
 
 /// Renders fields from one FieldCube, which it owns and which builds every
 /// artefact once. Build once, render any number of fields; each render runs
-/// on the calling thread's kernel team (dtfe/parallel.h), and render calls
+/// on the calling thread's kernel team (util/parallel.h), and render calls
 /// are thread-safe with respect to each other.
 class Reconstructor {
  public:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "geometry/tetra_math.h"
 #include "util/error.h"
 

@@ -1,6 +1,6 @@
 #include "dtfe/march_tables.h"
 
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 
 namespace dtfe {
 

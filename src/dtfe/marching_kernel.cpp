@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "dtfe/field_cube.h"
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "geometry/ray_tetra.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

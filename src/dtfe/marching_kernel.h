@@ -64,7 +64,7 @@ struct MarchingOptions {
   /// the marching kernel amortizes location over whole tetra intervals.
   int z_samples = 0;
   /// Stream seed. Each pixel's RNG state is pixel_seed(seed, iy·nx + ix)
-  /// (dtfe/parallel.h), never derived from the thread or the tile order that
+  /// (util/parallel.h), never derived from the thread or the tile order that
   /// reaches it. A pixel's value is then a pure function of its own rays,
   /// written once, so a render is bitwise deterministic regardless of the
   /// schedule and team size. The pipeline folds the

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "util/error.h"
 
 namespace dtfe {

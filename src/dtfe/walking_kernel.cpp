@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"

@@ -30,6 +30,11 @@ inline constexpr const char* kRecover = "pipeline.recover";
 // FOF and the request list. Emitted in the default "dtfe" category, not
 // kCategory, because it is not a PhaseTimes phase.
 inline constexpr const char* kRequests = "pipeline.requests";
+// Its two child spans, category "nbody", so that one trace splits request
+// generation: the snapshot read (args: threads) and the FOF finder (args:
+// cpu_s of its whole team, threads, groups).
+inline constexpr const char* kReadSnapshot = "nbody.read_snapshot";
+inline constexpr const char* kFof = "nbody.fof";
 
 // Per-item span names: real spans around the cube build and the render, whose
 // cpu_s is exactly what accumulates into PhaseTimes::triangulate / ::render.

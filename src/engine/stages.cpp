@@ -9,7 +9,7 @@
 #include <span>
 #include <string>
 
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "engine/field_kernel.h"
 #include "engine/phases.h"
 #include "framework/crash.h"

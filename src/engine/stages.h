@@ -156,7 +156,7 @@ PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
 
 /// Cap the calling rank thread's team at max(1, threads / ranks)
 /// (default_team_size() when opt.threads is 0) and disable nested teams,
-/// through dtfe/parallel.h: the rank's items run concurrently on that team
+/// through util/parallel.h: the rank's items run concurrently on that team
 /// and each item's kernels on its one thread. Returns the team size.
 int configure_rank_threading(const PipelineOptions& opt, int ranks_in_process);
 

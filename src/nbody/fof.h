@@ -13,6 +13,13 @@
 // Positions are expected in [0, box)^3; an out-of-box one is hashed into the
 // nearest edge cell, and a non-finite one links to nothing and stays a
 // singleton.
+//
+// The search runs on the calling thread's team (util/parallel.h): the keys
+// are written into z slabs that sort one per task, and chunks of home cells
+// take their pairs concurrently, linking through a compare-and-swap
+// union-find whose roots are always their sets' smallest members. The
+// groups (order, members and center bits) are the same for any team size
+// or schedule.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@
 #include "dtfe/field_cube.h"
 #include "dtfe/march_tables.h"
 #include "dtfe/marching_kernel.h"
-#include "dtfe/parallel.h"
+#include "util/parallel.h"
 #include "dtfe/tess_kernel.h"
 #include "dtfe/walking_kernel.h"
 #include "geometry/tetra_math.h"

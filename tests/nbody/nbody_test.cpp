@@ -6,12 +6,14 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "nbody/fof.h"
 #include "nbody/generators.h"
 #include "nbody/snapshot_io.h"
 #include "util/error.h"
 #include "util/fft.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -255,25 +257,95 @@ std::map<std::uint32_t, const FofGroup*> by_first_member(
   return out;
 }
 
-/// find_fof_groups must return exactly the oracle's groups: identical member
-/// lists and bitwise-equal centers, sorted by descending size.
+/// Sets the calling thread's team size for one scope, then restores it.
+class TeamSize {
+ public:
+  explicit TeamSize(int n) : saved_(default_team_size()) { set_team_size(n); }
+  ~TeamSize() { set_team_size(saved_); }
+  TeamSize(const TeamSize&) = delete;
+  TeamSize& operator=(const TeamSize&) = delete;
+
+ private:
+  int saved_;
+};
+
+constexpr int kTeamSizes[] = {1, 2, 4};
+
+/// find_fof_groups must return exactly the oracle's groups, on teams of 1, 2
+/// and 4 threads: identical member lists and bitwise-equal centers, sorted
+/// by descending size.
 void expect_matches_oracle(const ParticleSet& set, const FofOptions& opt) {
-  const auto got = find_fof_groups(set, opt);
   const auto want = brute_force_fof(set, opt);
-  for (std::size_t g = 1; g < got.size(); ++g)
-    EXPECT_GE(got[g - 1].size(), got[g].size());
-  ASSERT_EQ(got.size(), want.size());
-  const auto got_map = by_first_member(got);
   const auto want_map = by_first_member(want);
-  ASSERT_EQ(got_map.size(), got.size());
-  for (const auto& [first, w] : want_map) {
-    const auto it = got_map.find(first);
-    ASSERT_NE(it, got_map.end()) << "no group starts at particle " << first;
-    const FofGroup& g = *it->second;
-    EXPECT_EQ(g.members, w->members) << "group of particle " << first;
-    EXPECT_EQ(std::memcmp(&g.center, &w->center, sizeof(Vec3)), 0)
-        << "center of the group of particle " << first;
+  for (const int team : kTeamSizes) {
+    SCOPED_TRACE(testing::Message() << "team of " << team);
+    const TeamSize scope(team);
+    const auto got = find_fof_groups(set, opt);
+    for (std::size_t g = 1; g < got.size(); ++g)
+      EXPECT_GE(got[g - 1].size(), got[g].size());
+    ASSERT_EQ(got.size(), want.size());
+    const auto got_map = by_first_member(got);
+    ASSERT_EQ(got_map.size(), got.size());
+    for (const auto& [first, w] : want_map) {
+      const auto it = got_map.find(first);
+      ASSERT_NE(it, got_map.end()) << "no group starts at particle " << first;
+      const FofGroup& g = *it->second;
+      EXPECT_EQ(g.members, w->members) << "group of particle " << first;
+      EXPECT_EQ(std::memcmp(&g.center, &w->center, sizeof(Vec3)), 0)
+          << "center of the group of particle " << first;
+    }
   }
+}
+
+/// FNV-1a over the groups in order: sizes, `%a` centers and members.
+std::uint64_t groups_hash(const std::vector<FofGroup>& groups) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const std::string& s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%zu groups\n", groups.size());
+  mix(buf);
+  for (const FofGroup& g : groups) {
+    std::snprintf(buf, sizeof buf, "%zu: %a %a %a\n", g.size(), g.center.x,
+                  g.center.y, g.center.z);
+    mix(buf);
+    for (const std::uint32_t m : g.members) mix(std::to_string(m) + " ");
+  }
+  return h;
+}
+
+TEST(Fof, GroupsDoNotDependOnTheTeamSize) {
+  // Group order (ties in size included), members and center bits, hashed.
+  // The pins were recorded from the serial finder the team version
+  // replaced; the second case keeps all 24243 sets, singletons included.
+  HaloModelOptions hopt;
+  hopt.n_particles = 120000;
+  hopt.box_length = 64.0;
+  hopt.n_halos = 64;
+  hopt.seed = 31;
+  const auto set = generate_halo_model(hopt);
+  FofOptions every_set;
+  every_set.min_group_size = 1;
+  every_set.periodic = false;
+  const struct {
+    FofOptions opt;
+    std::size_t groups;
+    std::uint64_t hash;
+  } cases[] = {{FofOptions{}, 64, 0x0f1eb760ecb058aaull},
+               {every_set, 24243, 0x3e6af9cf6d4d6b64ull}};
+  for (const auto& c : cases)
+    for (const int team : kTeamSizes) {
+      SCOPED_TRACE(testing::Message()
+                   << "min " << c.opt.min_group_size << ", team of " << team);
+      const TeamSize scope(team);
+      const auto groups = find_fof_groups(set, c.opt);
+      EXPECT_EQ(groups.size(), c.groups);
+      EXPECT_EQ(groups_hash(groups), c.hash);
+    }
 }
 
 TEST(FofOracle, HaloModelBoxPeriodicAndOpen) {
@@ -366,6 +438,46 @@ TEST(FofOracle, TinyLinkingLengthNeedsNoDenseGrid) {
   const auto groups = find_fof_groups(set, opt);
   EXPECT_EQ(groups.size(), 1024u);
   expect_matches_oracle(set, opt);
+}
+
+TEST(FofOracle, DenseCoreContendsForOneRoot) {
+  // 1200 particles inside one linking cell, 1200 more in a blob about it
+  // and 1600 in the background: the core's cell and its neighbours, in
+  // different chunks, all link into one set at once.
+  Rng rng(37);
+  ParticleSet set;
+  set.box_length = 10.0;
+  const std::size_t n = 4000;
+  // Cells per axis: box / (b × box / cbrt(n)), rounded down.
+  const double cell = 10.0 / std::floor(std::cbrt(double(n)) / 0.2);
+  const Vec3 corner = Vec3{std::floor(4.7 / cell), std::floor(4.1 / cell),
+                           std::floor(4.3 / cell)} *
+                      cell;
+  for (int i = 0; i < 1200; ++i)
+    set.positions.push_back(corner + Vec3{rng.uniform(0.05, 0.95),
+                                          rng.uniform(0.05, 0.95),
+                                          rng.uniform(0.05, 0.95)} *
+                                         cell);
+  for (int i = 0; i < 1200; ++i)
+    set.positions.push_back(
+        corner + Vec3{0.5, 0.5, 0.5} * cell +
+        Vec3{rng.normal(), rng.normal(), rng.normal()} * (1.5 * cell));
+  while (set.positions.size() < n)
+    set.positions.push_back(
+        {rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10)});
+  std::size_t in_core = 0;
+  for (const Vec3& p : set.positions)
+    in_core += std::floor(p.x / cell) == std::floor(corner.x / cell) &&
+               std::floor(p.y / cell) == std::floor(corner.y / cell) &&
+               std::floor(p.z / cell) == std::floor(corner.z / cell);
+  ASSERT_GE(in_core, 1000u);
+  for (const bool periodic : {true, false}) {
+    SCOPED_TRACE(periodic ? "periodic" : "open");
+    FofOptions opt;
+    opt.periodic = periodic;
+    opt.min_group_size = 1;
+    expect_matches_oracle(set, opt);
+  }
 }
 
 TEST(Fof, PairAtExactlyTheLinkingLengthLinks) {

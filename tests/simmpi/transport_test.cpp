@@ -12,9 +12,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -473,6 +476,54 @@ TEST_F(TransportParity, DelayedPackage) {
 
 TEST_F(TransportParity, BitFlippedPackage) {
   expect_parity("flip:src=0,dst=2,nth=1,tag=200");
+}
+
+/// The `"key":value` number in one trace event's JSON, or NaN.
+double event_number(const std::string& event, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t pos = event.find(needle);
+  return pos == std::string::npos
+             ? std::nan("")
+             : std::strtod(event.c_str() + pos + needle.size(), nullptr);
+}
+
+// One product trace splits request generation: the snapshot read and the
+// FOF search are child spans of pipeline.requests, and the FOF span says
+// how many threads it ran on, their CPU time and the groups found.
+TEST_F(TransportParity, TraceSplitsRequestGeneration) {
+  const std::string trace = dir_ + "/trace.json";
+  int rc = 0;
+  const std::string out = run_capture(
+      std::string(PDTFE_BINARY) + " pipeline --in " + dir_ +
+          "/snap.bin --ranks 1 --fields 2 --threads 2 --trace-out " + trace,
+      rc);
+  ASSERT_EQ(rc, 0) << out;
+  std::ifstream in(trace);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ::unlink(trace.c_str());
+  auto event = [&](const std::string& name) {
+    const std::size_t at = json.find("{\"name\":\"" + name + "\"");
+    if (at == std::string::npos) return std::string{};
+    return json.substr(at, json.find("}}", at) - at);
+  };
+  const std::string requests = event("pipeline.requests");
+  const std::string read = event("nbody.read_snapshot");
+  const std::string fof = event("nbody.fof");
+  ASSERT_FALSE(requests.empty()) << json;
+  ASSERT_FALSE(read.empty()) << json;
+  ASSERT_FALSE(fof.empty()) << json;
+  for (const std::string* child : {&read, &fof}) {
+    EXPECT_GE(event_number(*child, "ts"), event_number(requests, "ts"));
+    EXPECT_LE(event_number(*child, "ts") + event_number(*child, "dur"),
+              event_number(requests, "ts") + event_number(requests, "dur"));
+    EXPECT_GE(event_number(*child, "cpu_s"), 0.0) << *child;
+  }
+  EXPECT_GE(event_number(fof, "team_cpu_s"), 0.0) << fof;
+  EXPECT_EQ(event_number(fof, "threads"), 2.0) << fof;
+  EXPECT_EQ(event_number(fof, "groups"),
+            event_number(requests, "fof_groups")) << fof;
+  EXPECT_GT(event_number(fof, "groups"), 0.0) << fof;
 }
 
 // Out-of-range integer flags exit 2 naming the flag, before the snapshot is
