@@ -372,29 +372,32 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   for (const engine::RankRun& run : eng.last_rank_runs()) {
     const PipelineResult& res = run.result;
     busy.add(res.phases.total());
-    tot_failed += res.items_failed;
-    tot_fallback += res.items_fallback;
-    tot_recovered += res.items_recovered;
     tot_retries += res.package_retries;
     tot_lost += res.packages_lost;
-    tot_replayed += res.items_replayed;
-    tot_cancelled += res.items_cancelled;
-    tot_audit_violations += res.audit_violations;
     bad_counts.non_finite += res.bad_particles.non_finite;
     bad_counts.out_of_box += res.bad_particles.out_of_box;
     bad_counts.dropped += res.bad_particles.dropped;
     bad_counts.clamped += res.bad_particles.clamped;
     dead_ranks.insert(res.failed_ranks.begin(), res.failed_ranks.end());
     model_degenerate = model_degenerate || res.model.degenerate();
+    std::size_t received = 0, failed = 0, fallback = 0, recovered = 0;
     std::vector<std::pair<std::string, std::string>> tags;
     for (const ItemRecord& it : res.items) {
+      const bool replayed = it.path == ItemPath::kReplay;
+      received += it.path == ItemPath::kReceived;
+      fallback += it.path == ItemPath::kFallback;
+      recovered += it.path == ItemPath::kRecover;
+      tot_replayed += replayed;
+      failed += it.failed;
+      tot_cancelled += it.cancelled;
+      tot_audit_violations += !it.audit.empty() && it.audit != "pass";
       const std::string id = std::to_string(it.request_index);
       if (it.failed)
         tags.emplace_back("item_fail_" + id, it.fail_reason);
       if (it.cancelled) tags.emplace_back("item_cancelled_" + id, "deadline");
-      if (it.replayed) tags.emplace_back("item_replayed_" + id, "checkpoint");
+      if (replayed) tags.emplace_back("item_replayed_" + id, "checkpoint");
       // Per-item kernel health (dtfe.kernel.* counters broken out by item).
-      if (!it.replayed && !it.failed)
+      if (!replayed && !it.failed)
         tags.emplace_back("item_kernel_" + id,
                           "failed_cells=" +
                               std::to_string(static_cast<long long>(
@@ -407,6 +410,9 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
         tags.emplace_back("item_audit_" + id, it.audit);
       }
     }
+    tot_failed += failed;
+    tot_fallback += fallback;
+    tot_recovered += recovered;
     if (!tags.empty()) report.add_rank_tags(run.rank, std::move(tags));
     report.add_rank_values(
         run.rank,
@@ -418,15 +424,14 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
          {engine::phases::kReportRecover, res.phases.recover},
          {engine::phases::kReportTotal, res.phases.total()},
          {"local_items", static_cast<double>(res.local_items)},
-         {"items_received", static_cast<double>(res.items_received)},
-         {"items_failed", static_cast<double>(res.items_failed)},
-         {"items_fallback", static_cast<double>(res.items_fallback)},
-         {"items_recovered", static_cast<double>(res.items_recovered)}});
+         {"items_received", static_cast<double>(received)},
+         {"items_failed", static_cast<double>(failed)},
+         {"items_fallback", static_cast<double>(fallback)},
+         {"items_recovered", static_cast<double>(recovered)}});
     std::printf("rank %2d: %3zu local, %3zu received, %zu failed, "
                 "%zu fallback, %zu recovered, busy %.2fs\n",
-                run.rank, res.local_items, res.items_received,
-                res.items_failed, res.items_fallback, res.items_recovered,
-                res.phases.total());
+                run.rank, res.local_items, received, failed, fallback,
+                recovered, res.phases.total());
   }
   std::printf("busy: mean %.2fs max %.2fs (imbalance %.2f)\n", busy.mean(),
               busy.max(), busy.max() / std::max(busy.mean(), 1e-12));

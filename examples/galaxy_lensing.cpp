@@ -6,6 +6,7 @@
 //
 // Prints the per-phase busy times and the balance achieved, and writes the
 // densest field as galaxy_field.pgm.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -53,10 +54,14 @@ int main(int argc, char** argv) {
         dtfe::run_pipeline(comm, set, centers, opt);
     std::lock_guard<std::mutex> lock(mtx);
     busy.add(res.phases.total());
+    const auto received = std::count_if(
+        res.items.begin(), res.items.end(), [](const dtfe::ItemRecord& it) {
+          return it.path == dtfe::ItemPath::kReceived;
+        });
     std::printf(
-        "rank %2d: items local=%zu sent=%zu recv=%zu | partition %.2fs "
+        "rank %2d: items local=%zu sent=%zu recv=%td | partition %.2fs "
         "model %.2fs tri %.2fs render %.2fs share %.2fs\n",
-        comm.rank(), res.local_items, res.items_sent, res.items_received,
+        comm.rank(), res.local_items, res.items_sent, received,
         res.phases.partition, res.phases.model, res.phases.triangulate,
         res.phases.render, res.phases.work_share);
     for (std::size_t i = 0; i < res.grids.size(); ++i)

@@ -4,6 +4,7 @@
 // the best work-sharing efficiency.
 //
 //   $ ./multiplane_lensing [n_ranks] [n_los] [planes_per_los]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -55,9 +56,12 @@ int main(int argc, char** argv) {
     std::lock_guard<std::mutex> lock(mtx);
     busy.add(res.phases.total());
     total_shared += res.items_sent;
-    std::printf("rank %2d: %3zu local + %3zu received items, busy %.2fs\n",
-                comm.rank(), res.local_items, res.items_received,
-                res.phases.total());
+    const auto received = std::count_if(
+        res.items.begin(), res.items.end(), [](const dtfe::ItemRecord& it) {
+          return it.path == dtfe::ItemPath::kReceived;
+        });
+    std::printf("rank %2d: %3zu local + %3td received items, busy %.2fs\n",
+                comm.rank(), res.local_items, received, res.phases.total());
   });
 
   std::printf("\n%zu of %zu items were shared between ranks\n", total_shared,

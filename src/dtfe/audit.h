@@ -45,11 +45,11 @@ struct AuditOptions {
   /// Relative tolerance for |grid.sum() − ray_mass|. Both are ~n·ε-accurate
   /// sums of the same terms in different orders, so honest renders sit many
   /// orders of magnitude below this.
-  double mass_rel_tol = 1e-9;
+  static constexpr double mass_rel_tol = 1e-9;
   /// full mode: number of random cells cross-checked per item.
-  int spot_checks = 4;
+  static constexpr int spot_checks = 4;
   /// full mode: fixed z planes per spot check (the equal-cells protocol).
-  int spot_z_samples = 64;
+  static constexpr int spot_z_samples = 64;
   /// full mode: relative tolerance between the marching and walking routes.
   double spot_rel_tol = 1e-6;
   /// Seed for the spot-check cell picks (folded with the item seed by the

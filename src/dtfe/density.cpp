@@ -81,11 +81,9 @@ void DensityField::build(std::span<const double> masses) {
         masses[v];
 
   // Eq. 2: ρ̂ = (d+1)m / ΣV with d = 3.
-  interior_mass_ = 0.0;
   for (std::size_t v = 0; v < nv; ++v) {
     if (tri_->is_duplicate(static_cast<VertexId>(v))) continue;
     if (volume_[v] > 0.0) density_[v] = 4.0 * mass[v] / volume_[v];
-    if (!on_hull_[v]) interior_mass_ += mass[v];
   }
   // Duplicates alias their representative's density for convenient lookup.
   for (std::size_t v = 0; v < nv; ++v) {

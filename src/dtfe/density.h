@@ -81,10 +81,6 @@ class DensityField {
   /// cell_storage_size() (the marching kernel's coefficient table).
   std::span<const CellInterpolant> cell_rows() const { return rows_; }
 
-  /// Total mass represented by interior (non-hull) vertices — used by the
-  /// mass-conservation tests.
-  double interior_mass() const { return interior_mass_; }
-
   /// Mass carried by vertex v (duplicates' masses folded onto the
   /// representative; zero when built via with_vertex_values).
   double vertex_mass(VertexId v) const {
@@ -103,7 +99,6 @@ class DensityField {
   std::vector<double> volume_;    // per vertex
   std::vector<char> on_hull_;     // per vertex
   std::vector<CellInterpolant> rows_;  // per cell id (dense over storage)
-  double interior_mass_ = 0.0;
 };
 
 }  // namespace dtfe

@@ -54,12 +54,6 @@ class TessKernel {
 
   const TessStats& stats() const { return stats_; }
 
-  /// Zero-order density of site v (m/V_voronoi, or the user-supplied vertex
-  /// value).
-  double site_density(VertexId v) const {
-    return site_density_[static_cast<std::size_t>(v)];
-  }
-
   /// Greedy descent over the Delaunay neighbor graph from `seed` (typically
   /// the previous z-sample's answer: the hot path of render()). From any
   /// vertex some neighbor is strictly closer to q unless the vertex is q's

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -15,6 +16,7 @@
 #include "framework/crash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "util/retry.h"
 
@@ -78,8 +80,7 @@ bool lex_less(const Vec3& a, const Vec3& b) {
 FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
                              const Vec3& center, const PipelineOptions& opt,
                              ItemRecord& record, const Deadline* deadline) {
-  // Callers pre-set the path flags (fallback/recovered) on `record`; every
-  // other field is filled here.
+  // Callers pre-set `record.path`; every other field is filled here.
   record.center = center;
   record.n_particles = static_cast<double>(cube_particles.size());
   auto contain = [&](const char* reason) {
@@ -189,93 +190,67 @@ constexpr std::int32_t kAckOk = 1;      ///< package validated, items accepted
 constexpr std::int32_t kAckResend = 2;  ///< package missing/corrupt, send again
 constexpr std::int32_t kAckGiveUp = 3;  ///< retries exhausted, sender keeps it
 
-// Work package wire format, all doubles:
-//   header  [kPackMagic, seq, n_payload, checksum(payload)]
-//   payload [n_items, {req_idx, cx, cy, cz, count, xyz...}...]
+// Work package wire format (util/bytes.h), every field 8 bytes:
+//   header  [kPackMagic, checksum, seq, payload bytes]
+//   payload [n_items, {request index, center, n, n particles}...]
 // seq starts at 1 and increases per sender, so a receiver can reject stale
-// duplicates; the checksum lets it detect corruption and request a resend.
-constexpr double kPackMagic = 7119720.0;
+// duplicates. The checksum is fnv1a64 over everything after it, seq
+// included, so a receiver detects any corruption and requests a resend: a
+// damaged seq accepted as valid would ack a package the sender is not
+// waiting for, and the sender would compute it a second time.
+constexpr std::uint64_t kPackMagic = 0x31474B5045465444ull;  // "DTFEPKG1"
 
-/// FNV-1a over the payload bytes, folded to 32 bits so the value is exactly
-/// representable as a double and the package stays a plain double buffer.
-double payload_checksum(std::span<const double> payload) {
-  const std::uint64_t h =
-      fnv1a64(payload.data(), payload.size() * sizeof(double));
-  return static_cast<double>(static_cast<std::uint32_t>(h ^ (h >> 32)));
+std::vector<std::byte> pack_items(
+    std::uint64_t seq, const std::vector<StageContext::WorkItem>& items) {
+  ByteWriter payload;
+  payload.pod(static_cast<std::uint64_t>(items.size()));
+  for (const StageContext::WorkItem& item : items) {
+    payload.pod(static_cast<std::int64_t>(item.request_index));
+    payload.pod(item.center);
+    payload.pod_vec(item.cube);
+  }
+  const std::span<const std::byte> body = payload.bytes();
+  ByteWriter covered;
+  covered.pod(seq);
+  covered.pod(static_cast<std::uint64_t>(body.size()));
+  covered.raw(body);
+  ByteWriter w;
+  w.pod(kPackMagic);
+  w.pod(fnv1a64(covered.bytes().data(), covered.bytes().size()));
+  w.raw(covered.bytes());
+  return w.take();
 }
 
-std::vector<double> pack_items(
-    int seq, const std::vector<std::ptrdiff_t>& request_ids,
-    const std::vector<Vec3>& centers,
-    const std::vector<std::vector<Vec3>>& particle_sets) {
-  std::vector<double> buf(4, 0.0);
-  buf.push_back(static_cast<double>(centers.size()));
-  for (std::size_t i = 0; i < centers.size(); ++i) {
-    buf.push_back(static_cast<double>(request_ids[i]));
-    buf.push_back(centers[i].x);
-    buf.push_back(centers[i].y);
-    buf.push_back(centers[i].z);
-    buf.push_back(static_cast<double>(particle_sets[i].size()));
-    for (const Vec3& p : particle_sets[i]) {
-      buf.push_back(p.x);
-      buf.push_back(p.y);
-      buf.push_back(p.z);
-    }
-  }
-  buf[0] = kPackMagic;
-  buf[1] = static_cast<double>(seq);
-  buf[2] = static_cast<double>(buf.size() - 4);
-  buf[3] = payload_checksum({buf.data() + 4, buf.size() - 4});
-  return buf;
-}
+/// A work package's sequence number and its items, ready for run_items.
+struct Package {
+  std::uint64_t seq = 0;
+  std::vector<StageContext::WorkItem> items;
+};
 
-/// Full validation of a received package: header sanity, checksum, and a
-/// structural walk of the payload so unpack_items cannot run off the end.
-/// Returns an empty string when the package is good, else the reason.
-std::string package_problem(const std::vector<double>& buf) {
-  if (buf.size() < 5) return "package shorter than its header";
-  if (buf[0] != kPackMagic) return "bad package magic";
-  if (buf[2] != static_cast<double>(buf.size() - 4))
-    return "package length mismatch (truncated or padded)";
-  if (buf[3] != payload_checksum({buf.data() + 4, buf.size() - 4}))
-    return "package checksum mismatch";
-  const double n_items = buf[4];
-  if (!(n_items >= 0.0) || n_items != std::floor(n_items))
-    return "package item count is malformed";
-  std::size_t pos = 5;
-  for (double i = 0.0; i < n_items; i += 1.0) {
-    if (pos + 5 > buf.size()) return "package payload is malformed";
-    const double count = buf[pos + 4];
-    if (!(count >= 0.0) || count != std::floor(count))
-      return "package particle count is malformed";
-    pos += 5 + 3 * static_cast<std::size_t>(count);
+/// Check a package's header and checksum, then decode its items as taking
+/// `path`. Throws dtfe::Error on a truncated, padded or damaged package.
+Package unpack_items(std::span<const std::byte> bytes, ItemPath path) {
+  ByteReader r(bytes, "work package");
+  DTFE_CHECK_MSG(r.pod<std::uint64_t>() == kPackMagic,
+                 "work package: bad magic");
+  const auto checksum = r.pod<std::uint64_t>();
+  const std::span<const std::byte> covered = bytes.last(r.left());
+  DTFE_CHECK_MSG(checksum == fnv1a64(covered.data(), covered.size()),
+                 "work package: checksum mismatch");
+  Package pkg;
+  pkg.seq = r.pod<std::uint64_t>();
+  const auto payload_bytes = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(payload_bytes == r.left(), "work package: length mismatch");
+  pkg.items.resize(r.len(40));  // an item is at least 40 bytes
+  for (StageContext::WorkItem& item : pkg.items) {
+    item.request_index = static_cast<std::ptrdiff_t>(r.pod<std::int64_t>());
+    item.center = r.pod<Vec3>();
+    item.cube = r.pod_vec<Vec3>();
+    item.n_predict = static_cast<double>(item.cube.size());
+    item.path = path;
   }
-  if (pos != buf.size()) return "package payload is malformed";
-  return {};
-}
-
-void unpack_items(const std::vector<double>& buf,
-                  std::vector<std::ptrdiff_t>& request_ids,
-                  std::vector<Vec3>& centers,
-                  std::vector<std::vector<Vec3>>& particle_sets) {
-  DTFE_CHECK(buf.size() >= 5);
-  std::size_t pos = 4;
-  const auto n = static_cast<std::size_t>(buf[pos++]);
-  request_ids.resize(n);
-  centers.resize(n);
-  particle_sets.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    request_ids[i] = static_cast<std::ptrdiff_t>(buf[pos++]);
-    centers[i] = {buf[pos], buf[pos + 1], buf[pos + 2]};
-    pos += 3;
-    const auto count = static_cast<std::size_t>(buf[pos++]);
-    particle_sets[i].resize(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      particle_sets[i][k] = {buf[pos], buf[pos + 1], buf[pos + 2]};
-      pos += 3;
-    }
-  }
-  DTFE_CHECK(pos == buf.size());
+  DTFE_CHECK_MSG(r.done(), "work package: trailing bytes");
+  return pkg;
 }
 
 /// Crash-slot label for the path an item took to this rank.
@@ -289,24 +264,10 @@ const char* in_flight_label(ItemPath path) {
       return phases::kInFlightFallback;
     case ItemPath::kRecover:
       return phases::kInFlightRecover;
+    case ItemPath::kReplay:
+      break;  // a replayed item is never computed
   }
   return phases::kInFlightLocal;
-}
-
-/// The run_items list for a work package's unpacked items.
-std::vector<StageContext::WorkItem> shipped_items(
-    const std::vector<std::ptrdiff_t>& request_ids,
-    const std::vector<Vec3>& centers,
-    std::vector<std::vector<Vec3>>& particle_sets, ItemPath path) {
-  std::vector<StageContext::WorkItem> items(centers.size());
-  for (std::size_t i = 0; i < centers.size(); ++i) {
-    items[i].cube = std::move(particle_sets[i]);
-    items[i].center = centers[i];
-    items[i].request_index = request_ids[i];
-    items[i].n_predict = static_cast<double>(items[i].cube.size());
-    items[i].path = path;
-  }
-  return items;
 }
 
 }  // namespace
@@ -354,10 +315,9 @@ Deadline StageContext::make_deadline(double pred_seconds) const {
 }
 
 void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
-                               double pred_interp, bool received) {
+                               double pred_interp) {
   rec.predicted_tri = pred_tri;
   rec.predicted_interp = pred_interp;
-  rec.received = received;
   rec.grid_sum = grid.sum();
   // Per-channel accounting for the vector estimator sets. Density keeps the
   // scalar-era metric set untouched (report parity with pre-refactor runs).
@@ -370,27 +330,20 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   }
   res.phases.triangulate += rec.actual_tri;
   res.phases.render += rec.actual_interp;
-  if (received) ++res.items_received;
-  if (rec.failed) ++res.items_failed;
-  if (rec.fallback) ++res.items_fallback;
-  if (rec.recovered) ++res.items_recovered;
-  if (rec.replayed) ++res.items_replayed;
-  if (rec.cancelled) ++res.items_cancelled;
-  if (!rec.audit.empty() && rec.audit != "pass") ++res.audit_violations;
   // Commit point: the item becomes durable before it counts as done. A
   // replayed item is already durable in some journal — re-journaling it
   // would only bloat the directory.
-  if (ckpt && !rec.replayed && rec.request_index >= 0) {
+  if (ckpt && rec.path != ItemPath::kReplay && rec.request_index >= 0) {
     ckpt->append(static_cast<std::int64_t>(rec.request_index), grid);
     if (obs::metrics_enabled()) obs::add(pipeline_metrics().checkpoint_commits);
   }
   if (obs::metrics_enabled()) {
     const PipelineMetrics& m = pipeline_metrics();
     obs::add(m.items_computed);
-    if (received) obs::add(m.items_received);
-    if (rec.fallback) obs::add(m.fallback);
-    if (rec.recovered) obs::add(m.items_recovered);
-    if (rec.replayed) obs::add(m.items_replayed);
+    if (rec.path == ItemPath::kReceived) obs::add(m.items_received);
+    if (rec.path == ItemPath::kFallback) obs::add(m.fallback);
+    if (rec.path == ItemPath::kRecover) obs::add(m.items_recovered);
+    if (rec.path == ItemPath::kReplay) obs::add(m.items_replayed);
     if (rec.cancelled) obs::add(m.cancelled);
   }
   res.items.push_back(rec);
@@ -431,8 +384,7 @@ void StageContext::run_items(std::vector<WorkItem> items) {
       obs::TraceRecorder::set_thread_rank(me);
       if (item.local >= 0)
         item.cube = gather_local(static_cast<std::size_t>(item.local));
-      d.rec.fallback = item.path == ItemPath::kFallback;
-      d.rec.recovered = item.path == ItemPath::kRecover;
+      d.rec.path = item.path;
       const Deadline deadline = make_deadline(res.model.predict(item.n_predict));
       const ScopedCrashItem in_flight(me, item.request_index,
                                       in_flight_label(item.path));
@@ -447,8 +399,7 @@ void StageContext::run_items(std::vector<WorkItem> items) {
     if (done[k].error) std::rethrow_exception(done[k].error);
     const double n = items[k].n_predict;
     record_item(std::move(done[k].rec), std::move(done[k].grid),
-                res.model.predict_tri(n), res.model.predict_interp(n),
-                items[k].path == ItemPath::kReceived);
+                res.model.predict_tri(n), res.model.predict_interp(n));
   }
 }
 
@@ -670,8 +621,8 @@ void ComputeStage::run(StageContext& ctx) const {
     rec.request_index = rid;
     rec.center = wrap_periodic(
         ctx.field_centers[static_cast<std::size_t>(rid)], ctx.box);
-    rec.replayed = true;
-    ctx.record_item(std::move(rec), std::move(rgrid), 0.0, 0.0, false);
+    rec.path = ItemPath::kReplay;
+    ctx.record_item(std::move(rec), std::move(rgrid), 0.0, 0.0);
   }
   ctx.replay_here.clear();
 
@@ -680,7 +631,7 @@ void ComputeStage::run(StageContext& ctx) const {
     const auto ti = static_cast<std::size_t>(ctx.test_item);
     ctx.record_item(ctx.test_record, std::move(ctx.test_grid),
                     res.model.predict_tri(ctx.item_counts[ti]),
-                    res.model.predict_interp(ctx.item_counts[ti]), false);
+                    res.model.predict_interp(ctx.item_counts[ti]));
   }
 
   // A work package the sender keeps until the receiver acknowledges it; on
@@ -689,22 +640,20 @@ void ComputeStage::run(StageContext& ctx) const {
   struct PendingSend {
     int receiver = 0;
     int seq = 0;
-    std::vector<double> buf;
+    std::vector<std::byte> buf;
   };
   std::vector<PendingSend> pending;
 
   auto fallback_package = [&](const PendingSend& p) {
     ++res.packages_lost;
     if (obs::metrics_enabled()) obs::add(pipeline_metrics().packages_lost);
-    std::vector<std::ptrdiff_t> req_ids;
-    std::vector<Vec3> centers;
-    std::vector<std::vector<Vec3>> cubes;
+    Package pkg;
     {
       obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
                                   &res.phases.work_share);
-      unpack_items(p.buf, req_ids, centers, cubes);
+      pkg = unpack_items(p.buf, ItemPath::kFallback);
     }
-    ctx.run_items(shipped_items(req_ids, centers, cubes, ItemPath::kFallback));
+    ctx.run_items(std::move(pkg.items));
   };
 
   // Shared retry bounds (util/retry.h): the sender's resend loop and the
@@ -752,7 +701,7 @@ void ComputeStage::run(StageContext& ctx) const {
         // Pace resends on a struggling link; the receiver is blocked on
         // its own timed recv, so the backoff cannot deadlock the pair.
         retry_policy.backoff(resends);
-        comm.send_vector<double>(p.receiver, kTagWork, p.buf);
+        comm.send_bytes(p.receiver, kTagWork, p.buf);
         continue;
       }
     }
@@ -772,25 +721,21 @@ void ComputeStage::run(StageContext& ctx) const {
 
       obs::TraceSpan pack_scope(phases::kPack, phases::kCategory,
                                 &res.phases.work_share);
-      std::vector<std::ptrdiff_t> req_ids;
-      std::vector<Vec3> centers;
-      std::vector<std::vector<Vec3>> cubes;
+      std::vector<StageContext::WorkItem> shipped;
       for (std::size_t j = 0; j < ctx.remaining.size(); ++j) {
         if (ctx.plan.item_assignment[j] != static_cast<int>(k)) continue;
-        const std::size_t i = ctx.remaining[j];
-        req_ids.push_back(ctx.my_request_ids[i]);
-        centers.push_back(ctx.my_requests[i]);
-        cubes.push_back(ctx.gather_local(i));
+        StageContext::WorkItem item = ctx.local_item(j);
+        item.cube = ctx.gather_local(ctx.remaining[j]);
+        shipped.push_back(std::move(item));
       }
       const int seq = static_cast<int>(k) + 1;
-      auto buf = pack_items(seq, req_ids, centers, cubes);
-      comm.send_vector<double>(ctx.plan.ordered_sends[k].receiver, kTagWork,
-                               buf);
-      res.items_sent += centers.size();
+      auto buf = pack_items(static_cast<std::uint64_t>(seq), shipped);
+      comm.send_bytes(ctx.plan.ordered_sends[k].receiver, kTagWork, buf);
+      res.items_sent += shipped.size();
       if (obs::metrics_enabled()) {
         const PipelineMetrics& m = pipeline_metrics();
         obs::add(m.work_packages);
-        obs::add(m.items_sent, static_cast<double>(centers.size()));
+        obs::add(m.items_sent, static_cast<double>(shipped.size()));
       }
       pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
                          std::move(buf)});
@@ -808,19 +753,6 @@ void ComputeStage::run(StageContext& ctx) const {
     // ...then serve the expected work-sharing messages in order.
     std::vector<int> last_seq(static_cast<std::size_t>(ctx.P), 0);
     for (const int sender : res.schedule.recv_list) {
-      auto handle_package = [&](const std::vector<double>& buf) {
-        std::vector<std::ptrdiff_t> req_ids;
-        std::vector<Vec3> centers;
-        std::vector<std::vector<Vec3>> cubes;
-        {
-          obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
-                                      &res.phases.work_share);
-          unpack_items(buf, req_ids, centers, cubes);
-        }
-        ctx.run_items(
-            shipped_items(req_ids, centers, cubes, ItemPath::kReceived));
-      };
-
       int attempts = 0;
       while (true) {
         const simmpi::RecvResult r =
@@ -830,24 +762,25 @@ void ComputeStage::run(StageContext& ctx) const {
           // survivors in the recovery phase.
           break;
         }
-        std::string problem;
-        std::vector<double> buf;
-        if (r.status == simmpi::RecvStatus::kTimeout) {
-          problem = "work package never arrived";
-        } else if (r.payload.size() % sizeof(double) != 0) {
-          problem = "work package is not a whole number of doubles";
-        } else {
-          buf.resize(r.payload.size() / sizeof(double));
-          std::memcpy(buf.data(), r.payload.data(), r.payload.size());
-          problem = package_problem(buf);
+        // A package that never arrived, or arrived damaged, is asked for
+        // again.
+        std::optional<Package> pkg;
+        if (r.ok()) {
+          obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
+                                      &res.phases.work_share);
+          try {
+            pkg = unpack_items(r.payload, ItemPath::kReceived);
+          } catch (const Error&) {
+            // damaged: pkg stays empty
+          }
         }
-        if (problem.empty()) {
-          const int seq = static_cast<int>(buf[1]);
+        if (pkg) {
+          const auto seq = static_cast<int>(pkg->seq);
           if (seq <= last_seq[static_cast<std::size_t>(sender)])
             continue;  // stale duplicate of an already-accepted package
           last_seq[static_cast<std::size_t>(sender)] = seq;
           comm.send_value(sender, kTagWorkAck, WorkAck{kAckOk, seq});
-          handle_package(buf);
+          ctx.run_items(std::move(pkg->items));
           break;
         }
         ++attempts;

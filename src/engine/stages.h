@@ -42,10 +42,6 @@
 
 namespace dtfe::engine {
 
-/// How an item reached the rank that computes it: its ItemRecord path flags,
-/// the crash-slot label, and whether it counts as received.
-enum class ItemPath { kLocal, kReceived, kFallback, kRecover };
-
 /// Everything one rank's pipeline run reads and produces, shared by the
 /// stages. Inputs are set at construction; the rest is filled as stages run.
 struct StageContext {
@@ -99,7 +95,7 @@ struct StageContext {
   /// Commit one computed item: phase accounting (adds the CPU its item
   /// spans measured), durability, metrics, result bookkeeping.
   void record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
-                   double pred_interp, bool received);
+                   double pred_interp);
   /// The owned + ghost particles inside my_requests[i]'s cube.
   std::vector<Vec3> gather_local(std::size_t i) const;
 

@@ -1,7 +1,6 @@
 #include "framework/decomposition.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.h"
 
@@ -57,21 +56,6 @@ Vec3 Decomposition::sub_hi(int rank) const {
   const auto c = coords_of(rank);
   return {box_ * (c[0] + 1) / px_, box_ * (c[1] + 1) / py_,
           box_ * (c[2] + 1) / pz_};
-}
-
-bool Decomposition::in_ghost_region(int rank, const Vec3& p,
-                                    double radius) const {
-  const Vec3 lo = sub_lo(rank), hi = sub_hi(rank);
-  auto in_dim = [&](double v, double l, double h) {
-    // periodic interval test: v within [l−radius, h+radius) modulo box
-    const double span = h - l + 2.0 * radius;
-    if (span >= box_) return true;
-    double d = v - (l - radius);
-    d -= box_ * std::floor(d / box_);
-    return d < span;
-  };
-  return in_dim(p.x, lo.x, hi.x) && in_dim(p.y, lo.y, hi.y) &&
-         in_dim(p.z, lo.z, hi.z);
 }
 
 std::vector<Vec3> Decomposition::redistribute(simmpi::Comm& comm,

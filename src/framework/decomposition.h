@@ -34,10 +34,6 @@ class Decomposition {
   Vec3 sub_lo(int rank) const;
   Vec3 sub_hi(int rank) const;
 
-  /// True if p lies within the rank's sub-volume extended by `radius` in
-  /// every direction (periodic): the ghost-inclusion test.
-  bool in_ghost_region(int rank, const Vec3& p, double radius) const;
-
   /// Distribute `mine` so every rank ends with exactly the particles it owns
   /// — the redistribution step after the arbitrary-block parallel read.
   std::vector<Vec3> redistribute(simmpi::Comm& comm,

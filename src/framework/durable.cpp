@@ -5,66 +5,59 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
+#include <span>
 
+#include "framework/result_codec.h"
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace dtfe {
 
 namespace {
 
-// "DTFECKP1" little-endian: the per-record magic. Bump the trailing digit on
-// any layout change — mismatched journals are then ignored, not misread.
-constexpr std::uint64_t kRecordMagic = 0x31504B4345465444ull;
-// "DTFECKP2": multi-channel records (payload carries the field kind and the
-// plane count). Single-plane density items keep writing v1 records so a
-// density journal is byte-identical before and after the field engine, and
-// resumes in either direction.
-constexpr std::uint64_t kRecordMagicV2 = 0x32504B4345465444ull;
+// "DTFECKP2" little-endian: the per-record magic. The payload is the
+// request index followed by the FieldGrid layout of framework/result_codec.h.
+// Bump the trailing digit on any layout change — mismatched journals are
+// then ignored, not misread.
+constexpr std::uint64_t kRecordMagic = 0x32504B4345465444ull;
+// "DTFECKP1": the single-plane density records earlier builds wrote
+// (payload = request_index | nx | ny | values). Read, never written, so
+// their journals still resume.
+constexpr std::uint64_t kRecordMagicV1 = 0x31504B4345465444ull;
 
 namespace fs = std::filesystem;
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-void put_f64(std::string& out, double v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-double get_f64(const char* p) {
-  double v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
 
 std::string journal_name(int rank) {
   return "journal-rank-" + std::to_string(rank) + ".ckpt";
 }
 
-}  // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+FieldGrid read_v1_grid(ByteReader& r) {
+  const auto nx = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  const auto ny = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  DTFE_CHECK_MSG(checked_cells("v1 record", nx, ny) <=
+                     r.left() / sizeof(double),
+                 "v1 record: " << nx << "x" << ny << " overruns the payload");
+  Grid2D plane(nx, ny);
+  r.pods(plane.values());
+  return FieldGrid(std::move(plane));
 }
+
+/// Decode one checksummed record payload; false if it is malformed.
+bool decode_record(std::uint64_t magic, std::span<const std::byte> payload,
+                   CheckpointItem& item) {
+  try {
+    ByteReader r(payload, "checkpoint record");
+    item.request_index = static_cast<std::int64_t>(r.pod<std::uint64_t>());
+    item.grid = magic == kRecordMagicV1 ? read_v1_grid(r) : read_field_grid(r);
+    return r.done();
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+}  // namespace
 
 CheckpointWriter::CheckpointWriter(const std::string& dir, int rank) {
   std::error_code ec;
@@ -79,56 +72,25 @@ CheckpointWriter::~CheckpointWriter() {
   if (file_ != nullptr) std::fclose(static_cast<FILE*>(file_));
 }
 
-void CheckpointWriter::append(std::int64_t request_index, const Grid2D& grid) {
-  // v1 record layout: magic | payload_bytes | payload | fnv1a64(payload),
-  // where payload = request_index | nx | ny | values. A crash between the
-  // write and the fsync can only tear the LAST record, which the loader
-  // detects.
-  std::string payload;
-  payload.reserve(24 + 8 * grid.size());
-  put_u64(payload, static_cast<std::uint64_t>(request_index));
-  put_u64(payload, static_cast<std::uint64_t>(grid.nx()));
-  put_u64(payload, static_cast<std::uint64_t>(grid.ny()));
-  for (std::size_t i = 0; i < grid.size(); ++i) put_f64(payload, grid.flat(i));
-  append_record(kRecordMagic, payload);
-}
-
 void CheckpointWriter::append(std::int64_t request_index,
                               const FieldGrid& grid) {
-  if (grid.kind() == FieldKind::kDensity && grid.channels() == 1) {
-    // Bitwise the pre-multi-channel journal bytes.
-    append(request_index, grid.plane(0));
-    return;
-  }
-  // v2 payload = request_index | kind | nplanes | nx | ny | plane values
-  // (plane 0 first, row-major within each plane).
-  std::string payload;
-  payload.reserve(40 + 8 * grid.channels() * grid.nx() * grid.ny());
-  put_u64(payload, static_cast<std::uint64_t>(request_index));
-  put_u64(payload, static_cast<std::uint64_t>(grid.kind()));
-  put_u64(payload, static_cast<std::uint64_t>(grid.channels()));
-  put_u64(payload, static_cast<std::uint64_t>(grid.nx()));
-  put_u64(payload, static_cast<std::uint64_t>(grid.ny()));
-  for (std::size_t c = 0; c < grid.channels(); ++c) {
-    const Grid2D& plane = grid.plane(c);
-    for (std::size_t i = 0; i < plane.size(); ++i)
-      put_f64(payload, plane.flat(i));
-  }
-  append_record(kRecordMagicV2, payload);
-}
-
-void CheckpointWriter::append_record(std::uint64_t magic,
-                                     const std::string& payload) {
-  std::string record;
-  record.reserve(payload.size() + 24);
-  put_u64(record, magic);
-  put_u64(record, static_cast<std::uint64_t>(payload.size()));
-  record += payload;
-  put_u64(record, fnv1a64(payload.data(), payload.size()));
+  // Record layout: magic | payload_bytes | payload | fnv1a64(payload). A
+  // crash between the write and the fsync can only tear the LAST record,
+  // which the loader detects.
+  ByteWriter payload;
+  payload.pod(static_cast<std::uint64_t>(request_index));
+  write_field_grid(payload, grid);
+  const std::span<const std::byte> body = payload.bytes();
+  ByteWriter record;
+  record.pod(kRecordMagic);
+  record.pod(static_cast<std::uint64_t>(body.size()));
+  record.raw(body);
+  record.pod(fnv1a64(body.data(), body.size()));
 
   FILE* f = static_cast<FILE*>(file_);
-  const std::size_t wrote = std::fwrite(record.data(), 1, record.size(), f);
-  DTFE_CHECK_MSG(wrote == record.size(),
+  const std::span<const std::byte> out = record.bytes();
+  const std::size_t wrote = std::fwrite(out.data(), 1, out.size(), f);
+  DTFE_CHECK_MSG(wrote == out.size(),
                  "short write to checkpoint journal " + path_);
   DTFE_CHECK_MSG(std::fflush(f) == 0,
                  "cannot flush checkpoint journal " + path_);
@@ -157,57 +119,21 @@ std::vector<CheckpointItem> load_checkpoints(const std::string& dir) {
     FILE* f = std::fopen(jp.string().c_str(), "rb");
     if (f == nullptr) continue;
     for (;;) {
-      char head[16];
-      if (std::fread(head, 1, 16, f) != 16) break;        // clean EOF or torn
-      const std::uint64_t magic = get_u64(head);
-      if (magic != kRecordMagic && magic != kRecordMagicV2)
-        break;                                            // corrupt: stop here
-      const std::uint64_t nbytes = get_u64(head + 8);
-      const std::uint64_t min_bytes = magic == kRecordMagic ? 24 : 40;
-      if (nbytes < min_bytes || nbytes > (1ull << 32)) break;
-      std::string payload(nbytes, '\0');
-      if (std::fread(payload.data(), 1, nbytes, f) != nbytes) break;  // torn
-      char sumb[8];
-      if (std::fread(sumb, 1, 8, f) != 8) break;                      // torn
-      if (get_u64(sumb) != fnv1a64(payload.data(), payload.size()))
-        break;  // bit damage
-      const auto request_index =
-          static_cast<std::int64_t>(get_u64(payload.data()));
+      std::uint64_t head[2] = {};  // magic, payload bytes
+      if (std::fread(head, 1, sizeof head, f) != sizeof head)
+        break;                                      // clean EOF or torn
+      if (head[0] != kRecordMagic && head[0] != kRecordMagicV1)
+        break;                                      // corrupt: stop here
+      if (head[1] > (1ull << 32)) break;
+      std::vector<std::byte> payload(head[1]);
+      if (std::fread(payload.data(), 1, payload.size(), f) != payload.size())
+        break;                                      // torn
+      std::uint64_t sum = 0;
+      if (std::fread(&sum, 1, sizeof sum, f) != sizeof sum) break;  // torn
+      if (sum != fnv1a64(payload.data(), payload.size())) break;  // bit damage
       CheckpointItem item;
-      item.request_index = request_index;
-      if (magic == kRecordMagic) {
-        // v1: single-plane density.
-        const auto nx = static_cast<std::size_t>(get_u64(payload.data() + 8));
-        const auto ny = static_cast<std::size_t>(get_u64(payload.data() + 16));
-        if (nbytes != 24 + 8 * nx * ny) break;
-        if (!seen.insert(request_index).second) continue;  // duplicate commit
-        Grid2D plane(nx, ny);
-        for (std::size_t i = 0; i < nx * ny; ++i)
-          plane.flat(i) = get_f64(payload.data() + 24 + 8 * i);
-        item.grid = FieldGrid(std::move(plane));
-      } else {
-        // v2: kind + plane count precede the grid shape.
-        const std::uint64_t kind_raw = get_u64(payload.data() + 8);
-        const auto nplanes =
-            static_cast<std::size_t>(get_u64(payload.data() + 16));
-        const auto nx = static_cast<std::size_t>(get_u64(payload.data() + 24));
-        const auto ny = static_cast<std::size_t>(get_u64(payload.data() + 32));
-        if (kind_raw > static_cast<std::uint64_t>(FieldKind::kGrad)) break;
-        const auto kind = static_cast<FieldKind>(kind_raw);
-        if (nplanes != field_channels(kind) || nplanes == 0) break;
-        if (nbytes != 40 + 8 * nplanes * nx * ny) break;
-        if (!seen.insert(request_index).second) continue;  // duplicate commit
-        std::vector<Grid2D> planes;
-        planes.reserve(nplanes);
-        const char* cursor = payload.data() + 40;
-        for (std::size_t c = 0; c < nplanes; ++c) {
-          Grid2D plane(nx, ny);
-          for (std::size_t i = 0; i < nx * ny; ++i, cursor += 8)
-            plane.flat(i) = get_f64(cursor);
-          planes.push_back(std::move(plane));
-        }
-        item.grid = FieldGrid(kind, std::move(planes));
-      }
+      if (!decode_record(head[0], payload, item)) break;
+      if (!seen.insert(item.request_index).second) continue;  // duplicate
       items.push_back(std::move(item));
     }
     std::fclose(f);

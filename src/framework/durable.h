@@ -2,8 +2,9 @@
 //
 // Each rank appends every work item it completes to its own journal file
 // (`journal-rank-<R>.ckpt` under the checkpoint directory): an append-only
-// sequence of fixed-layout records, each carrying the item's request index,
-// the rendered grid, and an FNV-1a checksum over the payload. Records are
+// sequence of records, each carrying the item's request index, the rendered
+// grid in the FieldGrid layout of framework/result_codec.h, and an FNV-1a
+// checksum over the payload. Records are
 // flushed (fflush + fsync) before the item is considered committed, so a
 // crash can lose at most the in-flight record — and a torn tail is detected
 // on load (bad magic, short payload, or checksum mismatch) and dropped
@@ -35,10 +36,6 @@ struct CheckpointItem {
   FieldGrid grid;
 };
 
-/// FNV-1a 64-bit over a byte range (the journal record checksum; also used
-/// by tests to fingerprint grids).
-std::uint64_t fnv1a64(const void* data, std::size_t n);
-
 /// Append-only, crash-consistent journal for one rank's completed items.
 class CheckpointWriter {
  public:
@@ -50,27 +47,23 @@ class CheckpointWriter {
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-  /// Durably append one committed item (write + flush + fsync). A
-  /// single-plane density grid is written as a v1 record — byte-identical
-  /// to the pre-multi-channel journal format — so density checkpoints stay
-  /// bitwise compatible in both directions; any other field kind uses the
-  /// versioned v2 record that carries the kind and plane count.
+  /// Durably append one committed item (write + flush + fsync) as a v2
+  /// record, whatever its field kind.
   void append(std::int64_t request_index, const FieldGrid& grid);
-  void append(std::int64_t request_index, const Grid2D& grid);
 
   int records_written() const { return records_written_; }
   const std::string& path() const { return path_; }
 
  private:
-  void append_record(std::uint64_t magic, const std::string& payload);
-
   std::string path_;
   void* file_ = nullptr;  // FILE*, opaque to keep <cstdio> out of the header
   int records_written_ = 0;
 };
 
 /// Load every committed item from every `journal-rank-*.ckpt` in `dir`
-/// (any number of ranks; an empty or absent directory yields {}). Torn or
+/// (any number of ranks; an empty or absent directory yields {}). The v1
+/// records of single-plane density journals written by earlier builds load
+/// too, so those journals still resume. Torn or
 /// corrupt tail records are dropped; a corrupt record mid-file truncates
 /// that journal's replay at the damage point. If the same request index was
 /// committed by several ranks (e.g. a retry), the first instance wins.

@@ -117,6 +117,16 @@ struct PhaseTimes {
   }
 };
 
+/// How an item's grid reached the rank that records it.
+enum class ItemPath : std::uint8_t {
+  kLocal,     ///< a request this rank owns, computed here
+  kReceived,  ///< computed here on behalf of another rank
+  kFallback,  ///< shipped item computed locally after the receiver died,
+              ///< timed out, or gave up
+  kRecover,   ///< recomputed in the recovery phase
+  kReplay,    ///< restored from a checkpoint, not computed
+};
+
 /// One computed field request.
 struct ItemRecord {
   Vec3 center;
@@ -129,12 +139,8 @@ struct ItemRecord {
   double actual_tri = 0.0;
   double actual_interp = 0.0;
   double grid_sum = 0.0;  ///< checksum of the rendered grid
-  bool received = false;  ///< computed here on behalf of another rank
+  ItemPath path = ItemPath::kLocal;  ///< how the grid reached this rank
   bool failed = false;    ///< contained failure: the grid is all zeros
-  bool recovered = false; ///< recomputed in the recovery phase
-  bool fallback = false;  ///< shipped item computed locally after the
-                          ///< receiver died, timed out, or gave up
-  bool replayed = false;  ///< restored from a checkpoint, not computed
   bool cancelled = false; ///< failed because the item deadline expired
   std::string fail_reason;///< what went wrong when failed
   std::string audit;      ///< audit outcome ("" = not audited, else
@@ -150,19 +156,14 @@ struct PipelineResult {
   PhaseTimes phases;
   WorkloadModel model;
   WorkShareSchedule schedule;
-  std::vector<ItemRecord> items;  ///< every item COMPUTED by this rank
+  /// Every item this rank recorded. The per-path, failure, cancellation
+  /// and audit tallies are counted from here where they are reported.
+  std::vector<ItemRecord> items;
   std::vector<FieldGrid> grids;   ///< parallel to items if keep_grids
   std::size_t owned_particles = 0;
   std::size_t ghost_particles = 0;
   std::size_t local_items = 0;     ///< requests whose center this rank owns
   std::size_t items_sent = 0;      ///< shipped to other ranks
-  std::size_t items_received = 0;
-  std::size_t items_failed = 0;    ///< contained failures (zero grids)
-  std::size_t items_fallback = 0;  ///< shipped items computed locally instead
-  std::size_t items_recovered = 0; ///< dead ranks' items recomputed here
-  std::size_t items_replayed = 0;  ///< items restored from checkpoints
-  std::size_t items_cancelled = 0; ///< items contained by the watchdog
-  std::size_t audit_violations = 0;///< audit findings across this rank's items
   std::size_t package_retries = 0; ///< work-package re-requests served
   std::size_t packages_lost = 0;   ///< packages abandoned (fallback taken)
   SanitizeCounts bad_particles;    ///< input-hardening tallies for this rank

@@ -1,8 +1,5 @@
 #include "framework/result_codec.h"
 
-#include <cstring>
-#include <type_traits>
-
 #include "util/error.h"
 
 namespace dtfe {
@@ -11,104 +8,7 @@ namespace {
 
 constexpr std::uint32_t kConfigMagic = 0x43464750u;  // "PGFC"
 constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
-// v2: PipelineOptions gained field/smooth_ensemble, grids became
-// multi-channel FieldGrids, and WorkerPayload ships histogram snapshots.
-// v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
-// v4: that switch is gone again (the marching kernel has one route).
-// v5: PipelineOptions lost the item look-ahead window (one item path).
-// v6: PipelineOptions lost the fault-tolerance switch (always acknowledged).
-// v7: PipelineOptions lost cube_pad, min_particles, count_grid_cells, seed,
-//     watchdog_slack and min_item_deadline_ms (now compile-time constants).
-constexpr std::uint32_t kVersion = 7;
-
-class ByteWriter {
- public:
-  template <typename T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
-  }
-  void str(const std::string& s) {
-    pod(static_cast<std::uint64_t>(s.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    buf_.insert(buf_.end(), p, p + s.size());
-  }
-  template <typename T>
-  void pod_vec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    pod(static_cast<std::uint64_t>(v.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(v.data());
-    buf_.insert(buf_.end(), p, p + v.size() * sizeof(T));
-  }
-  void map(const std::map<std::string, double>& m) {
-    pod(static_cast<std::uint64_t>(m.size()));
-    for (const auto& [k, v] : m) {
-      str(k);
-      pod(v);
-    }
-  }
-  std::vector<std::byte> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::byte> buf_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, bytes_.data() + off_, sizeof(T));
-    off_ += sizeof(T);
-    return v;
-  }
-  std::string str() {
-    const auto n = len();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + off_), n);
-    off_ += n;
-    return s;
-  }
-  template <typename T>
-  std::vector<T> pod_vec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = len();
-    need(n * sizeof(T));
-    std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + off_, n * sizeof(T));
-    off_ += n * sizeof(T);
-    return v;
-  }
-  std::map<std::string, double> map() {
-    const auto n = len();
-    std::map<std::string, double> m;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string k = str();
-      m[std::move(k)] = pod<double>();
-    }
-    return m;
-  }
-  std::size_t len() {
-    const auto n = pod<std::uint64_t>();
-    DTFE_CHECK_MSG(n <= bytes_.size(),
-                   "worker payload: length " << n << " exceeds buffer");
-    return static_cast<std::size_t>(n);
-  }
-  bool done() const { return off_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) {
-    DTFE_CHECK_MSG(off_ + n <= bytes_.size(),
-                   "worker payload: truncated at offset " << off_);
-  }
-  std::span<const std::byte> bytes_;
-  std::size_t off_ = 0;
-};
+constexpr std::uint32_t kVersion = 8;
 
 void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.field_length);
@@ -150,42 +50,6 @@ PipelineOptions read_options(ByteReader& r) {
   return o;
 }
 
-void write_field_grid(ByteWriter& w, const FieldGrid& g) {
-  w.pod(static_cast<std::uint64_t>(g.kind()));
-  w.pod(static_cast<std::uint64_t>(g.channels()));
-  for (std::size_t c = 0; c < g.channels(); ++c) {
-    const Grid2D& plane = g.plane(c);
-    w.pod(static_cast<std::uint64_t>(plane.nx()));
-    w.pod(static_cast<std::uint64_t>(plane.ny()));
-    std::vector<double> vals(plane.values().begin(), plane.values().end());
-    w.pod_vec(vals);
-  }
-}
-
-FieldGrid read_field_grid(ByteReader& r) {
-  const std::uint64_t kind_raw = r.pod<std::uint64_t>();
-  DTFE_CHECK_MSG(kind_raw <= static_cast<std::uint64_t>(FieldKind::kGrad),
-                 "worker payload: bad field kind " << kind_raw);
-  const auto kind = static_cast<FieldKind>(kind_raw);
-  const std::size_t nplanes = r.len();
-  DTFE_CHECK_MSG(nplanes == field_channels(kind),
-                 "worker payload: plane count mismatch for field "
-                     << field_kind_name(kind));
-  std::vector<Grid2D> planes;
-  planes.reserve(nplanes);
-  for (std::size_t c = 0; c < nplanes; ++c) {
-    const auto nx = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    const auto ny = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    const std::vector<double> vals = r.pod_vec<double>();
-    DTFE_CHECK_MSG(vals.size() == nx * ny,
-                   "worker payload: grid size mismatch");
-    Grid2D g(nx, ny);
-    std::memcpy(g.values().data(), vals.data(), vals.size() * sizeof(double));
-    planes.push_back(std::move(g));
-  }
-  return FieldGrid(kind, std::move(planes));
-}
-
 void write_histograms(
     ByteWriter& w, const std::map<std::string, obs::HistogramSnapshot>& hs) {
   w.pod(static_cast<std::uint64_t>(hs.size()));
@@ -199,7 +63,7 @@ void write_histograms(
 }
 
 std::map<std::string, obs::HistogramSnapshot> read_histograms(ByteReader& r) {
-  const std::size_t n = r.len();
+  const std::size_t n = r.len(1);
   std::map<std::string, obs::HistogramSnapshot> hs;
   for (std::size_t i = 0; i < n; ++i) {
     std::string name = r.str();
@@ -222,11 +86,8 @@ void write_item(ByteWriter& w, const ItemRecord& it) {
   w.pod(it.actual_tri);
   w.pod(it.actual_interp);
   w.pod(it.grid_sum);
-  w.pod(static_cast<std::uint8_t>(it.received));
+  w.pod(static_cast<std::uint8_t>(it.path));
   w.pod(static_cast<std::uint8_t>(it.failed));
-  w.pod(static_cast<std::uint8_t>(it.recovered));
-  w.pod(static_cast<std::uint8_t>(it.fallback));
-  w.pod(static_cast<std::uint8_t>(it.replayed));
   w.pod(static_cast<std::uint8_t>(it.cancelled));
   w.str(it.fail_reason);
   w.str(it.audit);
@@ -244,11 +105,11 @@ ItemRecord read_item(ByteReader& r) {
   it.actual_tri = r.pod<double>();
   it.actual_interp = r.pod<double>();
   it.grid_sum = r.pod<double>();
-  it.received = r.pod<std::uint8_t>() != 0;
+  const auto path = r.pod<std::uint8_t>();
+  DTFE_CHECK_MSG(path <= static_cast<std::uint8_t>(ItemPath::kReplay),
+                 "worker payload: bad item path " << int{path});
+  it.path = static_cast<ItemPath>(path);
   it.failed = r.pod<std::uint8_t>() != 0;
-  it.recovered = r.pod<std::uint8_t>() != 0;
-  it.fallback = r.pod<std::uint8_t>() != 0;
-  it.replayed = r.pod<std::uint8_t>() != 0;
   it.cancelled = r.pod<std::uint8_t>() != 0;
   it.fail_reason = r.str();
   it.audit = r.str();
@@ -258,6 +119,35 @@ ItemRecord read_item(ByteReader& r) {
 }
 
 }  // namespace
+
+void write_field_grid(ByteWriter& w, const FieldGrid& grid) {
+  w.pod(static_cast<std::uint64_t>(grid.kind()));
+  w.pod(static_cast<std::uint64_t>(grid.channels()));
+  w.pod(static_cast<std::uint64_t>(grid.nx()));
+  w.pod(static_cast<std::uint64_t>(grid.ny()));
+  for (std::size_t c = 0; c < grid.channels(); ++c)
+    w.pods(grid.plane(c).values());
+}
+
+FieldGrid read_field_grid(ByteReader& r) {
+  const auto kind_raw = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(kind_raw <= static_cast<std::uint64_t>(FieldKind::kGrad),
+                 "field grid: bad field kind " << kind_raw);
+  const auto kind = static_cast<FieldKind>(kind_raw);
+  const auto nplanes = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(nplanes == field_channels(kind),
+                 "field grid: " << nplanes << " planes for field "
+                                << field_kind_name(kind));
+  const auto nx = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  const auto ny = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  DTFE_CHECK_MSG(checked_cells("field grid", nx, ny, nplanes) <=
+                     r.left() / sizeof(double),
+                 "field grid: " << nplanes << " planes of " << nx << "x" << ny
+                                << " overrun the buffer");
+  std::vector<Grid2D> planes(nplanes, Grid2D(nx, ny));
+  for (Grid2D& plane : planes) r.pods(plane.values());
+  return FieldGrid(kind, std::move(planes));
+}
 
 std::vector<std::byte> encode_launch_config(const LaunchConfig& cfg) {
   ByteWriter w;
@@ -270,7 +160,7 @@ std::vector<std::byte> encode_launch_config(const LaunchConfig& cfg) {
 }
 
 LaunchConfig decode_launch_config(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
+  ByteReader r(bytes, "launch config");
   DTFE_CHECK_MSG(r.pod<std::uint32_t>() == kConfigMagic,
                  "launch config: bad magic");
   DTFE_CHECK_MSG(r.pod<std::uint32_t>() == kVersion,
@@ -305,13 +195,6 @@ std::vector<std::byte> encode_worker_payload(const WorkerPayload& p) {
   w.pod(static_cast<std::uint64_t>(res.ghost_particles));
   w.pod(static_cast<std::uint64_t>(res.local_items));
   w.pod(static_cast<std::uint64_t>(res.items_sent));
-  w.pod(static_cast<std::uint64_t>(res.items_received));
-  w.pod(static_cast<std::uint64_t>(res.items_failed));
-  w.pod(static_cast<std::uint64_t>(res.items_fallback));
-  w.pod(static_cast<std::uint64_t>(res.items_recovered));
-  w.pod(static_cast<std::uint64_t>(res.items_replayed));
-  w.pod(static_cast<std::uint64_t>(res.items_cancelled));
-  w.pod(static_cast<std::uint64_t>(res.audit_violations));
   w.pod(static_cast<std::uint64_t>(res.package_retries));
   w.pod(static_cast<std::uint64_t>(res.packages_lost));
   w.pod(res.bad_particles);
@@ -321,7 +204,7 @@ std::vector<std::byte> encode_worker_payload(const WorkerPayload& p) {
 }
 
 WorkerPayload decode_worker_payload(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
+  ByteReader r(bytes, "worker payload");
   DTFE_CHECK_MSG(r.pod<std::uint32_t>() == kResultMagic,
                  "worker payload: bad magic");
   DTFE_CHECK_MSG(r.pod<std::uint32_t>() == kVersion,
@@ -338,10 +221,10 @@ WorkerPayload decode_worker_payload(std::span<const std::byte> bytes) {
   res.schedule.send_list = r.pod_vec<PlannedSend>();
   res.schedule.recv_list = r.pod_vec<int>();
   res.schedule.average_time = r.pod<double>();
-  const std::size_t n_items = r.len();
+  const std::size_t n_items = r.len(1);
   res.items.reserve(n_items);
   for (std::size_t i = 0; i < n_items; ++i) res.items.push_back(read_item(r));
-  const std::size_t n_grids = r.len();
+  const std::size_t n_grids = r.len(1);
   res.grids.reserve(n_grids);
   for (std::size_t i = 0; i < n_grids; ++i)
     res.grids.push_back(read_field_grid(r));
@@ -349,13 +232,6 @@ WorkerPayload decode_worker_payload(std::span<const std::byte> bytes) {
   res.ghost_particles = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.local_items = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.items_sent = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_received = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_failed = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_fallback = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_recovered = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_replayed = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.items_cancelled = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.audit_violations = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.package_retries = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.packages_lost = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.bad_particles = r.pod<SanitizeCounts>();

@@ -1,4 +1,5 @@
-// Binary codec for the multi-process transport's control payloads.
+// Binary codec for a rank's output and the multi-process transport's
+// control payloads, on util/bytes.h.
 //
 // The launcher and its workers are the same binary on the same host, so the
 // encoding is a straightforward length-prefixed byte stream (PODs memcpy'd,
@@ -22,8 +23,17 @@
 #include "framework/pipeline.h"
 #include "obs/metrics.h"
 #include "simmpi/socket_transport.h"
+#include "util/bytes.h"
 
 namespace dtfe {
+
+/// The one FieldGrid layout, shared by checkpoint journal records and
+/// worker payloads: kind | plane count | nx | ny | plane values (plane 0
+/// first, row-major within each plane), every header field a uint64.
+void write_field_grid(ByteWriter& w, const FieldGrid& grid);
+/// Throws dtfe::Error on a truncated grid, an unknown kind, or a plane
+/// count that does not match the kind.
+FieldGrid read_field_grid(ByteReader& r);
 
 /// Everything the launcher ships to each worker before the run.
 struct LaunchConfig {

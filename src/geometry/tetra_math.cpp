@@ -19,18 +19,4 @@ Vec3 tetra_circumcenter(const Vec3& a, const Vec3& b, const Vec3& c,
   return a + rel;
 }
 
-std::array<double, 4> tetra_barycentric(const Vec3& a, const Vec3& b,
-                                        const Vec3& c, const Vec3& d,
-                                        const Vec3& p) {
-  const double vol = signed_tetra_volume(a, b, c, d);
-  if (vol == 0.0) return {0.25, 0.25, 0.25, 0.25};
-  const double inv = 1.0 / vol;
-  return {
-      signed_tetra_volume(p, b, c, d) * inv,
-      signed_tetra_volume(a, p, c, d) * inv,
-      signed_tetra_volume(a, b, p, d) * inv,
-      signed_tetra_volume(a, b, c, p) * inv,
-  };
-}
-
 }  // namespace dtfe

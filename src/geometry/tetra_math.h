@@ -1,24 +1,16 @@
-// Plain (non-exact) tetrahedron geometry: volumes, circumcenters,
-// barycentric coordinates. Decisions are never made from these values alone;
+// Plain (non-exact) tetrahedron geometry: volumes and circumcenters.
+// Decisions are never made from these values alone;
 // topological decisions go through predicates.h.
 #pragma once
-
-#include <array>
 
 #include "geometry/vec3.h"
 
 namespace dtfe {
 
-/// Signed volume of tetra (a,b,c,d): positive when positively oriented
-/// (same convention as orient3d). V = det[b−a; c−a; d−a] / 6.
-inline double signed_tetra_volume(const Vec3& a, const Vec3& b, const Vec3& c,
-                                  const Vec3& d) {
-  return (b - a).dot((c - a).cross(d - a)) / 6.0;
-}
-
+/// Volume of tetra (a,b,c,d): |det[b−a; c−a; d−a]| / 6.
 inline double tetra_volume(const Vec3& a, const Vec3& b, const Vec3& c,
                            const Vec3& d) {
-  const double v = signed_tetra_volume(a, b, c, d);
+  const double v = (b - a).dot((c - a).cross(d - a)) / 6.0;
   return v < 0.0 ? -v : v;
 }
 
@@ -26,16 +18,5 @@ inline double tetra_volume(const Vec3& a, const Vec3& b, const Vec3& c,
 /// large/inf coordinates — callers must tolerate that.
 Vec3 tetra_circumcenter(const Vec3& a, const Vec3& b, const Vec3& c,
                         const Vec3& d);
-
-/// Barycentric coordinates of p with respect to tetra (a,b,c,d); sums to 1
-/// for non-degenerate tetras.
-std::array<double, 4> tetra_barycentric(const Vec3& a, const Vec3& b,
-                                        const Vec3& c, const Vec3& d,
-                                        const Vec3& p);
-
-/// Area-weighted normal of triangle (a,b,c): (b−a)×(c−a) / 2.
-inline Vec3 triangle_normal(const Vec3& a, const Vec3& b, const Vec3& c) {
-  return (b - a).cross(c - a) * 0.5;
-}
 
 }  // namespace dtfe

@@ -34,8 +34,8 @@ namespace detail {
 // compiler writes after the caller's release, and a reused team's workers
 // read it with no edge TSan sees. So in TSan builds every region also ends
 // its team (tsan_end_team): the next region's threads are created afresh,
-// and thread creation is a fork TSan does see. A system libgomp without
-// symbols leaves scripts/tsan.supp nothing to match those reports on.
+// and thread creation is a fork TSan does see. With both, the TSan suites
+// run with no suppressions.
 #if defined(__SANITIZE_THREAD__)
 inline void tsan_release(void* token) { __tsan_release(token); }
 inline void tsan_acquire(void* token) { __tsan_acquire(token); }
@@ -82,8 +82,8 @@ class PixelTiles {
 /// result is the same for any team size.
 ///
 /// Without the TSan edges every later access to a row another team thread
-/// wrote is reported (and muted by scripts/tsan.supp) as a race, tens of
-/// thousands per render, which makes the TSan suites crawl. They declare
+/// wrote is reported as a race, tens of thousands per render, which makes
+/// the TSan suites crawl. They declare
 /// only the fork and the join that already exist; other builds compile the
 /// plain loop.
 template <class F>

@@ -69,10 +69,6 @@ class Histogram {
     ++counts_[static_cast<std::size_t>(b)];
   }
 
-  void add_all(std::span<const double> xs) {
-    for (double x : xs) add(x);
-  }
-
   std::size_t bins() const { return counts_.size(); }
   std::size_t count(std::size_t b) const { return counts_[b]; }
   std::size_t total() const {
@@ -80,13 +76,9 @@ class Histogram {
     for (auto c : counts_) t += c;
     return t;
   }
-  double bin_lo(std::size_t b) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(b) / static_cast<double>(counts_.size());
-  }
   double bin_center(std::size_t b) const {
     return lo_ + (hi_ - lo_) * (static_cast<double>(b) + 0.5) / static_cast<double>(counts_.size());
   }
-  double bin_width() const { return (hi_ - lo_) / static_cast<double>(counts_.size()); }
 
   /// Index of the most populated bin.
   std::size_t mode_bin() const {

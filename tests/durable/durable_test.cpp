@@ -30,6 +30,7 @@
 #include "nbody/particles.h"
 #include "simmpi/comm.h"
 #include "simmpi/fault.h"
+#include "util/bytes.h"
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -87,9 +88,9 @@ TEST(CheckpointJournal, RoundTripIsBitwise) {
   const ScratchDir dir("pdtfe_ckpt_roundtrip");
   {
     CheckpointWriter w(dir.path(), 0);
-    w.append(3, make_grid(8, 1.0));
-    w.append(7, make_grid(8, -0.5));
-    w.append(11, make_grid(4, 1e-300));
+    w.append(3, FieldGrid(make_grid(8, 1.0)));
+    w.append(7, FieldGrid(make_grid(8, -0.5)));
+    w.append(11, FieldGrid(make_grid(4, 1e-300)));
     EXPECT_EQ(w.records_written(), 3);
   }
   const std::vector<CheckpointItem> items = load_checkpoints(dir.path());
@@ -107,8 +108,8 @@ TEST(CheckpointJournal, TornTailIsDroppedEarlierRecordsSurvive) {
   std::string journal;
   {
     CheckpointWriter w(dir.path(), 2);
-    w.append(1, make_grid(8, 1.0));
-    w.append(2, make_grid(8, 2.0));
+    w.append(1, FieldGrid(make_grid(8, 1.0)));
+    w.append(2, FieldGrid(make_grid(8, 2.0)));
     journal = w.path();
   }
   // A crash mid-write can only tear the LAST record: chop off part of it.
@@ -125,15 +126,16 @@ TEST(CheckpointJournal, BitDamageStopsReplayAtTheDamagePoint) {
   std::string journal;
   {
     CheckpointWriter w(dir.path(), 0);
-    w.append(1, make_grid(8, 1.0));
-    w.append(2, make_grid(8, 2.0));
+    w.append(1, FieldGrid(make_grid(8, 1.0)));
+    w.append(2, FieldGrid(make_grid(8, 2.0)));
     journal = w.path();
   }
   // Flip one payload byte of the FIRST record: its checksum no longer
   // matches, so that journal contributes nothing from the damage onward.
   FILE* f = std::fopen(journal.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 16 + 24 + 5, SEEK_SET);  // header | index/nx/ny | mid-values
+  // header | index/kind/planes/nx/ny | mid-values
+  std::fseek(f, 16 + 40 + 5, SEEK_SET);
   const int c = std::fgetc(f);
   std::fseek(f, -1, SEEK_CUR);
   std::fputc(c ^ 0x40, f);
@@ -145,10 +147,11 @@ TEST(CheckpointJournal, FirstCommitWinsAcrossJournals) {
   const ScratchDir dir("pdtfe_ckpt_dup");
   {
     CheckpointWriter w0(dir.path(), 0);
-    w0.append(5, make_grid(8, 1.0));
+    w0.append(5, FieldGrid(make_grid(8, 1.0)));
     CheckpointWriter w1(dir.path(), 1);
-    w1.append(5, make_grid(8, 99.0));  // a retry that also committed
-    w1.append(6, make_grid(8, 2.0));
+    // A retry that also committed.
+    w1.append(5, FieldGrid(make_grid(8, 99.0)));
+    w1.append(6, FieldGrid(make_grid(8, 2.0)));
   }
   const std::vector<CheckpointItem> items = load_checkpoints(dir.path());
   ASSERT_EQ(items.size(), 2u);
@@ -168,8 +171,7 @@ TEST(CheckpointJournal, MultiChannelV2RecordsRoundTripBitwise) {
     CheckpointWriter w(dir.path(), 0);
     w.append(3, velocity);
     w.append(9, vdiv);
-    // A single-plane density record rides along in the same journal (it is
-    // written as legacy v1 bytes; the loader dispatches on the magic).
+    // A single-plane density record rides along in the same journal.
     w.append(12, FieldGrid(make_grid(8, 2.0)));
     EXPECT_EQ(w.records_written(), 3);
   }
@@ -186,42 +188,65 @@ TEST(CheckpointJournal, MultiChannelV2RecordsRoundTripBitwise) {
   EXPECT_TRUE(bitwise_equal(items[2].grid, make_grid(8, 2.0)));
 }
 
-TEST(CheckpointJournal, DensityJournalsKeepTheLegacyV1Format) {
-  // A journal of single-plane density FieldGrids must be byte-for-byte what
-  // the pre-field-engine Grid2D writer produced: old density-only journals
-  // resume under the new loader, and new density journals stay readable by
-  // old builds.
-  const ScratchDir dir_old("pdtfe_ckpt_v1_old");
-  const ScratchDir dir_new("pdtfe_ckpt_v1_new");
-  std::string old_path, new_path;
-  {
-    CheckpointWriter wo(dir_old.path(), 0);
-    wo.append(3, make_grid(8, 1.0));  // legacy scalar overload: v1 bytes
-    wo.append(7, make_grid(8, -0.5));
-    old_path = wo.path();
-    CheckpointWriter wn(dir_new.path(), 0);
-    wn.append(3, FieldGrid(make_grid(8, 1.0)));  // field-engine overload
-    wn.append(7, FieldGrid(make_grid(8, -0.5)));
-    new_path = wn.path();
-  }
-  const auto slurp = [](const std::string& path) {
-    FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::string bytes;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-      bytes.append(buf, got);
-    std::fclose(f);
-    return bytes;
+// Earlier builds journaled single-plane density items as v1 records
+// ("DTFECKP1" | payload bytes | request_index, nx, ny, values | FNV-1a).
+// Those journals must still load bitwise, so they resume; new records
+// appended to the same journal are v2.
+TEST(CheckpointJournal, LegacyV1DensityRecordsStillLoad) {
+  const ScratchDir dir("pdtfe_ckpt_v1");
+  const auto put_u64 = [](std::string& out, std::uint64_t v) {
+    char b[8];
+    std::memcpy(b, &v, 8);
+    out.append(b, 8);
   };
-  EXPECT_EQ(slurp(old_path), slurp(new_path));
+  std::string journal;
+  for (const auto& [index, grid] :
+       {std::pair{3, make_grid(8, 1.0)}, std::pair{7, make_grid(4, -0.5)}}) {
+    std::string payload;
+    put_u64(payload, static_cast<std::uint64_t>(index));
+    put_u64(payload, grid.nx());
+    put_u64(payload, grid.ny());
+    for (const double v : grid.values()) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, 8);
+      put_u64(payload, bits);
+    }
+    put_u64(journal, 0x31504B4345465444ull);  // "DTFECKP1"
+    put_u64(journal, payload.size());
+    journal += payload;
+    put_u64(journal, fnv1a64(payload.data(), payload.size()));
+  }
+  const std::string path = dir.path() + "/journal-rank-0.ckpt";
+  {
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(journal.data(), 1, journal.size(), f);
+    std::fclose(f);
+  }
+  {
+    CheckpointWriter w(dir.path(), 0);  // appends to the v1 journal
+    w.append(9, FieldGrid(make_grid(8, 2.0)));
+  }
+  char magic[8];
+  FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(journal.size()), SEEK_SET);
+  ASSERT_EQ(std::fread(magic, 1, 8, f), 8u);
+  std::fclose(f);
+  EXPECT_EQ(std::string(magic, 8), "DTFECKP2");
 
-  const std::vector<CheckpointItem> items = load_checkpoints(dir_old.path());
-  ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0].grid.kind(), FieldKind::kDensity);
-  EXPECT_EQ(items[0].grid.channels(), 1u);
+  const std::vector<CheckpointItem> items = load_checkpoints(dir.path());
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].request_index, 3);
+  EXPECT_EQ(items[1].request_index, 7);
+  EXPECT_EQ(items[2].request_index, 9);
+  for (const CheckpointItem& item : items) {
+    EXPECT_EQ(item.grid.kind(), FieldKind::kDensity);
+    EXPECT_EQ(item.grid.channels(), 1u);
+  }
   EXPECT_TRUE(bitwise_equal(items[0].grid, make_grid(8, 1.0)));
+  EXPECT_TRUE(bitwise_equal(items[1].grid, make_grid(4, -0.5)));
+  EXPECT_TRUE(bitwise_equal(items[2].grid, make_grid(8, 2.0)));
 }
 
 TEST(CheckpointJournal, MissingDirectoryIsEmptyNotAnError) {
@@ -463,9 +488,9 @@ TEST(PipelineAudit, FullModeAuditsEveryItemWithZeroViolations) {
   simmpi::run(4, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    violations += res.audit_violations;
     for (const ItemRecord& it : res.items) {
       ++computed;
+      violations += !it.audit.empty() && it.audit != "pass";
       if (!it.audit.empty()) {
         ++audited;
         EXPECT_EQ(it.audit, "pass") << "item " << it.request_index;
@@ -490,9 +515,10 @@ TEST(PipelineWatchdog, TinyDeadlineContainsItemsWithoutKillingRanks) {
   simmpi::run(4, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    cancelled += res.items_cancelled;
-    for (const ItemRecord& it : res.items)
+    for (const ItemRecord& it : res.items) {
+      cancelled += it.cancelled;
       if (it.request_index >= 0) completed.insert(it.request_index);
+    }
     for (const int r : res.failed_ranks) dead.insert(r);
   });
   EXPECT_GT(cancelled, 0u);
@@ -511,8 +537,10 @@ TEST(PipelineWatchdog, AutoBudgetFromTheCostModelCancelsNothingHealthy) {
   simmpi::run(4, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    cancelled += res.items_cancelled;
-    failed += res.items_failed;
+    for (const ItemRecord& it : res.items) {
+      cancelled += it.cancelled;
+      failed += it.failed;
+    }
   });
   EXPECT_EQ(cancelled, 0u);
   EXPECT_EQ(failed, 0u);
@@ -578,11 +606,13 @@ TEST(PipelineResume, KillAndDamagedJournalsResumeBitwiseIdentical) {
   simmpi::run(4, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, resume_opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    replayed += res.items_replayed;
     for (std::size_t i = 0; i < res.items.size(); ++i) {
       if (res.items[i].request_index < 0) continue;
       resumed_grids.emplace(res.items[i].request_index, res.grids[i]);
-      if (!res.items[i].replayed) ++recomputed;
+      if (res.items[i].path == ItemPath::kReplay)
+        ++replayed;
+      else
+        ++recomputed;
     }
   });
   EXPECT_GT(replayed, 0u) << "no committed items were replayed";
@@ -651,10 +681,11 @@ TEST(PipelineResume, VelocityEnsembleKillAndResumeBitwiseIdentical) {
   simmpi::run(4, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, resume_opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    replayed += res.items_replayed;
-    for (std::size_t i = 0; i < res.items.size(); ++i)
+    for (std::size_t i = 0; i < res.items.size(); ++i) {
+      replayed += res.items[i].path == ItemPath::kReplay;
       if (res.items[i].request_index >= 0)
         resumed_grids.emplace(res.items[i].request_index, res.grids[i]);
+    }
   });
   EXPECT_GT(replayed, 0u) << "no committed items were replayed";
   ASSERT_EQ(resumed_grids.size(), centers.size());

@@ -326,6 +326,13 @@ TEST(InputHardening, PipelineDropPolicyCompletesAndCounts) {
 
 // ---- end-to-end acceptance: receiver death + dropped package ------------------
 
+/// How many of a rank's recorded items took `path`.
+std::size_t count_path(const PipelineResult& res, ItemPath path) {
+  return static_cast<std::size_t>(
+      std::count_if(res.items.begin(), res.items.end(),
+                    [path](const ItemRecord& it) { return it.path == path; }));
+}
+
 /// One octant of the 32³ box gets a dense 20k-particle cluster (a guaranteed
 /// sender under the workload model); the others get distinct light loads so
 /// the receiver ranking — and therefore the schedule — is deterministic.
@@ -417,9 +424,9 @@ TEST(FaultPipeline, SurvivesReceiverDeathAndDroppedPackageAtEightRanks) {
     for (const ItemRecord& it : res.items)
       if (it.request_index >= 0) fault_sums[it.request_index] = it.grid_sum;
     for (const int r : res.failed_ranks) dead.insert(r);
-    recovered += res.items_recovered;
-    fallback += res.items_fallback;
-    failed += res.items_failed;
+    recovered += count_path(res, ItemPath::kRecover);
+    fallback += count_path(res, ItemPath::kFallback);
+    for (const ItemRecord& it : res.items) failed += it.failed;
   });
 
   // Every field has a grid despite the dead rank and the lost package.
@@ -491,7 +498,7 @@ TEST(FaultPipeline, ReceiverKillRecoversBitwiseIdenticalToUndisturbedRun) {
   simmpi::run(4, run_opts, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     const std::lock_guard<std::mutex> lock(mtx);
-    items_recovered += res.items_recovered;
+    items_recovered += count_path(res, ItemPath::kRecover);
     for (const int r : res.failed_ranks) dead.insert(r);
     for (std::size_t i = 0; i < res.items.size(); ++i)
       if (res.items[i].request_index >= 0)
@@ -504,6 +511,88 @@ TEST(FaultPipeline, ReceiverKillRecoversBitwiseIdenticalToUndisturbedRun) {
     ASSERT_TRUE(recovered.count(id)) << "field " << id << " missing";
     EXPECT_TRUE(bitwise_equal(recovered.at(id), ref))
         << "field " << id << " not bitwise identical after recovery";
+  }
+}
+
+// Damage one work package in flight at fixed byte positions: the receiver
+// must reject it, ask for it again, and the run must end with the
+// undisturbed checksum. A package is a 32-byte header (magic, checksum,
+// seq, payload length), then the item count at byte 32, then per item the
+// request index, the center, the particle count and the particles from
+// byte 80 on, 24 bytes each.
+TEST(FaultPipeline, DamagedPackagesAreResentAndEndWithTheUndisturbedChecksum) {
+  const ParticleSet set = clustered_set();
+  const std::vector<Vec3> centers = clustered_centers();
+  PipelineOptions opt;
+  opt.field_length = 3.0;
+  opt.field_resolution = 16;
+  opt.comm_timeout_ms = 500;
+
+  struct Outcome {
+    std::map<std::ptrdiff_t, double> sums;
+    std::size_t retries = 0;
+    std::set<int> dead;
+    std::map<int, int> receiver_to_sender;
+    double checksum() const {
+      double total = 0.0;
+      for (const auto& [id, s] : sums) total += s;
+      return total;
+    }
+  };
+  const auto run_with = [&](const FaultPlan* plan) {
+    std::mutex mtx;
+    Outcome out;
+    simmpi::RunOptions run_opts;
+    run_opts.fault_plan = plan;
+    simmpi::run(4, run_opts, [&](simmpi::Comm& c) {
+      const PipelineResult res = run_pipeline(c, set, centers, opt);
+      const std::lock_guard<std::mutex> lock(mtx);
+      for (const ItemRecord& it : res.items)
+        if (it.request_index >= 0) out.sums[it.request_index] = it.grid_sum;
+      out.retries += res.package_retries;
+      out.dead.insert(res.failed_ranks.begin(), res.failed_ranks.end());
+      if (!res.schedule.recv_list.empty())
+        out.receiver_to_sender[c.rank()] = res.schedule.recv_list[0];
+    });
+    return out;
+  };
+
+  const Outcome base = run_with(nullptr);
+  ASSERT_EQ(base.sums.size(), centers.size());
+  ASSERT_FALSE(base.receiver_to_sender.empty())
+      << "the clustered workload produced no work-sharing receiver";
+  // Pinned: the package encoding must not move a grid bit.
+  EXPECT_EQ(base.checksum(), 0x1.8c85a2736c785p+19) << std::hexfloat << base.checksum();
+  const int receiver = base.receiver_to_sender.begin()->first;
+  const int sender = base.receiver_to_sender.begin()->second;
+  const std::string pair = "src=" + std::to_string(sender) +
+                           ",dst=" + std::to_string(receiver) +
+                           ",nth=1,tag=200,";
+  const char* damages[] = {
+      "trunc:bytes=20",  // inside the header
+      "flip:byte=2,bit=3",  // the magic
+      "flip:byte=17,bit=0",  // the seq
+      "trunc:bytes=36",  // inside the item count
+      "flip:byte=32,bit=0",  // the item count
+      "trunc:bytes=272",  // the middle of the 9th particle
+      "flip:byte=272,bit=5",
+      "flip:byte=1099511627776,bit=7",  // clamped to the last byte
+  };
+  for (const char* damage : damages) {
+    const std::string d = damage;
+    const std::size_t colon = d.find(':');
+    const std::string spec = d.substr(0, colon + 1) + pair + d.substr(colon + 1);
+    const FaultPlan plan = FaultPlan::parse(spec);
+    const Outcome hit = run_with(&plan);
+    EXPECT_TRUE(hit.dead.empty()) << spec;
+    // The damage is seen and the package asked for again. On a slow build
+    // (TSan) the receiver can run out of retries while the sender is still
+    // busy with its own items; the sender then computes the package itself,
+    // which ends with the same grids.
+    EXPECT_GE(hit.retries, 1u) << spec << ": the package was not resent";
+    EXPECT_EQ(hit.sums.size(), centers.size()) << spec;
+    EXPECT_EQ(hit.checksum(), base.checksum())
+        << spec << ": " << std::hexfloat << hit.checksum();
   }
 }
 

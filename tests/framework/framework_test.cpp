@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -306,8 +307,11 @@ TEST(Pipeline, EndToEndMultiRank) {
         c.allreduce_sum(static_cast<double>(res.items.size()));
     EXPECT_DOUBLE_EQ(computed, 24.0);
     const double sent = c.allreduce_sum(static_cast<double>(res.items_sent));
-    const double received =
-        c.allreduce_sum(static_cast<double>(res.items_received));
+    const double received = c.allreduce_sum(static_cast<double>(
+        std::count_if(res.items.begin(), res.items.end(),
+                      [](const ItemRecord& it) {
+                        return it.path == ItemPath::kReceived;
+                      })));
     EXPECT_DOUBLE_EQ(sent, received);
     // Each rank owns its full particle complement.
     const double owned =
@@ -380,7 +384,8 @@ TEST(Pipeline, SingleRankDegeneratesGracefully) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     EXPECT_EQ(res.items.size(), 3u);
     EXPECT_EQ(res.items_sent, 0u);
-    EXPECT_EQ(res.items_received, 0u);
+    for (const auto& item : res.items)
+      EXPECT_EQ(item.path, ItemPath::kLocal);
     for (const auto& item : res.items) EXPECT_GT(item.n_particles, 100.0);
   });
 }

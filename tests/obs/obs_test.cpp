@@ -373,7 +373,8 @@ std::size_t expect_phase_spans_nest(const simmpi::FaultPlan* plan) {
   simmpi::run(4, run_opts, [&](simmpi::Comm& c) {
     const PipelineResult res = run_pipeline(c, set, centers, opt);
     std::lock_guard<std::mutex> lock(mtx);
-    recovered += res.items_recovered;
+    for (const ItemRecord& it : res.items)
+      recovered += it.path == ItemPath::kRecover;
   });
   rec.set_enabled(false);
   const std::vector<obs::TraceEvent> events = rec.events();

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -270,11 +271,22 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   h.count = 8.0;
   p.histograms = {{"dtfe.pipeline.item_ms", h}};
 
-  ItemRecord item;
-  item.request_index = 7;
-  item.grid_sum = 123.456;
-  item.failed = false;
-  p.result.items.push_back(item);
+  // One item per path, the last two failed (one of them by the watchdog).
+  const ItemPath paths[] = {ItemPath::kLocal, ItemPath::kReceived,
+                            ItemPath::kFallback, ItemPath::kRecover,
+                            ItemPath::kReplay};
+  for (const ItemPath path : paths) {
+    ItemRecord item;
+    item.request_index = 7 + static_cast<int>(path);
+    item.grid_sum = 123.456 * (1 + static_cast<int>(path));
+    item.path = path;
+    p.result.items.push_back(item);
+  }
+  p.result.items[3].failed = true;
+  p.result.items[3].fail_reason = "degenerate cube";
+  p.result.items[4].failed = true;
+  p.result.items[4].cancelled = true;
+  // One grid of each field kind.
   Grid2D grid(4, 4);
   grid.at(1, 2) = 9.0;
   p.result.grids.push_back(FieldGrid(grid));
@@ -284,6 +296,10 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   vz.at(1, 0) = 1e-300;
   p.result.grids.push_back(
       FieldGrid(FieldKind::kVelocity, {vx, vy, vz}));
+  Grid2D div(2, 5);
+  div.at(1, 4) = -0.125;
+  p.result.grids.push_back(FieldGrid(div, FieldKind::kVdiv));
+  p.result.grids.push_back(FieldGrid(FieldKind::kGrad, {vz, vx, vy}));
   p.result.local_items = 1;
   p.result.failed_ranks = {1};
   p.result.phases.render = 0.25;
@@ -294,21 +310,39 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   EXPECT_DOUBLE_EQ(back.wire.sum_latency_s, p.wire.sum_latency_s);
   EXPECT_EQ(back.counters.at("dtfe.simmpi.messages"), 40.0);
   EXPECT_EQ(back.gauges.at("dtfe.schedule.binpack_fill_ratio"), 0.75);
-  ASSERT_EQ(back.result.items.size(), 1u);
-  EXPECT_EQ(back.result.items[0].request_index, 7);
-  EXPECT_DOUBLE_EQ(back.result.items[0].grid_sum, 123.456);
+  ASSERT_EQ(back.result.items.size(), p.result.items.size());
+  for (std::size_t i = 0; i < p.result.items.size(); ++i) {
+    const ItemRecord& sent = p.result.items[i];
+    const ItemRecord& got = back.result.items[i];
+    EXPECT_EQ(got.request_index, sent.request_index);
+    EXPECT_EQ(got.grid_sum, sent.grid_sum);
+    EXPECT_EQ(got.path, sent.path);
+    EXPECT_EQ(got.failed, sent.failed);
+    EXPECT_EQ(got.cancelled, sent.cancelled);
+    EXPECT_EQ(got.fail_reason, sent.fail_reason);
+  }
   ASSERT_EQ(back.histograms.size(), 1u);
   const obs::HistogramSnapshot& hb = back.histograms.at("dtfe.pipeline.item_ms");
   EXPECT_EQ(hb.bounds, h.bounds);
   EXPECT_EQ(hb.counts, h.counts);
   EXPECT_DOUBLE_EQ(hb.sum, 57.5);
   EXPECT_DOUBLE_EQ(hb.count, 8.0);
-  ASSERT_EQ(back.result.grids.size(), 2u);
-  EXPECT_DOUBLE_EQ(back.result.grids[0].plane(0).at(1, 2), 9.0);
-  EXPECT_EQ(back.result.grids[1].kind(), FieldKind::kVelocity);
-  ASSERT_EQ(back.result.grids[1].channels(), 3u);
-  EXPECT_DOUBLE_EQ(back.result.grids[1].plane(0).at(0, 1), -1.5);
-  EXPECT_DOUBLE_EQ(back.result.grids[1].plane(1).at(2, 2), 4.25);
+  ASSERT_EQ(back.result.grids.size(), p.result.grids.size());
+  for (std::size_t i = 0; i < p.result.grids.size(); ++i) {
+    const FieldGrid& sent = p.result.grids[i];
+    const FieldGrid& got = back.result.grids[i];
+    EXPECT_EQ(got.kind(), sent.kind());
+    ASSERT_EQ(got.channels(), sent.channels());
+    for (std::size_t c = 0; c < sent.channels(); ++c) {
+      EXPECT_EQ(got.plane(c).nx(), sent.plane(c).nx());
+      EXPECT_EQ(got.plane(c).ny(), sent.plane(c).ny());
+      EXPECT_TRUE(std::equal(got.plane(c).values().begin(),
+                             got.plane(c).values().end(),
+                             sent.plane(c).values().begin(),
+                             sent.plane(c).values().end()))
+          << "grid " << i << " plane " << c;
+    }
+  }
   EXPECT_EQ(back.result.grids[1].plane(2).at(1, 0), 1e-300);
   ASSERT_EQ(back.result.failed_ranks.size(), 1u);
   EXPECT_EQ(back.result.failed_ranks[0], 1);
