@@ -12,9 +12,8 @@
 //                  [--field density|velocity|vdiv|grad] [--smooth-ensemble N]
 //                  [--balance 1] [--metrics-out m.json]
 //                  [--trace-out t.json] [--report prefix]
-//                  [--fault-plan spec] [--max-retries 3]
-//                  [--comm-timeout-ms 2000] [--bad-particles reject|drop|clamp]
-//                  [--threads N]
+//                  [--fault-plan spec] [--comm-timeout-ms 2000]
+//                  [--bad-particles reject|drop|clamp] [--threads N]
 //   pdtfe launch   --in snap.bin [--ranks 3] [--transport socket] ...
 //                  (pipeline with --transport defaulting to socket: spawns
 //                  one worker process per rank; see README "Multi-process
@@ -31,8 +30,8 @@
 //
 // Fault tolerance (see README "Fault tolerance"): --fault-plan injects
 // deterministic rank kills and message corruption into the simulated MPI
-// runtime (grammar in simmpi/fault.h); the pipeline's containment, retry,
-// fallback, and recovery paths keep the run completing with every field.
+// runtime (grammar in simmpi/fault.h); the pipeline's containment, package
+// check and recovery paths keep the run completing with every field.
 #include <algorithm>
 #include <climits>
 #include <cmath>
@@ -362,8 +361,7 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   std::map<std::ptrdiff_t, double> field_sums;
   for (const engine::FieldResult& f : fields)
     if (f.completed) field_sums[f.request] = f.checksum;
-  std::size_t tot_failed = 0, tot_fallback = 0, tot_recovered = 0;
-  std::size_t tot_retries = 0, tot_lost = 0;
+  std::size_t tot_failed = 0, tot_recovered = 0, tot_lost = 0;
   std::size_t tot_replayed = 0, tot_cancelled = 0, tot_audit_violations = 0;
   std::size_t tot_audited = 0;
   SanitizeCounts bad_counts;
@@ -372,7 +370,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   for (const engine::RankRun& run : eng.last_rank_runs()) {
     const PipelineResult& res = run.result;
     busy.add(res.phases.total());
-    tot_retries += res.package_retries;
     tot_lost += res.packages_lost;
     bad_counts.non_finite += res.bad_particles.non_finite;
     bad_counts.out_of_box += res.bad_particles.out_of_box;
@@ -380,12 +377,11 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     bad_counts.clamped += res.bad_particles.clamped;
     dead_ranks.insert(res.failed_ranks.begin(), res.failed_ranks.end());
     model_degenerate = model_degenerate || res.model.degenerate();
-    std::size_t received = 0, failed = 0, fallback = 0, recovered = 0;
+    std::size_t received = 0, failed = 0, recovered = 0;
     std::vector<std::pair<std::string, std::string>> tags;
     for (const ItemRecord& it : res.items) {
       const bool replayed = it.path == ItemPath::kReplay;
       received += it.path == ItemPath::kReceived;
-      fallback += it.path == ItemPath::kFallback;
       recovered += it.path == ItemPath::kRecover;
       tot_replayed += replayed;
       failed += it.failed;
@@ -411,7 +407,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
       }
     }
     tot_failed += failed;
-    tot_fallback += fallback;
     tot_recovered += recovered;
     if (!tags.empty()) report.add_rank_tags(run.rank, std::move(tags));
     report.add_rank_values(
@@ -426,21 +421,20 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
          {"local_items", static_cast<double>(res.local_items)},
          {"items_received", static_cast<double>(received)},
          {"items_failed", static_cast<double>(failed)},
-         {"items_fallback", static_cast<double>(fallback)},
          {"items_recovered", static_cast<double>(recovered)}});
     std::printf("rank %2d: %3zu local, %3zu received, %zu failed, "
-                "%zu fallback, %zu recovered, busy %.2fs\n",
-                run.rank, res.local_items, received, failed, fallback,
-                recovered, res.phases.total());
+                "%zu recovered, busy %.2fs\n",
+                run.rank, res.local_items, received, failed, recovered,
+                res.phases.total());
   }
   std::printf("busy: mean %.2fs max %.2fs (imbalance %.2f)\n", busy.mean(),
               busy.max(), busy.max() / std::max(busy.mean(), 1e-12));
   double checksum_total = 0.0;
   for (const auto& [id, sum] : field_sums) checksum_total += sum;
   std::printf("fields completed: %zu/%zu (failed %zu, recovered %zu, "
-              "fallback %zu, retries %zu)\n",
+              "packages lost %zu)\n",
               field_sums.size(), requests.size(), tot_failed, tot_recovered,
-              tot_fallback, tot_retries);
+              tot_lost);
   if (!opt.checkpoint_dir.empty())
     std::printf("checkpoint: %zu item(s) replayed from %s\n", tot_replayed,
                 opt.checkpoint_dir.c_str());
@@ -489,9 +483,7 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     report.add_summary("busy_mean_s", busy.mean());
     report.add_summary("busy_max_s", busy.max());
     report.add_summary("items_failed", static_cast<double>(tot_failed));
-    report.add_summary("items_fallback", static_cast<double>(tot_fallback));
     report.add_summary("items_recovered", static_cast<double>(tot_recovered));
-    report.add_summary("package_retries", static_cast<double>(tot_retries));
     report.add_summary("packages_lost", static_cast<double>(tot_lost));
     report.add_summary("bad_particles_dropped",
                        static_cast<double>(bad_counts.dropped));
@@ -603,7 +595,7 @@ int cmd_spectrum(const CliArgs& args) {
 const std::vector<std::string> kPipelineFlags = {
     "in", "ranks", "fields", "length", "grid", "kernel", "field",
     "smooth-ensemble", "balance", "metrics-out", "trace-out", "report",
-    "fault-plan", "max-retries", "comm-timeout-ms", "bad-particles",
+    "fault-plan", "comm-timeout-ms", "bad-particles",
     "checkpoint-dir", "resume", "item-deadline-ms", "audit", "audit-fatal",
     "threads", "transport", "heartbeat-interval-ms", "heartbeat-miss-limit",
     "worker-binary", "worker-rank", "socket-path", "worker-metrics"};

@@ -2,8 +2,8 @@
 # Fault-injection matrix: sweep fault plans × rank counts through
 # `pdtfe pipeline` and assert that every faulty run
 #   (a) exits 0,
-#   (b) completes ALL fields (containment/retry/fallback/recovery did their
-#       job), and
+#   (b) completes ALL fields (containment, the package check and recovery
+#       did their job), and
 #   (c) reproduces the fault-free total grid checksum (relative 1e-6).
 #
 # A resume column then re-runs the kill scenario with --checkpoint-dir,
@@ -62,6 +62,8 @@ SNAP="$TMP/snap.bin"
 # Plans name concrete (src, dst) pairs / victim ranks; pairs that never
 # communicate at a given rank count are harmless no-ops — the invariant
 # (all fields completed, checksum unchanged) is asserted either way. The
+# 800 ms delay outlasts the 500 ms --comm-timeout-ms: the receiver gives the
+# package up, it arrives unread, and recovery recomputes its items. The
 # last plan is the acceptance scenario: a receiver dies mid-execution AND a
 # work package is dropped in the same run.
 PLANS=(
@@ -70,6 +72,7 @@ PLANS=(
   "trunc:src=4,dst=5,nth=1,tag=200"
   "flip:src=4,dst=5,nth=1,tag=200"
   "delay:src=4,dst=5,nth=1,tag=200,ms=300"
+  "delay:src=4,dst=5,nth=1,tag=200,ms=800"
   "kill:rank=1,tag=200,at=1"
   "kill:rank=5,tag=200,at=1;drop:src=7,dst=1,nth=1,tag=200"
 )
@@ -80,7 +83,7 @@ run_pipeline() { # $1 ranks, $2 fault plan ("" = none), rest extra args
   local -a extra=()
   [ -n "$plan" ] && extra=(--fault-plan "$plan")
   "$PDTFE" pipeline --in "$SNAP" --ranks "$ranks" --fields 24 --length 5 \
-      --grid 48 --comm-timeout-ms 500 --max-retries 3 "${extra[@]}" "$@"
+      --grid 48 --comm-timeout-ms 500 "${extra[@]}" "$@"
 }
 
 completed_of() { # parses "fields completed: X/Y ..." -> "X Y"

@@ -24,8 +24,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
     throw Error("--length must be a positive finite number");
   opt.field_resolution = common.grid;
   opt.load_balance = args.get("balance", 1L) != 0;
-  opt.max_retries =
-      static_cast<int>(bounded_flag(args, "max-retries", 3L, 0L, INT_MAX));
   opt.comm_timeout_ms = static_cast<int>(
       bounded_flag(args, "comm-timeout-ms", 2000L, 1L, INT_MAX));
 

@@ -24,8 +24,9 @@ void merge_rank_items(const PipelineResult& res,
         it.request_index >= static_cast<std::ptrdiff_t>(results.size()))
       continue;
     FieldResult& out = results[static_cast<std::size_t>(it.request_index)];
-    // First commit wins: any duplicate (fallback, recovery overlap) is a
-    // bitwise-identical recomputation of the same pure function.
+    // First commit wins. The stages commit each request once; should a
+    // duplicate ever arrive, it is a bitwise-identical recomputation of the
+    // same pure function.
     if (out.completed) continue;
     out.completed = true;
     out.grid = res.grids[k];

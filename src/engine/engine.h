@@ -38,9 +38,9 @@ struct FieldRequest {
   Vec3 center;
 };
 
-/// The reconstruction of one request, merged across ranks. Duplicate
-/// computations of the same request (fallback, recovery) are bitwise
-/// identical by construction, so the first committed copy wins.
+/// The reconstruction of one request, merged across ranks. The pipeline
+/// commits each request once; any computation of it is bitwise identical by
+/// construction, so the first committed copy is the one kept.
 struct FieldResult {
   std::ptrdiff_t request = -1;  ///< index into the run_batch input span
   FieldGrid grid;               ///< one plane per channel of config.field
@@ -58,9 +58,9 @@ struct RankRun {
 };
 
 /// First-commit-wins merge of one rank's pipeline outcome into the batched
-/// results. Duplicate computations (fallback, recovery) of a request are
-/// bitwise identical by construction, so whichever rank commits first is
-/// authoritative. Shared by the thread and socket transports so both merge
+/// results. The pipeline commits each request once; the merge still keeps
+/// only the first copy, and any recomputation is bitwise identical by
+/// construction. Shared by the thread and socket transports so both merge
 /// identically. Requires res.grids parallel to res.items (keep_grids).
 void merge_rank_items(const PipelineResult& res,
                       std::vector<FieldResult>& results);

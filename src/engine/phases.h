@@ -46,7 +46,6 @@ inline constexpr const char* kItemRender = "item.render";
 inline constexpr const char* kInFlightModelSample = "model_sample";
 inline constexpr const char* kInFlightLocal = "execute_local";
 inline constexpr const char* kInFlightReceived = "received";
-inline constexpr const char* kInFlightFallback = "fallback";
 inline constexpr const char* kInFlightRecover = "recover";
 
 // Run-report per-rank row keys (obs::RunReport::add_rank_values).

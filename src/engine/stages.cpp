@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -18,7 +17,6 @@
 #include "obs/trace.h"
 #include "util/bytes.h"
 #include "util/error.h"
-#include "util/retry.h"
 
 namespace dtfe {
 
@@ -35,8 +33,6 @@ struct PipelineMetrics {
   obs::MetricId items_failed = obs::counter("dtfe.item.failed");
   obs::MetricId items_recovered =
       obs::counter("dtfe.pipeline.items_recovered");
-  obs::MetricId fallback = obs::counter("dtfe.workshare.fallback");
-  obs::MetricId retries = obs::counter("dtfe.workshare.retries");
   obs::MetricId packages_lost = obs::counter("dtfe.workshare.packages_lost");
   obs::MetricId bad_particles = obs::counter("dtfe.input.bad_particles");
   obs::MetricId items_replayed =
@@ -179,29 +175,17 @@ namespace dtfe::engine {
 namespace {
 
 constexpr int kTagWork = 200;
-constexpr int kTagWorkAck = 201;
-
-/// Acknowledgement for one work package, identified by its sequence number.
-struct WorkAck {
-  std::int32_t code = 0;
-  std::int32_t seq = 0;  ///< -1 when the receiver never saw a valid header
-};
-constexpr std::int32_t kAckOk = 1;      ///< package validated, items accepted
-constexpr std::int32_t kAckResend = 2;  ///< package missing/corrupt, send again
-constexpr std::int32_t kAckGiveUp = 3;  ///< retries exhausted, sender keeps it
 
 // Work package wire format (util/bytes.h), every field 8 bytes:
-//   header  [kPackMagic, checksum, seq, payload bytes]
+//   header  [kPackMagic, checksum, payload bytes]
 //   payload [n_items, {request index, center, n, n particles}...]
-// seq starts at 1 and increases per sender, so a receiver can reject stale
-// duplicates. The checksum is fnv1a64 over everything after it, seq
-// included, so a receiver detects any corruption and requests a resend: a
-// damaged seq accepted as valid would ack a package the sender is not
-// waiting for, and the sender would compute it a second time.
+// The checksum is fnv1a64 over everything after it, so a receiver detects
+// any corruption. A package is sent once: one the receiver cannot use is
+// lost, and RecoverStage recomputes its items.
 constexpr std::uint64_t kPackMagic = 0x31474B5045465444ull;  // "DTFEPKG1"
 
 std::vector<std::byte> pack_items(
-    std::uint64_t seq, const std::vector<StageContext::WorkItem>& items) {
+    const std::vector<StageContext::WorkItem>& items) {
   ByteWriter payload;
   payload.pod(static_cast<std::uint64_t>(items.size()));
   for (const StageContext::WorkItem& item : items) {
@@ -211,7 +195,6 @@ std::vector<std::byte> pack_items(
   }
   const std::span<const std::byte> body = payload.bytes();
   ByteWriter covered;
-  covered.pod(seq);
   covered.pod(static_cast<std::uint64_t>(body.size()));
   covered.raw(body);
   ByteWriter w;
@@ -221,15 +204,10 @@ std::vector<std::byte> pack_items(
   return w.take();
 }
 
-/// A work package's sequence number and its items, ready for run_items.
-struct Package {
-  std::uint64_t seq = 0;
-  std::vector<StageContext::WorkItem> items;
-};
-
-/// Check a package's header and checksum, then decode its items as taking
-/// `path`. Throws dtfe::Error on a truncated, padded or damaged package.
-Package unpack_items(std::span<const std::byte> bytes, ItemPath path) {
+/// Check a package's header and checksum, then decode its items as
+/// received. Throws dtfe::Error on a truncated, padded or damaged package.
+std::vector<StageContext::WorkItem> unpack_items(
+    std::span<const std::byte> bytes) {
   ByteReader r(bytes, "work package");
   DTFE_CHECK_MSG(r.pod<std::uint64_t>() == kPackMagic,
                  "work package: bad magic");
@@ -237,20 +215,18 @@ Package unpack_items(std::span<const std::byte> bytes, ItemPath path) {
   const std::span<const std::byte> covered = bytes.last(r.left());
   DTFE_CHECK_MSG(checksum == fnv1a64(covered.data(), covered.size()),
                  "work package: checksum mismatch");
-  Package pkg;
-  pkg.seq = r.pod<std::uint64_t>();
   const auto payload_bytes = r.pod<std::uint64_t>();
   DTFE_CHECK_MSG(payload_bytes == r.left(), "work package: length mismatch");
-  pkg.items.resize(r.len(40));  // an item is at least 40 bytes
-  for (StageContext::WorkItem& item : pkg.items) {
+  std::vector<StageContext::WorkItem> items(r.len(40));  // >= 40 bytes each
+  for (StageContext::WorkItem& item : items) {
     item.request_index = static_cast<std::ptrdiff_t>(r.pod<std::int64_t>());
     item.center = r.pod<Vec3>();
     item.cube = r.pod_vec<Vec3>();
     item.n_predict = static_cast<double>(item.cube.size());
-    item.path = path;
+    item.path = ItemPath::kReceived;
   }
   DTFE_CHECK_MSG(r.done(), "work package: trailing bytes");
-  return pkg;
+  return items;
 }
 
 /// Crash-slot label for the path an item took to this rank.
@@ -260,8 +236,6 @@ const char* in_flight_label(ItemPath path) {
       return phases::kInFlightLocal;
     case ItemPath::kReceived:
       return phases::kInFlightReceived;
-    case ItemPath::kFallback:
-      return phases::kInFlightFallback;
     case ItemPath::kRecover:
       return phases::kInFlightRecover;
     case ItemPath::kReplay:
@@ -341,7 +315,6 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
     const PipelineMetrics& m = pipeline_metrics();
     obs::add(m.items_computed);
     if (rec.path == ItemPath::kReceived) obs::add(m.items_received);
-    if (rec.path == ItemPath::kFallback) obs::add(m.fallback);
     if (rec.path == ItemPath::kRecover) obs::add(m.items_recovered);
     if (rec.path == ItemPath::kReplay) obs::add(m.items_replayed);
     if (rec.cancelled) obs::add(m.cancelled);
@@ -634,81 +607,9 @@ void ComputeStage::run(StageContext& ctx) const {
                     res.model.predict_interp(ctx.item_counts[ti]));
   }
 
-  // A work package the sender keeps until the receiver acknowledges it; on
-  // death, timeout, or give-up the sender unpacks it and computes the items
-  // itself (degrading toward the paper's no-load-balance baseline).
-  struct PendingSend {
-    int receiver = 0;
-    int seq = 0;
-    std::vector<std::byte> buf;
-  };
-  std::vector<PendingSend> pending;
-
-  auto fallback_package = [&](const PendingSend& p) {
-    ++res.packages_lost;
-    if (obs::metrics_enabled()) obs::add(pipeline_metrics().packages_lost);
-    Package pkg;
-    {
-      obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
-                                  &res.phases.work_share);
-      pkg = unpack_items(p.buf, ItemPath::kFallback);
-    }
-    ctx.run_items(std::move(pkg.items));
-  };
-
-  // Shared retry bounds (util/retry.h): the sender's resend loop and the
-  // receiver's damaged-package loop below run off one policy instead of
-  // ad-hoc counters, so both transports bound and pace retries identically.
-  // The jitter seed mixes in the rank: deterministic per rank, decorrelated
-  // across ranks.
-  RetryPolicy retry_policy;
-  retry_policy.max_retries = opt.max_retries;
-  retry_policy.seed = 0x9e3779b97f4a7c15ull ^
-                      static_cast<std::uint64_t>(comm.rank());
-
-  // Wait for one pending package's fate: OK (receiver computes it), RESEND
-  // up to max_retries times, or fallback on give-up/timeout/death. Acks from
-  // one receiver arrive in FIFO order, so the next relevant ack is for the
-  // oldest unresolved package to that receiver — stale acks are skipped.
-  auto reconcile = [&](PendingSend& p) {
-    int resends = 0;
-    while (true) {
-      const simmpi::RecvResult r =
-          comm.recv_bytes_timeout(p.receiver, kTagWorkAck, opt.comm_timeout_ms);
-      if (r.status == simmpi::RecvStatus::kRankFailed ||
-          r.status == simmpi::RecvStatus::kTimeout) {
-        fallback_package(p);  // receiver dead or unreachable
-        return;
-      }
-      if (r.payload.size() != sizeof(WorkAck)) continue;
-      WorkAck ack;
-      std::memcpy(&ack, r.payload.data(), sizeof ack);
-      if (ack.code == kAckOk) {
-        if (ack.seq == p.seq) return;
-        continue;  // stale ack for an already-resolved package
-      }
-      if (ack.code == kAckGiveUp) {
-        fallback_package(p);
-        return;
-      }
-      if (ack.code == kAckResend) {
-        if (retry_policy.exhausted(++resends)) {
-          fallback_package(p);
-          return;
-        }
-        ++res.package_retries;
-        if (obs::metrics_enabled()) obs::add(pipeline_metrics().retries);
-        // Pace resends on a struggling link; the receiver is blocked on
-        // its own timed recv, so the backoff cannot deadlock the pair.
-        retry_policy.backoff(resends);
-        comm.send_bytes(p.receiver, kTagWork, p.buf);
-        continue;
-      }
-    }
-  };
-
   if (!res.schedule.send_list.empty()) {
     // SENDER: interleave gap-bin local items with sends, then leftovers.
+    // Each package is sent once and forgotten.
     auto local_items = [&](int slot) {
       std::vector<StageContext::WorkItem> items;
       for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
@@ -728,87 +629,64 @@ void ComputeStage::run(StageContext& ctx) const {
         item.cube = ctx.gather_local(ctx.remaining[j]);
         shipped.push_back(std::move(item));
       }
-      const int seq = static_cast<int>(k) + 1;
-      auto buf = pack_items(static_cast<std::uint64_t>(seq), shipped);
-      comm.send_bytes(ctx.plan.ordered_sends[k].receiver, kTagWork, buf);
+      comm.send_bytes(ctx.plan.ordered_sends[k].receiver, kTagWork,
+                      pack_items(shipped));
       res.items_sent += shipped.size();
       if (obs::metrics_enabled()) {
         const PipelineMetrics& m = pipeline_metrics();
         obs::add(m.work_packages);
         obs::add(m.items_sent, static_cast<double>(shipped.size()));
       }
-      pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
-                         std::move(buf)});
     }
     ctx.run_items(local_items(SenderPlan::kRunAtEnd));
-    // Ack reconciliation is deferred until after all local work so a slow
-    // receiver never stalls the sender's own items.
-    for (PendingSend& p : pending) reconcile(p);
   } else {
     // RECEIVER or neutral rank: drain local work...
     std::vector<StageContext::WorkItem> drain;
     for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
       drain.push_back(ctx.local_item(j));
     ctx.run_items(std::move(drain));
-    // ...then serve the expected work-sharing messages in order.
-    std::vector<int> last_seq(static_cast<std::size_t>(ctx.P), 0);
+    // ...then run each expected package. One that is missing, damaged or
+    // late, or whose sender died, is lost: RecoverStage recomputes its
+    // items.
     for (const int sender : res.schedule.recv_list) {
-      int attempts = 0;
-      while (true) {
-        const simmpi::RecvResult r =
-            comm.recv_bytes_timeout(sender, kTagWork, opt.comm_timeout_ms);
-        if (r.status == simmpi::RecvStatus::kRankFailed) {
-          // The sender died; whatever it meant to ship is recomputed by the
-          // survivors in the recovery phase.
-          break;
+      const simmpi::RecvResult r =
+          comm.recv_bytes_timeout(sender, kTagWork, opt.comm_timeout_ms);
+      std::vector<StageContext::WorkItem> items;
+      bool ok = r.ok();
+      if (ok) {
+        obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
+                                    &res.phases.work_share);
+        try {
+          items = unpack_items(r.payload);
+        } catch (const Error&) {
+          ok = false;
         }
-        // A package that never arrived, or arrived damaged, is asked for
-        // again.
-        std::optional<Package> pkg;
-        if (r.ok()) {
-          obs::TraceSpan unpack_scope(phases::kUnpack, phases::kCategory,
-                                      &res.phases.work_share);
-          try {
-            pkg = unpack_items(r.payload, ItemPath::kReceived);
-          } catch (const Error&) {
-            // damaged: pkg stays empty
-          }
-        }
-        if (pkg) {
-          const auto seq = static_cast<int>(pkg->seq);
-          if (seq <= last_seq[static_cast<std::size_t>(sender)])
-            continue;  // stale duplicate of an already-accepted package
-          last_seq[static_cast<std::size_t>(sender)] = seq;
-          comm.send_value(sender, kTagWorkAck, WorkAck{kAckOk, seq});
-          ctx.run_items(std::move(pkg->items));
-          break;
-        }
-        ++attempts;
-        if (retry_policy.exhausted(attempts)) {
-          // The sender keeps the package and computes it itself; it also
-          // owns the packages_lost tally, so no counting here.
-          comm.send_value(sender, kTagWorkAck, WorkAck{kAckGiveUp, -1});
-          break;
-        }
-        comm.send_value(sender, kTagWorkAck, WorkAck{kAckResend, -1});
       }
+      if (!ok) {
+        ++res.packages_lost;
+        if (obs::metrics_enabled()) obs::add(pipeline_metrics().packages_lost);
+        continue;
+      }
+      ctx.run_items(std::move(items));
     }
   }
 }
 
-// ---- Recovery: recompute items lost with dead ranks ------------------------
+// ---- Recovery: recompute the items no rank committed ----------------------
 
 void RecoverStage::run(StageContext& ctx) const {
   PipelineResult& res = ctx.res;
   simmpi::Comm& comm = ctx.comm;
   if (ctx.P <= 1) return;
   comm.barrier();
-  // All live ranks must agree on entering recovery — a rank can die after
-  // some peers have already sampled any_rank_failed(), so the decision
-  // comes from a reduction, not from local observation.
-  const bool recover =
-      comm.allreduce_max(comm.any_rank_failed() ? 1.0 : 0.0) > 0.0;
-  if (!recover) return;
+  // Every live rank learns the same count of committed items, so all agree
+  // on entering recovery. No item is committed twice (a package is run by
+  // its receiver or by nobody), so a count short of the request list means
+  // some request is missing: its rank died, or its package was lost.
+  std::size_t committed = 0;
+  for (const ItemRecord& it : res.items) committed += it.request_index >= 0;
+  const double total = comm.allreduce_sum(static_cast<double>(committed));
+  if (total >= static_cast<double>(ctx.field_centers.size())) return;
   obs::TraceSpan recover_scope(phases::kRecover, phases::kCategory,
                                &res.phases.recover);
   std::vector<std::int64_t> done;

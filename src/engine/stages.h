@@ -7,11 +7,12 @@
 //   ScheduleStage  (2) workload modeling (count → time one random item →
 //                  Allgather → fit) and (3) the work-sharing schedule +
 //                  sender plan (spans: pipeline.model, pipeline.work_share)
-//   ComputeStage   (4) execution & communication: local items, acknowledged
-//                  work packages, retries, fallback (spans: pipeline.pack,
-//                  pipeline.unpack; item.triangulate, item.render per item)
-//   RecoverStage   post-run recomputation of items lost with dead ranks
-//                  (span: pipeline.recover)
+//   ComputeStage   (4) execution & communication: local items and one-way
+//                  work packages, each sent once and run by its receiver or
+//                  lost (spans: pipeline.pack, pipeline.unpack;
+//                  item.triangulate, item.render per item)
+//   RecoverStage   post-run recomputation of every item no rank committed:
+//                  a dead rank's, or a lost package's (span: pipeline.recover)
 //   ReduceStage    final agreement: surviving-rank bookkeeping + exit barrier
 //
 // A StageContext carries the evolving per-rank state between stages; each
@@ -100,8 +101,8 @@ struct StageContext {
   std::vector<Vec3> gather_local(std::size_t i) const;
 
   /// One item of a list run_items computes: a local request, gathered in
-  /// its own task, or a cube already in hand (received, fallback and
-  /// recovered items).
+  /// its own task, or a cube already in hand (received and recovered
+  /// items).
   struct WorkItem {
     std::vector<Vec3> cube;
     std::ptrdiff_t local = -1;  ///< index into my_requests, or -1

@@ -58,12 +58,10 @@ struct PipelineOptions {
   /// mass-conserving stochastic smoothing); 1 = exact legacy render.
   int smooth_ensemble = 1;
   // --- fault tolerance (see README "Fault tolerance") ---------------------
-  /// How many times a corrupt or missing work package is re-requested before
-  /// the pair gives up and the sender computes the items itself.
-  int max_retries = 3;
-  /// Bounded wait used by the package/ack exchanges. Generous by default so
-  /// slow ranks are not mistaken for dead ones (death itself is detected
-  /// immediately, not by timeout).
+  /// How long a receiver waits for each expected work package before it
+  /// counts the package lost (RecoverStage then recomputes its items).
+  /// Generous by default so a slow sender's package is not given up on
+  /// (death itself is detected immediately, not by timeout).
   int comm_timeout_ms = 2000;
   /// What to do with non-finite / out-of-box input particle positions.
   BadParticlePolicy bad_particles = BadParticlePolicy::kReject;
@@ -121,9 +119,8 @@ struct PhaseTimes {
 enum class ItemPath : std::uint8_t {
   kLocal,     ///< a request this rank owns, computed here
   kReceived,  ///< computed here on behalf of another rank
-  kFallback,  ///< shipped item computed locally after the receiver died,
-              ///< timed out, or gave up
-  kRecover,   ///< recomputed in the recovery phase
+  kRecover,   ///< recomputed in the recovery phase: its rank died or its
+              ///< work package was lost
   kReplay,    ///< restored from a checkpoint, not computed
 };
 
@@ -164,8 +161,9 @@ struct PipelineResult {
   std::size_t ghost_particles = 0;
   std::size_t local_items = 0;     ///< requests whose center this rank owns
   std::size_t items_sent = 0;      ///< shipped to other ranks
-  std::size_t package_retries = 0; ///< work-package re-requests served
-  std::size_t packages_lost = 0;   ///< packages abandoned (fallback taken)
+  /// Expected work packages this rank did not run: missing, damaged or
+  /// late, or their sender died.
+  std::size_t packages_lost = 0;
   SanitizeCounts bad_particles;    ///< input-hardening tallies for this rank
   std::vector<int> failed_ranks;   ///< ranks dead by the end of the run
   double predicted_local_time = 0.0;  ///< scheduler input for this rank
@@ -180,8 +178,8 @@ PipelineResult run_pipeline(simmpi::Comm& comm, const ParticleSet& particles,
                             const PipelineOptions& opt);
 
 /// Compute a single field request from an explicit particle cube — the
-/// kernel invocation shared by the local, received, fallback, and recovery
-/// execution paths. Returns the rendered grid and fills timing in `record`.
+/// kernel invocation shared by the local, received and recovery execution
+/// paths. Returns the rendered grid and fills timing in `record`.
 /// Never throws on bad data: a degenerate triangulation, a non-finite input
 /// position, a non-finite rendered value, or a deadline cancellation yields
 /// a zero grid with record.failed set and record.fail_reason explaining why.

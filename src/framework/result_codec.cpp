@@ -8,7 +8,7 @@ namespace {
 
 constexpr std::uint32_t kConfigMagic = 0x43464750u;  // "PGFC"
 constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
-constexpr std::uint32_t kVersion = 8;
+constexpr std::uint32_t kVersion = 9;
 
 void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.field_length);
@@ -16,7 +16,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(static_cast<std::uint8_t>(o.load_balance));
   w.pod(static_cast<std::uint8_t>(o.keep_grids));
   w.str(o.kernel);
-  w.pod(o.max_retries);
   w.pod(o.comm_timeout_ms);
   w.pod(static_cast<std::int32_t>(o.bad_particles));
   w.str(o.checkpoint_dir);
@@ -36,7 +35,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.load_balance = r.pod<std::uint8_t>() != 0;
   o.keep_grids = r.pod<std::uint8_t>() != 0;
   o.kernel = r.str();
-  o.max_retries = r.pod<int>();
   o.comm_timeout_ms = r.pod<int>();
   o.bad_particles = static_cast<BadParticlePolicy>(r.pod<std::int32_t>());
   o.checkpoint_dir = r.str();
@@ -195,7 +193,6 @@ std::vector<std::byte> encode_worker_payload(const WorkerPayload& p) {
   w.pod(static_cast<std::uint64_t>(res.ghost_particles));
   w.pod(static_cast<std::uint64_t>(res.local_items));
   w.pod(static_cast<std::uint64_t>(res.items_sent));
-  w.pod(static_cast<std::uint64_t>(res.package_retries));
   w.pod(static_cast<std::uint64_t>(res.packages_lost));
   w.pod(res.bad_particles);
   w.pod_vec(res.failed_ranks);
@@ -232,7 +229,6 @@ WorkerPayload decode_worker_payload(std::span<const std::byte> bytes) {
   res.ghost_particles = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.local_items = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.items_sent = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  res.package_retries = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.packages_lost = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.bad_particles = r.pod<SanitizeCounts>();
   res.failed_ranks = r.pod_vec<int>();

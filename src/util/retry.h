@@ -1,10 +1,9 @@
 // Shared retry/backoff policy: bounded exponential backoff with
 // deterministic jitter.
 //
-// Every retry loop in the system — the work-package ack/resend exchange in
-// the pipeline's ComputeStage, the socket transport's connect/send paths —
-// expresses its bounds through this one struct instead of ad-hoc counters,
-// so thread-backed and multi-process runs back off identically.
+// The socket worker's connect path expresses its bounds through this struct
+// instead of ad-hoc counters. Work packages are never retried: a lost one is
+// recomputed by the pipeline's RecoverStage.
 //
 // Determinism: the jitter is a pure function of (seed, attempt) via
 // splitmix64, never of wall-clock or a global RNG. Two runs with the same

@@ -578,7 +578,6 @@ TEST(EngineConfig, FromCliParsesAndValidates) {
       {"--threads", "4294967297"},
       // 2^32 + 1 would wrap to 1 through static_cast<int>.
       {"--smooth-ensemble", "4294967297"},
-      {"--max-retries", "-7"},  {"--max-retries", "4294967297"},
       {"--comm-timeout-ms", "-1"}, {"--comm-timeout-ms", "0"},
       {"--comm-timeout-ms", "4294967297"},
       {"--heartbeat-interval-ms", "0"},

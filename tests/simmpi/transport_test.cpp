@@ -234,7 +234,6 @@ TEST(ResultCodec, LaunchConfigRoundTrips) {
   cfg.pipeline.field_length = 7.5;
   cfg.pipeline.field_resolution = 48;
   cfg.pipeline.kernel = "walk";
-  cfg.pipeline.max_retries = 5;
   cfg.pipeline.keep_grids = true;
   cfg.pipeline.checkpoint_dir = "/tmp/ckpt";
   cfg.pipeline.field = FieldKind::kVelocity;
@@ -246,7 +245,6 @@ TEST(ResultCodec, LaunchConfigRoundTrips) {
   EXPECT_EQ(back.pipeline.field_resolution, 48u);
   EXPECT_DOUBLE_EQ(back.pipeline.field_length, 7.5);
   EXPECT_EQ(back.pipeline.kernel, "walk");
-  EXPECT_EQ(back.pipeline.max_retries, 5);
   EXPECT_TRUE(back.pipeline.keep_grids);
   EXPECT_EQ(back.pipeline.checkpoint_dir, "/tmp/ckpt");
   EXPECT_EQ(back.pipeline.field, FieldKind::kVelocity);
@@ -273,8 +271,7 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
 
   // One item per path, the last two failed (one of them by the watchdog).
   const ItemPath paths[] = {ItemPath::kLocal, ItemPath::kReceived,
-                            ItemPath::kFallback, ItemPath::kRecover,
-                            ItemPath::kReplay};
+                            ItemPath::kRecover, ItemPath::kReplay};
   for (const ItemPath path : paths) {
     ItemRecord item;
     item.request_index = 7 + static_cast<int>(path);
@@ -282,10 +279,10 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
     item.path = path;
     p.result.items.push_back(item);
   }
+  p.result.items[2].failed = true;
+  p.result.items[2].fail_reason = "degenerate cube";
   p.result.items[3].failed = true;
-  p.result.items[3].fail_reason = "degenerate cube";
-  p.result.items[4].failed = true;
-  p.result.items[4].cancelled = true;
+  p.result.items[3].cancelled = true;
   // One grid of each field kind.
   Grid2D grid(4, 4);
   grid.at(1, 2) = 9.0;
@@ -495,8 +492,8 @@ std::string TransportParity::dir_;
 TEST_F(TransportParity, FaultFree) { expect_parity(""); }
 
 TEST_F(TransportParity, KilledWorkerIsContainedAndRecovered) {
-  // The SIGKILLed worker's items come back via fallback/recovery, and both
-  // transports report the same dead rank.
+  // The SIGKILLed worker's items, and those shipped to it, come back via
+  // recovery, and both transports report the same dead rank.
   expect_parity("kill:rank=1,tag=200,at=1", "ranks failed: 1");
 }
 
@@ -580,6 +577,9 @@ TEST(CliFlags, OutOfRangeIntegerFlagsExitTwo) {
       {std::string(PDTFE_BINARY) + " generate --help", "--help"},
       {std::string(PDTFE_BINARY) + " render in s.bin", "'in'"},
       {spectrum + " --bogus 1", "--bogus"},
+      // Work packages are never resent, so there is no --max-retries.
+      {std::string(PDTFE_BINARY) + " pipeline --in s.bin --max-retries 3",
+       "--max-retries"},
   };
   for (const auto& [cmd, flag] : cases) {
     int rc = 0;
