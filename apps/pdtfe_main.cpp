@@ -14,10 +14,6 @@
 //                  [--trace-out t.json] [--report prefix]
 //                  [--fault-plan spec] [--comm-timeout-ms 2000]
 //                  [--bad-particles reject|drop|clamp] [--threads N]
-//   pdtfe launch   --in snap.bin [--ranks 3] [--transport socket] ...
-//                  (pipeline with --transport defaulting to socket: spawns
-//                  one worker process per rank; see README "Multi-process
-//                  execution")
 //   pdtfe lensing  --in snap.bin --out-prefix lens [--grid 256]
 //                  [--length 8] [--sigma-crit-frac 4]
 //   pdtfe spectrum --in snap.bin [--grid 64] [--bins 16]
@@ -49,7 +45,6 @@
 #include "core/dtfe.h"
 #include "dtfe/audit.h"
 #include "dtfe/lensing.h"
-#include "engine/multiproc.h"
 #include "engine/phases.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -112,7 +107,7 @@ struct ObsSession {
 int usage() {
   std::fprintf(stderr,
                "usage: pdtfe "
-               "<generate|info|render|pipeline|launch|lensing|spectrum> "
+               "<generate|info|render|pipeline|lensing|spectrum> "
                "[--flags]\n       see the header of apps/pdtfe_main.cpp\n");
   return 2;
 }
@@ -297,11 +292,7 @@ std::vector<FofGroup> find_request_groups(const std::string& path,
   return groups;
 }
 
-int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
-  // Worker re-entry (engine/multiproc.h): a launcher spawned this process
-  // as one rank of a socket-transport run. Everything beyond the bootstrap
-  // flags arrives over the wire, so dispatch before any CLI-driven setup.
-  if (args.has("worker-rank")) return engine::run_worker_from_cli(args);
+int cmd_pipeline(const CliArgs& args) {
   ObsSession obs_session(args);
   // Crash diagnostics are on from the first byte read: a hard fault anywhere
   // in the run prints the in-flight items and a backtrace. Re-invoked below
@@ -315,9 +306,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  if (default_transport_socket && !args.has("transport"))
-    cfg.transport.kind = engine::TransportKind::kSocket;
-  const bool socket = cfg.transport.kind == engine::TransportKind::kSocket;
   const PipelineOptions& opt = cfg.pipeline;
 
   // FOF runs on this thread's team, sized like each rank's.
@@ -339,9 +327,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     std::printf("field: %s (%zu channel(s), ensemble %d)\n",
                 field_kind_name(opt.field), field_channels(opt.field),
                 opt.smooth_ensemble);
-  if (socket)
-    std::printf("transport: socket (%d worker processes, heartbeat %d ms)\n",
-                cfg.ranks, cfg.transport.heartbeat_interval_ms);
 
   install_crash_handler(obs_session.report_prefix.empty()
                             ? std::string{}
@@ -462,12 +447,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
       std::printf("field checksum %s: %.9e\n", channel_names[c].c_str(),
                   channel_sums[c]);
   }
-  const simmpi::TransportStats wire = eng.last_wire_stats();
-  if (socket && wire.messages > 0)
-    std::printf("wire: %llu messages, mean latency %.1f us, "
-                "mean payload %.0f bytes\n",
-                static_cast<unsigned long long>(wire.messages),
-                1e6 * wire.mean_latency_s(), wire.mean_bytes());
   if (!dead_ranks.empty()) {
     std::printf("ranks failed:");
     for (const int r : dead_ranks) std::printf(" %d", r);
@@ -500,20 +479,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     for (std::size_t c = 0; c < channel_names.size(); ++c)
       report.add_summary("field_checksum_" + channel_names[c],
                          channel_sums[c]);
-    report.add_summary("transport_socket", socket ? 1.0 : 0.0);
-    if (socket && wire.messages > 0) {
-      // Measured wire costs: the inputs framework/des reads back via
-      // load_des_calibration to ground the simulator in real latencies.
-      double intercept_s = 0.0, seconds_per_byte = 0.0;
-      wire.fit(intercept_s, seconds_per_byte);
-      report.add_summary("transport_messages",
-                         static_cast<double>(wire.messages));
-      report.add_summary("transport_msg_latency_mean_s",
-                         wire.mean_latency_s());
-      report.add_summary("transport_bytes_per_msg", wire.mean_bytes());
-      report.add_summary("transport_latency_intercept_s", intercept_s);
-      report.add_summary("transport_seconds_per_byte", seconds_per_byte);
-    }
     report.set_metrics(snap);
     const std::string jpath = obs_session.report_prefix + ".json";
     const std::string cpath = obs_session.report_prefix + ".csv";
@@ -592,14 +557,6 @@ int cmd_spectrum(const CliArgs& args) {
   return 0;
 }
 
-const std::vector<std::string> kPipelineFlags = {
-    "in", "ranks", "fields", "length", "grid", "kernel", "field",
-    "smooth-ensemble", "balance", "metrics-out", "trace-out", "report",
-    "fault-plan", "comm-timeout-ms", "bad-particles",
-    "checkpoint-dir", "resume", "item-deadline-ms", "audit", "audit-fatal",
-    "threads", "transport", "heartbeat-interval-ms", "heartbeat-miss-limit",
-    "worker-binary", "worker-rank", "socket-path", "worker-metrics"};
-
 struct Command {
   const char* name;
   std::vector<std::string> flags;  ///< every flag the command accepts
@@ -613,12 +570,12 @@ const Command kCommands[] = {
      {"in", "out", "grid", "method", "mc", "adaptive", "field",
       "smooth-ensemble", "metrics-out", "trace-out"},
      cmd_render},
-    {"pipeline", kPipelineFlags,
-     [](const CliArgs& a) { return cmd_pipeline(a); }},
-    {"launch", kPipelineFlags,
-     [](const CliArgs& a) {
-       return cmd_pipeline(a, /*default_transport_socket=*/true);
-     }},
+    {"pipeline",
+     {"in", "ranks", "fields", "length", "grid", "kernel", "field",
+      "smooth-ensemble", "balance", "metrics-out", "trace-out", "report",
+      "fault-plan", "comm-timeout-ms", "bad-particles", "checkpoint-dir",
+      "resume", "item-deadline-ms", "audit", "audit-fatal", "threads"},
+     cmd_pipeline},
     {"lensing", {"in", "out-prefix", "grid", "length", "sigma-crit-frac"},
      cmd_lensing},
     {"spectrum", {"in", "grid", "bins"}, cmd_spectrum},

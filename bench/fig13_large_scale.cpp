@@ -13,8 +13,7 @@
 // are given 25× under-predicted actual costs (the degenerate
 // configurations), reproducing the diagnosed drop.
 #include <algorithm>
-#include <cstring>
-#include <string>
+#include <cstdlib>
 
 #include "fig_common.h"
 #include "framework/des.h"
@@ -24,19 +23,9 @@ int main(int argc, char** argv) {
   using namespace dtfe;
   bench::banner("Fig. 13 — large-scale work sharing (discrete-event, 4k-16k ranks)");
 
-  // --des-calibration=<report.json>: replace the hard-coded wire costs with
-  // the measured ones a socket-transport pipeline run recorded (see
-  // framework/des.h load_des_calibration). Remaining positional arg is the
-  // field count.
-  std::size_t n_fields = 120000;
-  std::string calibration_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--des-calibration=", 18) == 0)
-      calibration_path = a + 18;
-    else
-      n_fields = std::strtoull(a, nullptr, 10);
-  }
+  // Optional positional arg: the field count.
+  const std::size_t n_fields =
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120000;
   // A large box with MANY moderate halos: MiraU's 233k "most massive
   // objects" span a (1491 Mpc/h)³ volume, so their hosts are spread through
   // the box with a flat-ish mass spectrum rather than one monster cluster.
@@ -120,14 +109,6 @@ int main(int argc, char** argv) {
 
     DesOptions des;
     des.message_latency = 2e-4;
-    if (!calibration_path.empty()) {
-      des = load_des_calibration(calibration_path);
-      if (P == 4096u)
-        std::printf("[calibrated from %s: message latency %.3g s, "
-                    "%.3g s per unit sent]\n",
-                    calibration_path.c_str(), des.message_latency,
-                    des.seconds_per_unit_sent);
-    }
     const DesResult res = simulate_work_sharing(actual, predicted, des);
     if (p_first == 0) {
       p_first = static_cast<int>(P);

@@ -6,8 +6,6 @@
 #   lint     the layering rules (scripts/check_layering.sh);
 #   tier1    configure + build the default tree (build/), run the full
 #            ctest suite, then the engine label on its own;
-#   mp-smoke the socket transport: 3 worker processes, one SIGKILLed
-#            (scripts/run_mp_smoke.sh);
 #   perf     run scripts/run_bench.sh --smoke and validate the
 #            BENCH_kernel.json schema (including the coef_vs_aos crossing
 #            A/B and its >=1.3x floor), then the `perf` ctest label, which
@@ -37,19 +35,19 @@
 # (CMAKE_COMPILE_WARNING_AS_ERROR); a plain `cmake -B build -S .` does not.
 #
 # usage: ci.sh [--jobs N] [stage...]
-#        stages: lint tier1 mp-smoke perf tsan ubsan asan
+#        stages: lint tier1 perf tsan ubsan asan
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
-ALL_STAGES=(lint tier1 mp-smoke perf tsan ubsan asan)
+ALL_STAGES=(lint tier1 perf tsan ubsan asan)
 STAGES=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --jobs) JOBS="$2"; shift 2 ;;
-    lint|tier1|mp-smoke|perf|tsan|ubsan|asan) STAGES+=("$1"); shift ;;
+    lint|tier1|perf|tsan|ubsan|asan) STAGES+=("$1"); shift ;;
     *) echo "unknown argument: $1 (stages: ${ALL_STAGES[*]})" >&2; exit 2 ;;
   esac
 done
@@ -91,16 +89,6 @@ stage_tier1() {
   ctest --test-dir build --output-on-failure -j"$JOBS"
   echo "== engine: kernel/stage/batch contract suite"
   ctest --test-dir build --output-on-failure -L engine
-}
-
-stage_mp_smoke() {
-  # Checksum parity with the thread transport, then one worker SIGKILLed
-  # mid-item: the heartbeat detector must contain it and the recovered run
-  # must still match the baseline checksum exactly (README "Multi-process
-  # execution").
-  echo "== mp-smoke: socket transport (3 worker processes, one SIGKILLed)"
-  build_default pdtfe
-  bash scripts/run_mp_smoke.sh build/apps/pdtfe 3
 }
 
 stage_perf() {

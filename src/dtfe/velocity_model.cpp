@@ -18,7 +18,7 @@ double unit_interval(std::uint64_t& state) {
 
 VelocityModel::VelocityModel(std::uint64_t seed, double box, double vscale) {
   // Derive every mode from one splitmix stream: the draw order below is part
-  // of the determinism contract (resume/transport parity both replay it).
+  // of the determinism contract (resume and recovery replay it).
   std::uint64_t state = seed ^ 0x76656c6f63697479ull;  // "velocity"
   modes_.reserve(kModes);
   const double two_pi = 2.0 * M_PI;

@@ -76,22 +76,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
 
   cfg.fault_plan = simmpi::FaultPlan::parse(args.get("fault-plan",
                                                      std::string{}));
-
-  // Transport selection (DESIGN.md §9).
-  const std::string transport = args.get("transport", std::string{"thread"});
-  if (transport == "thread") {
-    cfg.transport.kind = TransportKind::kThread;
-  } else if (transport == "socket") {
-    cfg.transport.kind = TransportKind::kSocket;
-  } else {
-    throw Error("unknown --transport " + transport +
-                " (expected thread or socket)");
-  }
-  cfg.transport.heartbeat_interval_ms = static_cast<int>(
-      bounded_flag(args, "heartbeat-interval-ms", 100L, 1L, INT_MAX));
-  cfg.transport.heartbeat_miss_limit = static_cast<int>(
-      bounded_flag(args, "heartbeat-miss-limit", 20L, 1L, INT_MAX));
-  cfg.transport.worker_binary = args.get("worker-binary", std::string{});
   return cfg;
 }
 

@@ -16,27 +16,12 @@
 
 namespace dtfe::engine {
 
-/// Which CommBackend carries rank-to-rank traffic (DESIGN.md §9).
-enum class TransportKind {
-  kThread,  ///< in-process: one thread per rank, shared-memory mailboxes
-  kSocket,  ///< multi-process: one worker process per rank, Unix sockets
-};
-
-struct TransportConfig {
-  TransportKind kind = TransportKind::kThread;
-  int heartbeat_interval_ms = 100;  ///< worker beacon period (socket)
-  int heartbeat_miss_limit = 20;    ///< missed beacons before declared dead
-  /// Worker executable ("" = re-exec this binary via /proc/self/exe).
-  std::string worker_binary;
-};
-
 struct EngineConfig {
   int ranks = 8;               ///< simulated MPI ranks per batch
   std::size_t n_fields = 64;   ///< FOF-derived request cap (CLI path)
   std::string snapshot;        ///< snapshot path ("" = in-memory particles)
   PipelineOptions pipeline;    ///< including pipeline.kernel
   simmpi::FaultPlan fault_plan;
-  TransportConfig transport;
 
   /// Parse the `pdtfe pipeline` flag set (the historical spellings,
   /// including --item-deadline-ms auto and --fault-plan grammar). Throws

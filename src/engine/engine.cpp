@@ -38,9 +38,6 @@ void merge_rank_items(const PipelineResult& res,
 
 std::vector<FieldResult> Engine::run_batch(
     std::span<const FieldRequest> requests) {
-  wire_stats_ = simmpi::TransportStats{};
-  if (config_.transport.kind == TransportKind::kSocket)
-    return run_batch_socket(requests);
   std::vector<Vec3> centers;
   centers.reserve(requests.size());
   for (const FieldRequest& r : requests) centers.push_back(r.center);

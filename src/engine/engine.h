@@ -8,14 +8,14 @@
 //
 // run_batch runs the per-rank pipeline entry (run_pipeline or
 // run_pipeline_from_snapshot, framework/pipeline.h) on cfg.ranks simulated
-// MPI ranks (threads, or worker processes under the socket transport) and
-// merges the per-rank outputs into one result per request. It is
-// re-entrant: an Engine holds only its config, its particles and its last
-// batch's outcome, and the process-wide services every engine shares (the
-// metrics registry, the crash-diagnostics slots) are thread-safe, so several
-// engines may run batches at once from different threads and each gets the
-// grids of a serial run. Grids are bitwise identical from batch to batch
-// (per-item kernel seeds are pure functions of the request identity).
+// MPI ranks (threads, simmpi/comm.h) and merges the per-rank outputs into
+// one result per request. It is re-entrant: an Engine holds only its
+// config, its particles and its last batch's outcome, and the process-wide
+// services every engine shares (the metrics registry, the crash-diagnostics
+// slots) are thread-safe, so several engines may run batches at once from
+// different threads and each gets the grids of a serial run. Grids are
+// bitwise identical from batch to batch (per-item kernel seeds are pure
+// functions of the request identity).
 #pragma once
 
 #include <cstddef>
@@ -29,7 +29,6 @@
 #include "framework/crash.h"
 #include "framework/pipeline.h"
 #include "nbody/particles.h"
-#include "simmpi/socket_transport.h"
 
 namespace dtfe::engine {
 
@@ -60,8 +59,7 @@ struct RankRun {
 /// First-commit-wins merge of one rank's pipeline outcome into the batched
 /// results. The pipeline commits each request once; the merge still keeps
 /// only the first copy, and any recomputation is bitwise identical by
-/// construction. Shared by the thread and socket transports so both merge
-/// identically. Requires res.grids parallel to res.items (keep_grids).
+/// construction. Requires res.grids parallel to res.items (keep_grids).
 void merge_rank_items(const PipelineResult& res,
                       std::vector<FieldResult>& results);
 
@@ -86,25 +84,12 @@ class Engine {
   /// rank. Ranks killed by a fault plan are absent.
   const std::vector<RankRun>& last_rank_runs() const { return rank_runs_; }
 
-  /// Wire-cost measurements merged from every worker of the most recent
-  /// socket-transport batch (all zeros after a thread batch). Feeds the
-  /// DES calibration summaries (framework/des.h).
-  const simmpi::TransportStats& last_wire_stats() const {
-    return wire_stats_;
-  }
-
   const EngineConfig& config() const { return config_; }
 
  private:
-  /// Multi-process path (engine/multiproc.cpp): spawn one worker process
-  /// per rank, route frames between them, merge their shipped-back results.
-  std::vector<FieldResult> run_batch_socket(
-      std::span<const FieldRequest> requests);
-
   EngineConfig config_;
   std::optional<ParticleSet> particles_;
   std::vector<RankRun> rank_runs_;
-  simmpi::TransportStats wire_stats_{};
 };
 
 }  // namespace dtfe::engine

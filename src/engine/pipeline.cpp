@@ -1,7 +1,7 @@
 // The per-rank pipeline entries (framework/pipeline.h), one per data source:
 // each assigns this rank its input block, names the recovery source, and
 // runs the staged pipeline (engine/stages.h). Engine::run_batch and the
-// socket workers call these too, so the rank-input code exists once.
+// tests call these, so the rank-input code exists once.
 #include "engine/stages.h"
 #include "framework/pipeline.h"
 #include "nbody/snapshot_io.h"

@@ -678,9 +678,9 @@ void RecoverStage::run(StageContext& ctx) const {
   PipelineResult& res = ctx.res;
   simmpi::Comm& comm = ctx.comm;
   if (ctx.P <= 1) return;
-  comm.barrier();
   // Every live rank learns the same count of committed items, so all agree
-  // on entering recovery. No item is committed twice (a package is run by
+  // on entering recovery; the sum also waits for every live rank to finish
+  // its compute stage. No item is committed twice (a package is run by
   // its receiver or by nobody), so a count short of the request list means
   // some request is missing: its rank died, or its package was lost.
   std::size_t committed = 0;

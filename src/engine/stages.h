@@ -20,9 +20,8 @@
 // time and inspect the intermediate state. run_stages() chains all five;
 // run_pipeline and run_pipeline_from_snapshot (framework/pipeline.h) are the
 // per-rank entries that feed it, one per data source, and every caller (the
-// Engine's rank threads, socket workers, tests) goes through them. Each item
-// runs through compute_field_item, as one task of a run_items list. The
-// stages' metric ids and crash markers are process-wide, so concurrent runs
+// Engine's rank threads, tests) goes through them. Each item runs through
+// compute_field_item, as one task of a run_items list. The stages' metric ids and crash markers are process-wide, so concurrent runs
 // need no per-run service objects.
 #pragma once
 

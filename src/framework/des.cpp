@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/stats.h"
@@ -136,46 +133,6 @@ DesResult simulate_work_sharing(
   res.busy_std_balanced = balanced_stats.stddev();
   res.finish_times = std::move(finish);
   return res;
-}
-
-namespace {
-
-/// Scan a report JSON for `"key":<number>` and return the number, or
-/// `fallback` when absent. The report writer (obs/report.cpp) emits summary
-/// entries exactly in this shape, so no general JSON parser is needed.
-double json_number(const std::string& body, const std::string& key,
-                   double fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = body.find(needle);
-  if (pos == std::string::npos) return fallback;
-  return std::strtod(body.c_str() + pos + needle.size(), nullptr);
-}
-
-}  // namespace
-
-DesOptions load_des_calibration(const std::string& report_json_path) {
-  std::ifstream in(report_json_path);
-  DTFE_CHECK_MSG(in.good(), "cannot read DES calibration report "
-                                << report_json_path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string body = ss.str();
-
-  const double messages = json_number(body, "transport_messages", 0.0);
-  DTFE_CHECK_MSG(messages > 0.0,
-                 "report " << report_json_path
-                           << " has no transport_* summaries (was it a "
-                              "--transport=socket run with --report?)");
-  DesOptions opt;
-  const double intercept =
-      json_number(body, "transport_latency_intercept_s", 0.0);
-  const double mean_latency =
-      json_number(body, "transport_msg_latency_mean_s", 0.0);
-  opt.message_latency = intercept > 0.0 ? intercept : mean_latency;
-  opt.seconds_per_unit_sent =
-      json_number(body, "transport_seconds_per_byte", 0.0) *
-      json_number(body, "transport_bytes_per_msg", 0.0);
-  return opt;
 }
 
 }  // namespace dtfe

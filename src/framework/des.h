@@ -11,7 +11,6 @@
 // processes."
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "framework/schedule.h"
@@ -22,16 +21,6 @@ struct DesOptions {
   double message_latency = 1e-4;    ///< seconds per work-sharing message
   double seconds_per_unit_sent = 0.0;  ///< transfer cost ∝ shipped work
 };
-
-/// Calibrate DesOptions from a pipeline run report (--report prefix.json of
-/// a --transport=socket run): the report's transport_* summaries carry the
-/// OLS fit latency = intercept + slope * bytes over every frame the workers
-/// actually received. message_latency takes the fitted per-message intercept
-/// (falling back to the mean latency when the fit is degenerate) and
-/// seconds_per_unit_sent takes slope * mean payload size — i.e. one shipped
-/// work unit is assumed to serialize to about one measured payload. Throws
-/// dtfe::Error if the file is unreadable or has no transport summaries.
-DesOptions load_des_calibration(const std::string& report_json_path);
 
 struct DesResult {
   /// max over ranks of Σ actual local item costs (no sharing).

@@ -9,7 +9,6 @@
 #include <set>
 #include <span>
 
-#include "framework/result_codec.h"
 #include "util/bytes.h"
 #include "util/error.h"
 
@@ -18,7 +17,7 @@ namespace dtfe {
 namespace {
 
 // "DTFECKP2" little-endian: the per-record magic. The payload is the
-// request index followed by the FieldGrid layout of framework/result_codec.h.
+// request index followed by the FieldGrid layout of write_field_grid.
 // Bump the trailing digit on any layout change — mismatched journals are
 // then ignored, not misread.
 constexpr std::uint64_t kRecordMagic = 0x32504B4345465444ull;
@@ -31,6 +30,40 @@ namespace fs = std::filesystem;
 
 std::string journal_name(int rank) {
   return "journal-rank-" + std::to_string(rank) + ".ckpt";
+}
+
+/// The FieldGrid layout of a record: kind | plane count | nx | ny | plane
+/// values (plane 0 first, row-major within each plane), every header field
+/// a uint64.
+void write_field_grid(ByteWriter& w, const FieldGrid& grid) {
+  w.pod(static_cast<std::uint64_t>(grid.kind()));
+  w.pod(static_cast<std::uint64_t>(grid.channels()));
+  w.pod(static_cast<std::uint64_t>(grid.nx()));
+  w.pod(static_cast<std::uint64_t>(grid.ny()));
+  for (std::size_t c = 0; c < grid.channels(); ++c)
+    w.pods(grid.plane(c).values());
+}
+
+/// Throws dtfe::Error on a truncated grid, an unknown kind, or a plane
+/// count that does not match the kind.
+FieldGrid read_field_grid(ByteReader& r) {
+  const auto kind_raw = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(kind_raw <= static_cast<std::uint64_t>(FieldKind::kGrad),
+                 "field grid: bad field kind " << kind_raw);
+  const auto kind = static_cast<FieldKind>(kind_raw);
+  const auto nplanes = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(nplanes == field_channels(kind),
+                 "field grid: " << nplanes << " planes for field "
+                                << field_kind_name(kind));
+  const auto nx = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  const auto ny = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  DTFE_CHECK_MSG(checked_cells("field grid", nx, ny, nplanes) <=
+                     r.left() / sizeof(double),
+                 "field grid: " << nplanes << " planes of " << nx << "x" << ny
+                                << " overrun the buffer");
+  std::vector<Grid2D> planes(nplanes, Grid2D(nx, ny));
+  for (Grid2D& plane : planes) r.pods(plane.values());
+  return FieldGrid(kind, std::move(planes));
 }
 
 FieldGrid read_v1_grid(ByteReader& r) {

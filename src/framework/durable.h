@@ -3,12 +3,11 @@
 // Each rank appends every work item it completes to its own journal file
 // (`journal-rank-<R>.ckpt` under the checkpoint directory): an append-only
 // sequence of records, each carrying the item's request index, the rendered
-// grid in the FieldGrid layout of framework/result_codec.h, and an FNV-1a
-// checksum over the payload. Records are
-// flushed (fflush + fsync) before the item is considered committed, so a
-// crash can lose at most the in-flight record — and a torn tail is detected
-// on load (bad magic, short payload, or checksum mismatch) and dropped
-// rather than trusted.
+// grid (kind, plane count, nx, ny, plane values), and an FNV-1a checksum
+// over the payload. Records are flushed (fflush + fsync) before the item is
+// considered committed, so a crash can lose at most the in-flight record —
+// and a torn tail is detected on load (bad magic, short payload, or
+// checksum mismatch) and dropped rather than trusted.
 //
 // A resumed run (`--resume`) loads every committed record from every
 // journal, regardless of how many ranks wrote them, and skips those items;

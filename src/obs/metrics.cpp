@@ -124,23 +124,6 @@ void MetricsRegistry::observe(MetricId id, double v) {
   s.slots[id.slot + nb + 2] += 1.0;  // count
 }
 
-void MetricsRegistry::merge_histogram(const std::string& name,
-                                      const HistogramSnapshot& h) {
-  if (!enabled()) return;
-  const MetricId id = histogram(name, h.bounds);
-  const std::size_t nb = id.bounds != nullptr ? id.bounds->size() : 0;
-  Shard& s = my_shard();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  const std::size_t top = id.slot + nb + 2;
-  if (top >= s.slots.size()) s.slots.resize(top + 1, 0.0);
-  // Bucket layouts agree whenever the worker registered the same bounds;
-  // min() guards a malformed payload instead of walking off the slot array.
-  const std::size_t n = std::min(h.counts.size(), nb + 1);
-  for (std::size_t b = 0; b < n; ++b) s.slots[id.slot + b] += h.counts[b];
-  s.slots[id.slot + nb + 1] += h.sum;
-  s.slots[id.slot + nb + 2] += h.count;
-}
-
 void MetricsRegistry::set(MetricId id, double v) {
   if (!enabled() || !id.valid() || id.kind != MetricKind::kGauge) return;
   std::lock_guard<std::mutex> lock(mutex_);

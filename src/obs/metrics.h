@@ -95,12 +95,6 @@ class MetricsRegistry {
   /// Set a gauge (last write wins, process-global). No-op when disabled.
   void set(MetricId id, double v);
 
-  /// Fold a shipped histogram snapshot (e.g. a socket worker's) into this
-  /// registry: registers `name` with the snapshot's bounds if new, then adds
-  /// its bucket counts, sum, and count — so a launcher's merged snapshot
-  /// matches the thread transport field-for-field. No-op when disabled.
-  void merge_histogram(const std::string& name, const HistogramSnapshot& h);
-
   /// Merge every thread's shard into one consistent view. Safe to call
   /// concurrently with increments (per-shard locking; shards of exited
   /// threads persist until the registry dies, so their tallies stay visible).

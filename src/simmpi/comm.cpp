@@ -1,7 +1,6 @@
-// Thread-backed CommBackend: every rank is a thread, every mailbox a
-// deque, and the FaultArbiter injects deaths/corruption deterministically.
-// The collectives and Comm surface below are transport-agnostic — they run
-// unchanged over the socket transport (socket_transport.cpp).
+// The thread runtime: every rank is a thread, every mailbox a deque, and
+// the FaultArbiter injects deaths/corruption deterministically. The Comm
+// surface and its collectives below are built on Runtime's send/recv.
 #include "simmpi/comm.h"
 
 #include <algorithm>
@@ -42,11 +41,13 @@ const CommMetrics& comm_metrics() {
   return m;
 }
 
-/// The in-process transport: one Mailbox per rank, a shared FaultArbiter,
+}  // namespace
+
+/// The state one run's ranks share: one Mailbox per rank, the FaultArbiter,
 /// and per-rank dead flags. Injected kills throw RankKilledSignal into the
 /// victim's thread; peers observe the death through the mailbox failure
 /// probe and the is_dead() queries.
-class Runtime final : public CommBackend {
+class Runtime {
  public:
   using Clock = Mailbox::Clock;
 
@@ -55,15 +56,16 @@ class Runtime final : public CommBackend {
         dead_(static_cast<std::size_t>(nranks)),
         arbiter_(plan) {}
 
-  int size() const override { return static_cast<int>(boxes_.size()); }
+  int size() const { return static_cast<int>(boxes_.size()); }
 
-  bool is_dead(int rank) const override {
+  bool is_dead(int rank) const {
     return dead_[static_cast<std::size_t>(rank)].load(
         std::memory_order_acquire);
   }
 
-  void send(int src, int dest, int tag,
-            std::span<const std::byte> data) override {
+  /// Blocking send from `src`. Sends to a dead rank are silently
+  /// discarded.
+  void send(int src, int dest, int tag, std::span<const std::byte> data) {
     DTFE_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank " << dest);
     kill_check(src, tag);
     std::vector<std::byte> payload(data.begin(), data.end());
@@ -75,8 +77,10 @@ class Runtime final : public CommBackend {
         src, tag, std::move(payload), std::chrono::milliseconds(delay_ms));
   }
 
+  /// Blocking/bounded receive; an empty deadline waits until a message
+  /// arrives or the awaited peer dies.
   RecvResult recv(int me, int source, int tag,
-                  std::optional<Clock::time_point> deadline) override {
+                  std::optional<Clock::time_point> deadline) {
     kill_check(me, tag);
     return boxes_[static_cast<std::size_t>(me)].recv(
         source, tag, deadline, [this, me, source]() -> std::optional<RecvResult> {
@@ -88,7 +92,7 @@ class Runtime final : public CommBackend {
         });
   }
 
-  bool iprobe(int me, int source, int tag) const override {
+  bool iprobe(int me, int source, int tag) const {
     return boxes_[static_cast<std::size_t>(me)].iprobe(source, tag);
   }
 
@@ -116,13 +120,18 @@ class Runtime final : public CommBackend {
   FaultArbiter arbiter_;
 };
 
-}  // namespace
-
 int Comm::size() const { return rt_->size(); }
 
 bool Comm::rank_failed(int rank) const { return rt_->is_dead(rank); }
-bool Comm::any_rank_failed() const { return rt_->any_dead(); }
-std::vector<int> Comm::failed_ranks() const { return rt_->failed_ranks(); }
+
+bool Comm::any_rank_failed() const { return !failed_ranks().empty(); }
+
+std::vector<int> Comm::failed_ranks() const {
+  std::vector<int> out;
+  for (int r = 0; r < size(); ++r)
+    if (rt_->is_dead(r)) out.push_back(r);
+  return out;
+}
 
 void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) {
   if (obs::metrics_enabled()) {

@@ -1,16 +1,12 @@
-// A message-passing runtime with MPI semantics over pluggable transports.
+// A message-passing runtime with MPI semantics over in-process ranks.
 //
 // The paper's distributed framework is written against MPI (MPI_Send/Recv,
 // MPI_Allgather, MPI_Bcast). No MPI implementation is available in this
-// environment, so this module provides the same programming model behind a
-// CommBackend abstraction with two transports:
-//   * thread (this file + comm.cpp): each "rank" is a thread with a private
-//     in-memory mailbox — the default, zero-setup mode;
-//   * socket (socket_transport.h): each rank is an OS process connected to
-//     a launcher-side router over length-prefixed, CRC-checked Unix-domain
-//     frames, with heartbeat failure detection (DESIGN.md §9).
-// Either way, point-to-point messages are blocking, FIFO per (source,
-// destination) pair, and matched by (source, tag); collectives are built on
+// environment, so this module provides the same programming model with
+// threads: each "rank" is a thread with a private in-memory mailbox
+// (simmpi/mailbox.h), and all ranks of one run share a Runtime.
+// Point-to-point messages are blocking, FIFO per (source, destination)
+// pair, and matched by (source, tag); collectives are built on
 // point-to-point and must be entered by all ranks in the same program
 // order, exactly like MPI.
 //
@@ -27,16 +23,12 @@
 // library applies here too).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -46,6 +38,8 @@ namespace dtfe::simmpi {
 constexpr int kAnySource = -1;
 
 struct FaultPlan;
+class Runtime;
+struct RunOptions;
 
 /// Thrown by blocking receives (and the collectives built on them) when the
 /// awaited peer has died: the runtime's replacement for an MPI deadlock.
@@ -67,41 +61,6 @@ struct RecvResult {
   int source = -1;  ///< delivering rank (kOk) or failed rank (kRankFailed)
   std::vector<std::byte> payload;
   bool ok() const { return status == RecvStatus::kOk; }
-};
-
-/// The transport behind a Comm: point-to-point delivery plus failure
-/// queries. Two implementations exist — the thread-backed Runtime in
-/// comm.cpp (ranks are threads with in-memory mailboxes) and the
-/// multi-process SocketEndpoint in socket_transport.h (each rank is an OS
-/// process framed over a Unix-domain socket). Comm's collectives are built
-/// on these five calls only, so they behave identically over both.
-class CommBackend {
- public:
-  virtual ~CommBackend() = default;
-  virtual int size() const = 0;
-  virtual bool is_dead(int rank) const = 0;
-  /// Blocking send from `src` (always the owning rank). Sends to a dead
-  /// rank are silently discarded.
-  virtual void send(int src, int dest, int tag,
-                    std::span<const std::byte> data) = 0;
-  /// Shared blocking/bounded receive; empty deadline = wait until a message
-  /// arrives or the awaited peer dies.
-  virtual RecvResult recv(
-      int me, int source, int tag,
-      std::optional<std::chrono::steady_clock::time_point> deadline) = 0;
-  virtual bool iprobe(int me, int source, int tag) const = 0;
-
-  std::vector<int> failed_ranks() const {
-    std::vector<int> out;
-    for (int r = 0; r < size(); ++r)
-      if (is_dead(r)) out.push_back(r);
-    return out;
-  }
-  bool any_dead() const {
-    for (int r = 0; r < size(); ++r)
-      if (is_dead(r)) return true;
-    return false;
-  }
 };
 
 /// Per-rank communicator handle. Cheap to copy within the owning rank's
@@ -245,12 +204,12 @@ class Comm {
   double allreduce_sum(double x);
   double allreduce_max(double x);
 
-  /// Internal: wrap a backend as rank `rank`. Used by the runtimes (the
-  /// thread run() below, the socket worker entry) — not a user-facing API.
-  Comm(CommBackend* backend, int rank) : rt_(backend), rank_(rank) {}
-
  private:
-  CommBackend* rt_;
+  friend void run(int nranks, const RunOptions& opts,
+                  const std::function<void(Comm&)>& fn);
+  Comm(Runtime* rt, int rank) : rt_(rt), rank_(rank) {}
+
+  Runtime* rt_;
   int rank_;
 };
 

@@ -149,54 +149,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-std::string FaultPlan::to_spec() const {
-  std::string out;
-  for (const FaultRule& r : rules) {
-    if (!out.empty()) out += ';';
-    const auto kv = [&out](const char* key, std::int64_t v) {
-      out += ',';
-      out += key;
-      out += '=';
-      out += std::to_string(v);
-    };
-    switch (r.action) {
-      case FaultAction::kKill:
-        out += "kill:rank=" + std::to_string(r.rank);
-        kv("at", static_cast<std::int64_t>(r.at));
-        if (r.tag != -1) kv("tag", r.tag);
-        continue;
-      case FaultAction::kDrop:
-        out += "drop:src=" + std::to_string(r.src);
-        break;
-      case FaultAction::kTruncate:
-        out += "trunc:src=" + std::to_string(r.src);
-        break;
-      case FaultAction::kBitFlip:
-        out += "flip:src=" + std::to_string(r.src);
-        break;
-      case FaultAction::kDelay:
-        out += "delay:src=" + std::to_string(r.src);
-        break;
-    }
-    kv("dst", r.dst);
-    kv("nth", static_cast<std::int64_t>(r.nth));
-    if (r.tag != -1) kv("tag", r.tag);
-    if (r.action == FaultAction::kTruncate && r.bytes > 0)
-      kv("bytes", static_cast<std::int64_t>(r.bytes));
-    if (r.action == FaultAction::kBitFlip) {
-      if (r.byte >= 0) kv("byte", r.byte);
-      if (r.bit >= 0) kv("bit", r.bit);
-    }
-    if (r.action == FaultAction::kDelay)
-      kv("ms", static_cast<std::int64_t>(r.delay_ms));
-  }
-  if (!rules.empty() || seed != 1) {
-    if (!out.empty()) out += ';';
-    out += "seed=" + std::to_string(seed);
-  }
-  return out;
-}
-
 FaultArbiter::FaultArbiter(const FaultPlan* plan)
     : seed_(plan ? plan->seed : 1) {
   if (plan)

@@ -63,22 +63,16 @@ struct FaultPlan {
   /// Parse the spec grammar above. Throws dtfe::Error with the offending
   /// clause on malformed input. An empty spec parses to an empty plan.
   static FaultPlan parse(const std::string& spec);
-
-  /// Inverse of parse: a spec string that round-trips this plan. Used to
-  /// hand a launcher's plan to its worker processes on their command line.
-  std::string to_spec() const;
 };
 
-/// Thrown into a rank's thread when the fault plan kills it (thread
-/// transport; the socket transport raises SIGKILL instead). Deliberately
+/// Thrown into a rank's thread when the fault plan kills it. Deliberately
 /// NOT derived from dtfe::Error: library catch(const Error&) containment
 /// sites must not swallow an injected death mid-unwind.
 struct RankKilledSignal {};
 
-/// Executes a FaultPlan against a stream of comm operations. Shared by both
-/// transports: the thread Runtime holds one arbiter for all ranks; each
-/// socket worker process holds its own. Worker-local instances replay
-/// identically to the shared one because message-fault rules name an
+/// Executes a FaultPlan against a stream of comm operations. The Runtime
+/// holds one arbiter for all ranks of a run. A plan replays identically
+/// whatever the thread interleaving, because message-fault rules name an
 /// explicit (src, dst) pair — only the sending rank ever advances such a
 /// rule — and kill rules only advance on the victim's own ops.
 class FaultArbiter {
@@ -90,8 +84,8 @@ class FaultArbiter {
 
   /// Count one send/recv operation of `rank` against the kill rules.
   /// Returns true when a kill fires: the caller must then make the death
-  /// real (mark the rank dead and unwind, or SIGKILL the process). Also
-  /// bumps dtfe.fault.ranks_killed.
+  /// real (mark the rank dead and unwind). Also bumps
+  /// dtfe.fault.ranks_killed.
   bool on_comm_op(int rank, int tag);
 
   /// Apply drop/trunc/flip/delay rules to one outgoing message, mutating
@@ -118,7 +112,7 @@ class FaultArbiter {
 };
 
 /// Bump dtfe.fault.rank_failed_notifications (no-op with metrics disabled).
-/// Called by both transports when a receive surfaces a dead peer.
+/// Called when a receive surfaces a dead peer.
 void count_rank_failed_notification();
 
 }  // namespace dtfe::simmpi

@@ -1,7 +1,7 @@
-// One rank's message queue with MPI-style matching, shared by both Comm
-// backends (thread runtime and socket transport).
+// One rank's message queue with MPI-style matching (the thread runtime in
+// comm.cpp holds one per rank).
 //
-// Semantics, identical for both transports:
+// Semantics:
 //   * FIFO per (source, tag) match; kAnySource matches any deliverable
 //     message in queue order.
 //   * A message may carry a delivery delay (the fault plan's `delay`

@@ -1,10 +1,9 @@
-// The one binary byte codec: work packages, checkpoint journal records and
-// the multi-process launch/result payloads are all written with ByteWriter
-// and read back with ByteReader.
+// The one binary byte codec: work packages and checkpoint journal records
+// are both written with ByteWriter and read back with ByteReader.
 //
-// Values are stored in host byte order (PODs memcpy'd; strings and vectors
-// prefixed with a 64-bit length): every stream is read by the same binary
-// on the same host that wrote it. ByteReader is bounds-checked and throws
+// Values are stored in host byte order (PODs memcpy'd; vectors prefixed
+// with a 64-bit length): every stream is read by the same binary on the
+// same host that wrote it. ByteReader is bounds-checked and throws
 // dtfe::Error on any read past the end, so a truncated or malformed stream
 // can never be misread — callers catch the Error and reject the stream.
 #pragma once
@@ -12,9 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -52,17 +49,6 @@ class ByteWriter {
     pod(static_cast<std::uint64_t>(v.size()));
     pods(std::span<const T>(v));
   }
-  void str(const std::string& s) {
-    pod(static_cast<std::uint64_t>(s.size()));
-    raw(std::as_bytes(std::span<const char>(s)));
-  }
-  void map(const std::map<std::string, double>& m) {
-    pod(static_cast<std::uint64_t>(m.size()));
-    for (const auto& [k, v] : m) {
-      str(k);
-      pod(v);
-    }
-  }
   void raw(std::span<const std::byte> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
@@ -97,19 +83,6 @@ class ByteReader {
     std::vector<T> v(len(sizeof(T)));
     pods(std::span<T>(v));
     return v;
-  }
-  std::string str() {
-    const std::span<const std::byte> b = raw(len(1));
-    return {reinterpret_cast<const char*>(b.data()), b.size()};
-  }
-  std::map<std::string, double> map() {
-    const std::size_t n = len(1);
-    std::map<std::string, double> m;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string k = str();
-      m[std::move(k)] = pod<double>();
-    }
-    return m;
   }
   /// A 64-bit count of items of `item_bytes` each, checked to fit in what
   /// is left of the stream.

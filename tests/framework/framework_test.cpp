@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <set>
 
 #include "framework/decomposition.h"
@@ -224,41 +222,6 @@ TEST(Des, MispredictionDegradesBalance) {
   for (auto& t : predicted[0]) t *= 0.1;  // model blind to the hotspot
   const DesResult bad = simulate_work_sharing(actual, predicted, {});
   EXPECT_GT(bad.makespan_balanced, good.makespan_balanced * 1.5);
-}
-
-TEST(Des, LoadsCalibrationFromRunReport) {
-  // A report with the transport_* summaries a --transport=socket run writes
-  // (obs/report.cpp emits summary entries exactly as "key":value).
-  const std::string path = "/tmp/pdtfe_des_calibration_test.json";
-  {
-    std::ofstream out(path);
-    out << "{\"summary\":{\"ranks\":3,\"transport_messages\":44,"
-           "\"transport_msg_latency_mean_s\":0.0011,"
-           "\"transport_bytes_per_msg\":13000,"
-           "\"transport_latency_intercept_s\":0.0002,"
-           "\"transport_seconds_per_byte\":5e-09}}";
-  }
-  const DesOptions opt = load_des_calibration(path);
-  EXPECT_DOUBLE_EQ(opt.message_latency, 0.0002);
-  EXPECT_DOUBLE_EQ(opt.seconds_per_unit_sent, 5e-9 * 13000);
-
-  // Degenerate fit (intercept 0): fall back to the mean latency.
-  {
-    std::ofstream out(path);
-    out << "{\"summary\":{\"transport_messages\":10,"
-           "\"transport_msg_latency_mean_s\":0.0011,"
-           "\"transport_latency_intercept_s\":0}}";
-  }
-  EXPECT_DOUBLE_EQ(load_des_calibration(path).message_latency, 0.0011);
-
-  // No transport summaries (a thread-transport report): refuse loudly.
-  {
-    std::ofstream out(path);
-    out << "{\"summary\":{\"ranks\":3}}";
-  }
-  EXPECT_THROW(load_des_calibration(path), Error);
-  EXPECT_THROW(load_des_calibration("/nonexistent/report.json"), Error);
-  std::remove(path.c_str());
 }
 
 TEST(Des, ScalesTo16kRanks) {

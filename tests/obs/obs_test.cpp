@@ -424,11 +424,14 @@ std::size_t expect_phase_spans_nest(const simmpi::FaultPlan* plan) {
 
 TEST(PipelineObs, PhaseSpansAreDisjointAndContainTheirChildren) {
   EXPECT_EQ(expect_phase_spans_nest(nullptr), 0u);
-  // Rank 1 finishes its items and dies at its first barrier, the one that
-  // opens RecoverStage (1 << 24 is simmpi's internal barrier tag), so the
-  // survivors recompute its items.
+  // Rank 1 finishes its items and dies at the allgather that opens
+  // RecoverStage, before it reports its committed items, so the survivors
+  // recompute them. (1 << 24) + 2 is simmpi's internal allgather tag; at 4
+  // ranks each allgather is 3 sends and 3 receives, and two come before
+  // recovery (the model's sample pool and the work-sharing times), so the
+  // recovery allgather's first send is rank 1's 13th op on that tag.
   const simmpi::FaultPlan plan = simmpi::FaultPlan::parse(
-      "kill:rank=1,tag=" + std::to_string(1 << 24) + ",at=1");
+      "kill:rank=1,tag=" + std::to_string((1 << 24) + 2) + ",at=13");
   EXPECT_GT(expect_phase_spans_nest(&plan), 0u);
 }
 
